@@ -59,14 +59,11 @@ use std::sync::Mutex as StdMutex;
 /// ordering constraints live in [`DECLARED_ORDER`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LockGroup {
-    /// A per-front-end admission-session lock (`Vip` handshakes).
+    /// A per-front-end admission link of the `Vip`'s blocking driver
+    /// (both session ends, their sockets, the endpoint's `BeHandoff`).
     AdmitSession,
-    /// The Vip's handoff state machine.
+    /// The tier's shared Vip-side handoff state machine.
     VipMachine,
-    /// A per-front-end admission-session write half.
-    SessionWrite,
-    /// A per-front-end handoff endpoint (`BeHandoff` + stream).
-    BeEndpoint,
     /// A per-front-end gossip publish serializer.
     GossipPublish,
     /// A per-(origin, peer) gossip stream write half.
@@ -113,8 +110,6 @@ impl LockGroup {
         match self {
             LockGroup::AdmitSession => "AdmitSession",
             LockGroup::VipMachine => "VipMachine",
-            LockGroup::SessionWrite => "SessionWrite",
-            LockGroup::BeEndpoint => "BeEndpoint",
             LockGroup::GossipPublish => "GossipPublish",
             LockGroup::GossipTx => "GossipTx",
             LockGroup::Ring => "Ring",
@@ -237,24 +232,14 @@ impl LockClass {
         Self::new(LockGroup::GossipTx, g)
     }
 
-    /// Front-end `f`'s admission-session lock.
+    /// Front-end `f`'s admission link (blocking driver).
     pub const fn admit_session(f: u32) -> Self {
         Self::new(LockGroup::AdmitSession, f)
-    }
-
-    /// Front-end `f`'s admission-session write half.
-    pub const fn session_write(f: u32) -> Self {
-        Self::new(LockGroup::SessionWrite, f)
     }
 
     /// The Vip handoff machine.
     pub const fn vip_machine() -> Self {
         Self::new(LockGroup::VipMachine, 0)
-    }
-
-    /// Front-end `f`'s handoff endpoint.
-    pub const fn be_endpoint(f: u32) -> Self {
-        Self::new(LockGroup::BeEndpoint, f)
     }
 
     /// An ad-hoc class keyed by `name` (pass the same literal for the
@@ -312,10 +297,9 @@ pub const DECLARED_ORDER: &[(LockGroup, LockGroup)] = &[
     (LockGroup::Cache, LockGroup::Control),
     (LockGroup::Cache, LockGroup::DiskFlights),
     (LockGroup::Cache, LockGroup::LateralFlights),
-    // Tier admission: the per-session handshake lock brackets machine
-    // transitions and control-frame writes.
+    // Tier admission: a blocking exchange holds its link while the
+    // link's two ends step the shared machine.
     (LockGroup::AdmitSession, LockGroup::VipMachine),
-    (LockGroup::AdmitSession, LockGroup::SessionWrite),
 ];
 
 /// One entry of a thread's held stack.

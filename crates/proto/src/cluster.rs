@@ -553,13 +553,11 @@ impl Cluster {
                 // plain listeners suffice; with several, each address is
                 // an SO_REUSEPORT group with one member per shard, so the
                 // kernel spreads accepts with no cross-shard traffic.
+                // Tier or not: a shard admits what it accepts over its
+                // own admission links.
                 let mut groups: Vec<Vec<mio::net::TcpListener>> =
                     (0..shards).map(|_| Vec::new()).collect();
-                // A front-end tier always accepts via handoff: the Vip
-                // admission handshake blocks on a control round-trip,
-                // which belongs on the acceptor threads, never inside an
-                // event loop.
-                let mut handoff = config.force_accept_handoff || vip.is_some();
+                let mut handoff = config.force_accept_handoff;
                 let mut std_fe_listeners = Vec::new();
                 if shards == 1 && !handoff {
                     for l in bind_std_frontends(config.fe_listeners) {
@@ -615,24 +613,20 @@ impl Cluster {
                 )
                 .expect("start reactor event loops");
                 // Acceptor-handoff fallback: blocking acceptors hand each
-                // accepted stream to the next shard round-robin (staggered
-                // per listener so one hot address still spreads). Under a
-                // tier this path is mandatory and the acceptor also runs
-                // the Vip admission handshake.
+                // accepted stream, untouched, to the next shard round-robin
+                // (staggered per listener so one hot address still spreads).
                 if handoff {
                     let injectors = handle.injectors();
                     for (i, fe_listener) in std_fe_listeners.into_iter().enumerate() {
                         let stop = stop.clone();
                         let injectors = injectors.clone();
-                        let vip = vip.clone();
                         accept_threads.push(std::thread::spawn(move || {
                             for (n, incoming) in fe_listener.incoming().enumerate() {
                                 if stop.load(Ordering::Relaxed) {
                                     break;
                                 }
                                 let Ok(stream) = incoming else { break };
-                                let (fe_idx, ticket) = admit_stream(vip.as_deref(), &stream);
-                                injectors[(i + n) % injectors.len()].push(stream, fe_idx, ticket);
+                                injectors[(i + n) % injectors.len()].push(stream);
                             }
                         }));
                     }

@@ -178,6 +178,12 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+impl From<DecodeError> for std::io::Error {
+    fn from(e: DecodeError) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+    }
+}
+
 /// Incremental frame parser for one control stream.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {

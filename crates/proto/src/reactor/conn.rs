@@ -282,12 +282,18 @@ pub(crate) struct ClientConn {
     /// `conn_id` is set; re-homed eagerly on migrate decisions). For
     /// peer-server connections, the serving node — fixed at accept.
     pub node: usize,
+    /// Parked behind its tier admission handshake: in the slab but not
+    /// registered with the poller, so nothing is read until a
+    /// front-end has acknowledged the connection. Always `false`
+    /// without a tier.
+    pub admitting: bool,
     /// Which front-end instance dispatches this connection (always 0
-    /// without a tier; assigned by the Vip admission otherwise).
+    /// without a tier; the admission's outcome otherwise).
     pub fe_idx: usize,
-    /// The tier-level admission ticket, released to the Vip when the
-    /// connection closes (`None` without a tier, or when the admission
-    /// handshake failed and the connection fell through untracked).
+    /// The tier-level admission ticket, released on the admitting link
+    /// when the connection closes (`None` without a tier, while
+    /// admitting, or when no front-end acknowledged the handshake and
+    /// the connection fell through untracked).
     pub vip_conn: Option<ConnId>,
     next_seq: u64,
     /// In-order response pipeline.
@@ -318,6 +324,7 @@ impl ClientConn {
             peer_server: false,
             conn_id: None,
             node: 0,
+            admitting: false,
             fe_idx: 0,
             vip_conn: None,
             next_seq: 0,
@@ -344,18 +351,12 @@ impl ClientConn {
         }
     }
 
-    /// A client connection admitted through the front-end tier: it
-    /// dispatches on front-end `fe_idx` and (when the admission
-    /// handshake succeeded) carries the Vip ticket to release on close.
-    pub fn admitted(
-        stream: mio::net::TcpStream,
-        fe_idx: usize,
-        vip_conn: Option<ConnId>,
-        gauge: Arc<AtomicUsize>,
-    ) -> ClientConn {
+    /// A client connection accepted under a front-end tier, parked
+    /// until its admission resolves (see [`admitting`](Self::admitting)).
+    pub fn admitting(stream: mio::net::TcpStream, gauge: Arc<AtomicUsize>) -> ClientConn {
         ClientConn {
-            fe_idx,
-            vip_conn,
+            admitting: true,
+            interest: Interest::NONE,
             ..ClientConn::new(stream, gauge)
         }
     }

@@ -39,7 +39,11 @@
 //! 1. **Accept** — a listener's readable event accepts until
 //!    `WouldBlock`; each stream becomes a `conn::ClientConn` slab
 //!    slot registered for `READABLE` (peer listeners produce
-//!    peer-server connections in the same slab).
+//!    peer-server connections in the same slab). Under a front-end
+//!    tier a client connection first parks, unregistered, as
+//!    *admitting*: its handoff handshake crosses this shard's own
+//!    admission link (`admit::Admitter`) and the decoded ack — which
+//!    front-end took it — is what registers it.
 //! 2. **Read → parse** — readable events feed the connection's
 //!    incremental [`phttp_http::RequestParser`]; every drained batch of
 //!    complete requests is decided **inline** via
@@ -60,7 +64,10 @@
 //!    the same rules.
 //! 5. **Close** — client EOF, a non-keep-alive request, a parse error,
 //!    or the idle timeout drains the pipeline and then releases the
-//!    slot, closing the dispatcher connection exactly once.
+//!    slot, closing the dispatcher connection exactly once (and, under
+//!    a tier, queueing the close notification that removes the
+//!    connection's forwarding route; queued frames leave once per loop
+//!    turn, one write per link direction).
 //!
 //! ## Failure handling
 //!
@@ -81,6 +88,7 @@
 //! connection before exiting — the reactor-mode half of
 //! `Cluster::quiesce`'s teardown contract.
 
+mod admit;
 mod conn;
 mod disk;
 mod peer;
@@ -95,15 +103,16 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use mio::{Events, Interest, Poll, Token, Waker};
 use parking_lot::{LockClass, Mutex};
-use phttp_core::{Assignment, ConnId, ForwardSemantics, NodeId};
+use phttp_core::{Assignment, ForwardSemantics, NodeId};
 use phttp_http::{Request, Response, Version};
 use phttp_trace::TargetId;
 
 use crate::control::FrameDecoder;
 use crate::frontend::FrontEnd;
 use crate::store::ContentStore;
-use crate::tier::Vip;
+use crate::tier::{client_key, Vip};
 
+use admit::{Admitted, Admitter};
 use conn::{ClientConn, Entry, EntryState, StreamEntry, HIGH_WATER};
 use disk::{DiskJob, DiskSched, Waiter};
 use peer::{LateralJob, PeerSession, StreamIn};
@@ -113,10 +122,12 @@ const WAKER: Token = Token(0);
 /// First front-end listener token; listener `i` is
 /// `Token(LISTENER_BASE + i)`. Peer-listener tokens follow the
 /// front-end listeners (`Reactor::peer_base`), control-channel tokens
-/// follow those (`Reactor::control_base`) and slab tokens follow those
-/// (`Reactor::slab_base`); all bases are computed from the configured
-/// counts, so the ranges can never collide however many listeners,
-/// nodes, or control sessions a shard owns.
+/// follow those (`Reactor::control_base`), the tier's admission-link
+/// ends follow those (`Reactor::link_base`, two per front-end, none
+/// without a tier) and slab tokens follow those (`Reactor::slab_base`);
+/// all bases are computed from the configured counts, so the ranges can
+/// never collide however many listeners, nodes, control sessions, or
+/// front-ends a shard serves.
 const LISTENER_BASE: usize = 1;
 
 /// A slab slot reference that stays valid across slot reuse: the
@@ -266,11 +277,8 @@ impl ReactorStats {
     }
 }
 
-/// A fallback-handoff queue entry: the accepted stream, the
-/// front-end it was admitted to, and its tier ticket.
-type InjectedConn = (std::net::TcpStream, usize, Option<ConnId>);
 /// Shared queue of fallback-handoff connections for one shard.
-type InjectorQueue = Arc<Mutex<VecDeque<InjectedConn>>>;
+type InjectorQueue = Arc<Mutex<VecDeque<std::net::TcpStream>>>;
 
 /// Hands accepted connections to one shard (the round-robin fallback
 /// when `SO_REUSEPORT` listener groups are unavailable): the stream is
@@ -282,10 +290,10 @@ pub(crate) struct ConnInjector {
 }
 
 impl ConnInjector {
-    /// Queues `stream` for the shard (tagged with the front-end the
-    /// Vip admitted it to, plus the tier ticket) and wakes its poller.
-    pub fn push(&self, stream: std::net::TcpStream, fe_idx: usize, vip_conn: Option<ConnId>) {
-        self.q.lock().push_back((stream, fe_idx, vip_conn));
+    /// Queues `stream` for the shard and wakes its poller. The shard
+    /// treats it exactly like a connection it accepted itself.
+    pub fn push(&self, stream: std::net::TcpStream) {
+        self.q.lock().push_back(stream);
         let _ = self.waker.wake();
     }
 }
@@ -418,13 +426,19 @@ pub(crate) fn spawn(
             )?;
             chans.push(chan);
         }
-        let slab_base = control_base + chans.len();
+        // The tier's admission links: this shard's own loopback session
+        // per front-end, both ends readiness sources like the rest.
+        let link_base = control_base + chans.len();
+        let admitter = match &vip {
+            Some(vip) => Some(Admitter::new(vip.clone(), poll.registry(), link_base)?),
+            None => None,
+        };
+        let slab_base = link_base + admitter.as_ref().map_or(0, Admitter::tokens);
         let reactor = Reactor {
             shard: shard_idx,
             poll,
             fe: fe.clone(),
             fes: fes.clone(),
-            vip: vip.clone(),
             store: store.clone(),
             stop: stop.clone(),
             listeners,
@@ -432,6 +446,9 @@ pub(crate) fn spawn(
             peer_listeners: peer_lns,
             control_base,
             controls: chans,
+            link_base,
+            admitter,
+            admitted: Vec::new(),
             slab_base,
             inbox,
             stats: stats.clone(),
@@ -488,10 +505,8 @@ struct Reactor {
     /// tier; per-connection dispatcher calls go through `fes` instead).
     fe: Arc<FrontEnd>,
     /// Every front-end instance; a connection's dispatcher calls go
-    /// through `fes[c.fe_idx]` (the instance the Vip admitted it to).
+    /// through `fes[c.fe_idx]` (the instance that admitted it).
     fes: Vec<Arc<FrontEnd>>,
-    /// The tier router, for releasing admission tickets on close.
-    vip: Option<Arc<Vip>>,
     store: Arc<ContentStore>,
     stop: Arc<AtomicBool>,
     /// This shard's own front-end accept sockets (reuseport group
@@ -507,10 +522,18 @@ struct Reactor {
     /// This shard's share of the registered control sessions (empty
     /// when cache feedback is disabled).
     controls: Vec<ControlChan>,
-    /// First slab token: `control_base + controls.len()`.
+    /// First admission-link token: `control_base + controls.len()`.
+    link_base: usize,
+    /// The tier's admission links as this shard drives them (`None`
+    /// without a tier: connections then serve the moment they are
+    /// accepted).
+    admitter: Option<Admitter>,
+    /// Admissions resolved and not yet activated (scratch, drained by
+    /// [`Reactor::activate_admitted`]).
+    admitted: Vec<Admitted>,
+    /// First slab token: `link_base + 2 * front_ends` under a tier.
     slab_base: usize,
-    /// Accepted connections handed off by fallback acceptor threads,
-    /// tagged with their admitted front-end and tier ticket.
+    /// Accepted connections handed off by fallback acceptor threads.
     inbox: InjectorQueue,
     /// Shared live-source gauges (this shard writes `shards[shard]`).
     stats: Arc<ReactorStats>,
@@ -610,8 +633,10 @@ impl Reactor {
                     self.accept_all(t - LISTENER_BASE);
                 } else if t < self.control_base {
                     self.accept_peers(t - self.peer_base);
-                } else if t < self.slab_base {
+                } else if t < self.link_base {
                     self.drain_control(t - self.control_base);
+                } else if t < self.slab_base {
+                    self.on_link_event(t - self.link_base);
                 } else {
                     self.handle_slot(t - self.slab_base);
                 }
@@ -620,18 +645,21 @@ impl Reactor {
             self.fire_timers();
             self.drain_pumps();
             self.maybe_sweep_idle();
+            self.flush_links();
             self.stats.shards[self.shard]
                 .timers
                 .store(self.timers.len(), Ordering::Relaxed);
         }
     }
 
-    /// Next poll timeout: the earliest timer deadline, capped by the
-    /// idle-sweep tick.
+    /// Next poll timeout: the earliest timer or admission-ack
+    /// deadline, capped by the idle-sweep tick.
     fn poll_timeout(&self) -> Duration {
         let tick = Duration::from_millis(200);
-        match self.timers.peek() {
-            Some(t) => t.at.saturating_duration_since(Instant::now()).min(tick),
+        let timer = self.timers.peek().map(|t| t.at);
+        let ack = self.admitter.as_ref().and_then(Admitter::next_deadline);
+        match timer.into_iter().chain(ack).min() {
+            Some(at) => at.saturating_duration_since(Instant::now()).min(tick),
             None => tick,
         }
     }
@@ -689,14 +717,93 @@ impl Reactor {
     fn accept_all(&mut self, listener: usize) {
         loop {
             match self.listeners[listener].accept() {
-                Ok((stream, _)) => {
-                    let gauge = self.body_gauge();
-                    self.register_client(ClientConn::new(stream, gauge));
-                }
+                Ok((stream, peer)) => self.admit_client(stream, Ok(peer)),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break, // transient accept failure; retry on next event
             }
+        }
+    }
+
+    /// Takes in a new client connection. Without a tier it registers
+    /// and serves at once. Under a tier it parks in the slab as
+    /// *admitting* — unregistered, nothing read — while its handoff
+    /// handshake crosses this shard's admission link, and starts
+    /// serving when [`activate`](Self::activate) learns which front-end
+    /// acknowledged it.
+    fn admit_client(&mut self, stream: mio::net::TcpStream, peer: io::Result<SocketAddr>) {
+        let gauge = self.body_gauge();
+        if self.admitter.is_none() {
+            self.register_client(ClientConn::new(stream, gauge));
+            return;
+        }
+        let idx = self.insert_slot(Slot::Client(ClientConn::admitting(stream, gauge)));
+        let slot = self.slot_ref(idx);
+        let admitter = self.admitter.as_mut().expect("checked above");
+        admitter.admit(slot, peer.ok().map(client_key), &mut self.admitted);
+        self.activate_admitted();
+    }
+
+    /// Readiness on one end of an admission link.
+    fn on_link_event(&mut self, off: usize) {
+        if let Some(admitter) = self.admitter.as_mut() {
+            admitter.on_event(off, &mut self.admitted);
+        }
+        self.activate_admitted();
+    }
+
+    /// Sends the frames this turn queued on the admission links: one
+    /// write per direction per link, however many connections opened
+    /// or closed.
+    fn flush_links(&mut self) {
+        if let Some(admitter) = self.admitter.as_mut() {
+            admitter.flush(self.poll.registry(), &mut self.admitted);
+        }
+        self.activate_admitted();
+    }
+
+    /// Activates every admission the links have resolved.
+    fn activate_admitted(&mut self) {
+        while let Some(a) = self.admitted.pop() {
+            self.activate(a);
+        }
+    }
+
+    /// An admission resolved: the parked connection joins front-end
+    /// `fe_idx`, registers for reads, and is driven at once — its
+    /// request has usually been sitting in the socket since before the
+    /// handshake started.
+    fn activate(&mut self, a: Admitted) {
+        let idx = a.slot.idx;
+        let parked = match self.slots.get_mut(idx) {
+            Some(s) if s.gen == a.slot.gen => s.val.take(),
+            _ => None,
+        };
+        let Some(Slot::Client(mut c)) = parked else {
+            // Nothing frees a parked slot today (the sweep and stray
+            // events skip it, teardown abandons its handshake first),
+            // but a `SlotRef` is only ever good while its generation
+            // matches — and a ticket without a connection must not
+            // outlive this call.
+            if let (Some(admitter), Some(ticket)) = (self.admitter.as_mut(), a.ticket) {
+                admitter.release(a.fe_idx, ticket);
+            }
+            return;
+        };
+        c.admitting = false;
+        c.fe_idx = a.fe_idx;
+        c.vip_conn = a.ticket;
+        let _ = c.stream.set_nodelay(true);
+        let registered = self.poll.registry().register(
+            &mut c.stream,
+            Token(self.slab_base + idx),
+            Interest::READABLE,
+        );
+        c.interest = Interest::READABLE;
+        if registered.is_ok() && self.drive_client(idx, &mut c) {
+            self.slots[idx].val = Some(Slot::Client(c));
+        } else {
+            self.release_client(idx, c);
         }
     }
 
@@ -739,15 +846,14 @@ impl Reactor {
         }
     }
 
-    /// Registers connections handed off by fallback acceptor threads.
+    /// Takes in connections handed off by fallback acceptor threads.
     fn drain_inbox(&mut self) {
         loop {
-            let Some((stream, fe_idx, vip_conn)) = self.inbox.lock().pop_front() else {
+            let Some(stream) = self.inbox.lock().pop_front() else {
                 return;
             };
-            let stream = mio::net::TcpStream::from_std(stream);
-            let gauge = self.body_gauge();
-            self.register_client(ClientConn::admitted(stream, fe_idx, vip_conn, gauge));
+            let peer = stream.peer_addr();
+            self.admit_client(mio::net::TcpStream::from_std(stream), peer);
         }
     }
 
@@ -838,6 +944,10 @@ impl Reactor {
             return; // stale event for a freed slot
         };
         match slot {
+            // Parked behind its admission: only its ack moves it. (It is
+            // not registered, but a queued pump or a late event for the
+            // index's previous occupant can still name the slot.)
+            Slot::Client(c) if c.admitting => self.slots[idx].val = Some(Slot::Client(c)),
             Slot::Client(mut c) => {
                 if self.drive_client(idx, &mut c) {
                     self.slots[idx].val = Some(Slot::Client(c));
@@ -1148,10 +1258,12 @@ impl Reactor {
         if let Some(conn) = c.conn_id {
             self.fes[c.fe_idx].close_connection(conn);
         }
-        // The connection has fully unwound on its front-end; hand the
-        // admission ticket back so the tier's forwarding route goes too.
-        if let (Some(vip), Some(ticket)) = (&self.vip, c.vip_conn) {
-            vip.release(c.fe_idx, ticket);
+        // The connection has fully unwound on its front-end; queue the
+        // close notification that takes the tier's forwarding route
+        // with it. (A connection still admitting holds no ticket yet:
+        // it belongs to the parked handshake, which teardown abandons.)
+        if let (Some(admitter), Some(ticket)) = (self.admitter.as_mut(), c.vip_conn) {
+            admitter.release(c.fe_idx, ticket);
         }
         let _ = self.poll.registry().deregister(&mut c.stream);
         self.free_slot(idx);
@@ -1723,6 +1835,10 @@ impl Reactor {
     // ---- timers & sweep -------------------------------------------------
 
     fn fire_timers(&mut self) {
+        if let Some(admitter) = self.admitter.as_mut() {
+            admitter.expire(Instant::now(), &mut self.admitted);
+            self.activate_admitted();
+        }
         loop {
             let now = Instant::now();
             match self.timers.peek() {
@@ -1765,8 +1881,12 @@ impl Reactor {
         self.last_sweep = now;
         for idx in 0..self.slots.len() {
             let timed_out = match &self.slots[idx].val {
+                // An admitting connection's wait is bounded by its
+                // handshake's own deadline, not by socket idleness.
                 Some(Slot::Client(c)) => {
-                    c.drained() && now.duration_since(c.last_activity) > self.read_timeout
+                    !c.admitting
+                        && c.drained()
+                        && now.duration_since(c.last_activity) > self.read_timeout
                 }
                 Some(Slot::Peer(p)) => {
                     p.job.is_none() && now.duration_since(p.last_activity) > self.read_timeout
@@ -1803,6 +1923,11 @@ impl Reactor {
                 }
                 None => {}
             }
+        }
+        // Every close the releases above queued must reach the tier's
+        // machine before the links' sockets go with this thread.
+        if let Some(admitter) = self.admitter.as_mut() {
+            admitter.teardown(self.poll.registry());
         }
         self.timers.clear();
         self.stats.shards[self.shard]

@@ -12,14 +12,21 @@
 //! [`control`](crate::control) frame format over real loopback streams:
 //!
 //! * **Admission** — each new client connection is handed to a
-//!   front-end through the `phttp-handoff` machines: the Vip runs the
-//!   [`FeHandoff`] side (connection phases + forwarding table), each
-//!   front-end endpoint runs a [`BeHandoff`], and the
-//!   request/ack/close exchange travels as [`ControlMsg::Handoff`]
-//!   frames on a per-front-end admission session. The ack installs a
-//!   forwarding-table route; the endpoint's close notification removes
-//!   it — so `vip.tracked()` counts exactly the admitted connections
-//!   still alive.
+//!   front-end through the `phttp-handoff` machines: the shared
+//!   [`VipMachine`] runs the [`FeHandoff`] side (connection phases +
+//!   forwarding table), each front-end endpoint runs a [`BeHandoff`],
+//!   and the request/ack/close exchange travels as
+//!   [`ControlMsg::Handoff`] frames on a loopback admission session.
+//!   The ack installs a forwarding-table route; the endpoint's close
+//!   notification removes it — so `vip.tracked()` counts exactly the
+//!   admitted connections still alive. Both ends of a session are one
+//!   sans-IO [`AdmissionLink`]; whoever owns the link also owns both
+//!   sockets and moves the bytes between them, so a handshake never
+//!   crosses a thread. Two drivers exist: [`Vip::admit`] /
+//!   [`Vip::release`] drive a per-front-end link with blocking I/O on
+//!   the caller's thread (the threads model, inline callers), and each
+//!   reactor shard drives its own links from socket readiness
+//!   (`reactor/admit.rs`).
 //! * **Gossip** — front-ends exchange dispatcher state peer-to-peer:
 //!   every gossip tick each front-end publishes a
 //!   [`phttp_core::StateDelta`] (its own loads plus the believed
@@ -43,7 +50,7 @@
 //! [`Vip`] when `front_ends > 1`, so the single-front-end fast path is
 //! byte-for-byte the pre-tier prototype.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -56,7 +63,7 @@ use phttp_handoff::messages::{CtrlMsg, TcpHandoffState};
 use phttp_handoff::ClientKey;
 use phttp_trace::TargetId;
 
-use crate::control::{encode, ControlMsg, FrameDecoder};
+use crate::control::{encode, ControlMsg, DecodeError, FrameDecoder};
 use crate::frontend::FrontEnd;
 
 /// Default spacing between gossip rounds
@@ -65,7 +72,7 @@ pub const DEFAULT_GOSSIP_INTERVAL: Duration = Duration::from_millis(2);
 
 /// How long an admission handshake may wait for its ack. Loopback
 /// round-trips are microseconds; hitting this means the endpoint died.
-const ADMIT_TIMEOUT: Duration = Duration::from_secs(2);
+pub(crate) const ADMIT_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Derives the handoff-machine client key from a client's socket
 /// address (the 4-tuple key the paper's kernel module hashes on).
@@ -85,22 +92,301 @@ pub fn client_key(addr: SocketAddr) -> ClientKey {
     }
 }
 
-/// The Vip side of one front-end's admission session.
-struct AdmitSession {
-    /// Serializes handshakes to this front-end: acks return in FIFO
-    /// order, so one in-flight handshake per session keeps matching
-    /// trivial.
-    admit_lock: Mutex<()>,
-    /// Write half (handoff requests).
-    write: Mutex<TcpStream>,
-    /// Acks surfaced by this session's reader thread.
-    ack_rx: crossbeam::channel::Receiver<CtrlMsg>,
+/// What every admission link of one tier shares: the Vip-side handoff
+/// machine (connection phases plus the forwarding table) and the
+/// ticket allocator.
+pub struct VipMachine {
+    fe: Mutex<FeHandoff>,
+    next_conn: AtomicU64,
 }
 
-/// The front-end endpoint of an admission session: its [`BeHandoff`]
-/// plus the write half acks and close notifications go out on.
-struct Endpoint {
-    be: Mutex<(BeHandoff, TcpStream)>,
+impl VipMachine {
+    /// An empty machine.
+    pub fn new() -> Arc<VipMachine> {
+        Arc::new(VipMachine {
+            fe: Mutex::new_classed(LockClass::vip_machine(), FeHandoff::new()),
+            next_conn: AtomicU64::new(0),
+        })
+    }
+
+    /// Connections begun on any link and not yet closed.
+    pub fn tracked(&self) -> usize {
+        self.fe.lock().len()
+    }
+}
+
+/// One handshake's answer, decoded at the Vip end of a link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ack {
+    /// The ticket [`AdmissionLink::begin`] returned.
+    pub conn: ConnId,
+    /// `false`: the endpoint refused; the machine has already dropped
+    /// the connection.
+    pub accepted: bool,
+}
+
+/// Both ends of one Vip↔front-end admission session, with no I/O: the
+/// Vip end turns [`begin`](Self::begin) into handoff-request frames and
+/// decodes acks and close notifications into the shared [`VipMachine`];
+/// the endpoint end runs the front-end's [`BeHandoff`], answering
+/// requests and turning [`release`](Self::release) into close frames.
+///
+/// The owner holds the session's two sockets and is the only thing
+/// that moves bytes: whatever [`vip_out`](Self::vip_out) holds goes on
+/// the Vip end's socket and comes back through
+/// [`on_endpoint_bytes`](Self::on_endpoint_bytes), and symmetrically
+/// for [`endpoint_out`](Self::endpoint_out) and
+/// [`on_vip_bytes`](Self::on_vip_bytes). Frames are decoded
+/// incrementally, so the wire may fragment or coalesce them freely.
+pub struct AdmissionLink {
+    f: usize,
+    machine: Arc<VipMachine>,
+    be: BeHandoff,
+    vip_rx: FrameDecoder,
+    endpoint_rx: FrameDecoder,
+    vip_tx: Vec<u8>,
+    endpoint_tx: Vec<u8>,
+    /// Bytes reported sent from each end and not yet fed to the other.
+    to_endpoint: usize,
+    to_vip: usize,
+}
+
+impl AdmissionLink {
+    /// A link admitting to front-end `f`.
+    pub fn new(f: usize, machine: Arc<VipMachine>) -> AdmissionLink {
+        AdmissionLink {
+            f,
+            machine,
+            be: BeHandoff::new(NodeId(f), 0),
+            vip_rx: FrameDecoder::new(),
+            endpoint_rx: FrameDecoder::new(),
+            vip_tx: Vec::new(),
+            endpoint_tx: Vec::new(),
+            to_endpoint: 0,
+            to_vip: 0,
+        }
+    }
+
+    /// The front-end this link admits to.
+    pub fn front_end(&self) -> usize {
+        self.f
+    }
+
+    /// Starts handing a connection from `client` to this link's
+    /// front-end: queues the handoff request at the Vip end and returns
+    /// the ticket its [`Ack`] will carry.
+    pub fn begin(&mut self, client: ClientKey) -> ConnId {
+        let conn = ConnId(self.machine.next_conn.fetch_add(1, Ordering::Relaxed));
+        let tcp = TcpHandoffState {
+            client_ip: client.ip,
+            client_port: client.port,
+            local_port: 80,
+            snd_nxt: 0,
+            rcv_nxt: 0,
+            snd_wnd: 65535,
+            mss: 1460,
+        };
+        let actions =
+            self.machine
+                .fe
+                .lock()
+                .start_handoff(conn, client, NodeId(self.f), tcp, Vec::new());
+        for action in actions {
+            if let Action::SendCtrl { msg, .. } = action {
+                queue_frame(&mut self.vip_tx, msg);
+            }
+        }
+        conn
+    }
+
+    /// The admitted connection `conn` has ended: the endpoint drops it
+    /// and queues the close notification that removes its route.
+    pub fn release(&mut self, conn: ConnId) {
+        if let Some(close) = self.be.release(conn, true) {
+            queue_frame(&mut self.endpoint_tx, close);
+        }
+    }
+
+    /// Unwinds `conn` at both ends without touching the wire: for a
+    /// handshake that will not complete (timeout, dead session,
+    /// teardown) or whose ack lost the race with a decommission.
+    pub fn abandon(&mut self, conn: ConnId) {
+        let _ = self
+            .machine
+            .fe
+            .lock()
+            .on_ctrl(NodeId(self.f), CtrlMsg::ConnClosed { conn });
+        self.be.release(conn, false);
+    }
+
+    /// Bytes the Vip end owes its socket.
+    pub fn vip_out(&self) -> &[u8] {
+        &self.vip_tx
+    }
+
+    /// Bytes the endpoint end owes its socket.
+    pub fn endpoint_out(&self) -> &[u8] {
+        &self.endpoint_tx
+    }
+
+    /// The Vip end's socket took the first `n` bytes of
+    /// [`vip_out`](Self::vip_out).
+    pub fn vip_sent(&mut self, n: usize) {
+        self.vip_tx.drain(..n);
+        self.to_endpoint += n;
+    }
+
+    /// The endpoint end's socket took the first `n` bytes of
+    /// [`endpoint_out`](Self::endpoint_out).
+    pub fn endpoint_sent(&mut self, n: usize) {
+        self.endpoint_tx.drain(..n);
+        self.to_vip += n;
+    }
+
+    /// Nothing queued and nothing on the wire in either direction:
+    /// every frame produced so far has had its effect.
+    pub fn quiet(&self) -> bool {
+        self.vip_tx.is_empty() && self.endpoint_tx.is_empty() && self.to_endpoint + self.to_vip == 0
+    }
+
+    /// Whether the endpoint owns no connection.
+    pub fn endpoint_is_empty(&self) -> bool {
+        self.be.is_empty()
+    }
+
+    /// Caps how many connections the endpoint accepts before it starts
+    /// refusing handoffs (production endpoints are uncapped).
+    #[cfg(test)]
+    pub(crate) fn set_endpoint_capacity(&mut self, capacity: usize) {
+        self.be.capacity = capacity;
+    }
+
+    /// Bytes read from the endpoint end's socket: handoff requests,
+    /// each answered with an ack queued on
+    /// [`endpoint_out`](Self::endpoint_out). An error poisons the
+    /// session.
+    pub fn on_endpoint_bytes(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
+        self.to_endpoint = self.to_endpoint.saturating_sub(bytes.len());
+        self.endpoint_rx.feed(bytes);
+        while let Some(msg) = self.endpoint_rx.next()? {
+            let ControlMsg::Handoff(msg) = msg else {
+                continue;
+            };
+            if let Some(reply) = self.be.on_ctrl(msg) {
+                queue_frame(&mut self.endpoint_tx, reply);
+            }
+        }
+        Ok(())
+    }
+
+    /// Bytes read from the Vip end's socket: acks (appended to `acks`
+    /// once the machine has taken them) and close notifications, all
+    /// applied under one acquisition of the machine. An error poisons
+    /// the session.
+    pub fn on_vip_bytes(&mut self, bytes: &[u8], acks: &mut Vec<Ack>) -> Result<(), DecodeError> {
+        self.to_vip = self.to_vip.saturating_sub(bytes.len());
+        self.vip_rx.feed(bytes);
+        let mut fe = self.machine.fe.lock();
+        while let Some(msg) = self.vip_rx.next()? {
+            let ControlMsg::Handoff(msg) = msg else {
+                continue;
+            };
+            match msg {
+                CtrlMsg::HandoffAck { conn, accepted } => {
+                    if fe.on_ctrl(NodeId(self.f), msg).is_ok() {
+                        acks.push(Ack { conn, accepted });
+                    } else if accepted {
+                        // The handshake was abandoned while its request
+                        // was on the wire; nobody will release what the
+                        // endpoint just accepted, so it goes now.
+                        self.be.release(conn, false);
+                    }
+                }
+                CtrlMsg::ConnClosed { .. } => {
+                    // Unknown conns are fine: the route was unwound by
+                    // an abandon that raced this close.
+                    let _ = fe.on_ctrl(NodeId(self.f), msg);
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Appends `msg`'s control frame to an outbound buffer.
+fn queue_frame(out: &mut Vec<u8>, msg: CtrlMsg) {
+    out.extend_from_slice(&encode(&ControlMsg::Handoff(msg)));
+}
+
+/// A connected loopback stream pair through `listener`.
+pub(crate) fn loopback_pair(listener: &TcpListener) -> io::Result<(TcpStream, TcpStream)> {
+    let a = TcpStream::connect(listener.local_addr()?)?;
+    let (b, _) = listener.accept()?;
+    a.set_nodelay(true)?;
+    b.set_nodelay(true)?;
+    Ok((a, b))
+}
+
+/// A link the caller drives to completion on its own thread: the
+/// blocking driver behind [`Vip::admit`] and [`Vip::release`].
+struct BlockingLink {
+    link: AdmissionLink,
+    vip_end: TcpStream,
+    endpoint_end: TcpStream,
+    /// A wire error or [`ADMIT_TIMEOUT`] hit: the session is unusable,
+    /// admissions skip it and releases unwind directly.
+    dead: bool,
+}
+
+impl BlockingLink {
+    /// Carries every queued frame across the wire and applies it at the
+    /// other end, until the link is quiet. Nothing else touches these
+    /// sockets and every call leaves them empty, so a write never
+    /// blocks and a read only ever waits for bytes this thread sent.
+    fn run(&mut self, acks: &mut Vec<Ack>) -> io::Result<()> {
+        let mut buf = [0u8; 4096];
+        while !self.link.quiet() {
+            let n = self.link.vip_out().len();
+            if n > 0 {
+                self.vip_end.write_all(self.link.vip_out())?;
+                self.link.vip_sent(n);
+            }
+            let n = self.link.endpoint_out().len();
+            if n > 0 {
+                self.endpoint_end.write_all(self.link.endpoint_out())?;
+                self.link.endpoint_sent(n);
+            }
+            if self.link.to_endpoint > 0 {
+                let n = read_some(&mut self.endpoint_end, &mut buf)?;
+                self.link.on_endpoint_bytes(&buf[..n])?;
+            } else if self.link.to_vip > 0 {
+                let n = read_some(&mut self.vip_end, &mut buf)?;
+                self.link.on_vip_bytes(&buf[..n], acks)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One blocking read of at least one byte; EOF is an error here.
+fn read_some(stream: &mut TcpStream, buf: &mut [u8]) -> io::Result<usize> {
+    loop {
+        match stream.read(buf) {
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => return Ok(n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// One connection's round-robin walk over the tier's live front-ends
+/// (see [`Vip::next_candidate`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cursor {
+    start: usize,
+    tried: usize,
 }
 
 /// One front-end's tier-local state: merged peer view, gossip
@@ -121,16 +407,17 @@ pub struct Vip {
     fes: Vec<Arc<FrontEnd>>,
     alive: Vec<AtomicBool>,
     ring: RwLock<Ring>,
-    /// The Vip-side handoff machine, shared across sessions: phases
-    /// per admitted connection plus the forwarding table.
-    machine: Mutex<FeHandoff>,
-    sessions: Vec<AdmitSession>,
-    endpoints: Vec<Arc<Endpoint>>,
+    /// The Vip-side handoff machine, shared by every link of the tier
+    /// (these and the reactor shards' own).
+    machine: Arc<VipMachine>,
+    /// The blocking driver's links, one per front-end. The lock
+    /// serializes whole exchanges: a caller drives both ends of the
+    /// session under it.
+    links: Vec<Mutex<BlockingLink>>,
     tiers: Vec<FeTier>,
     /// Gossip write halves: `gossip_tx[f][g]` carries `f`'s deltas to
     /// `g` (`None` on the diagonal).
     gossip_tx: Vec<Vec<Option<Mutex<TcpStream>>>>,
-    next_conn: AtomicU64,
     rr: AtomicUsize,
     handoffs: AtomicU64,
     fe_kills: AtomicU64,
@@ -142,9 +429,8 @@ pub struct Vip {
 
 impl Vip {
     /// Builds the tier plumbing over `fes` and starts its service
-    /// threads: one admission endpoint and one ack reader per
-    /// front-end, one gossip reader per directed pair, and the gossip
-    /// driver.
+    /// threads: one gossip reader per directed pair and the gossip
+    /// driver. Admission runs on its callers' threads.
     ///
     /// # Panics
     ///
@@ -155,40 +441,29 @@ impl Vip {
         let m = fes.len();
         assert!(m >= 2, "a front-end tier needs at least two front-ends");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind tier listener");
-        let addr = listener.local_addr().expect("tier listener addr");
-        let pair = || -> (TcpStream, TcpStream) {
-            let a = TcpStream::connect(addr).expect("connect tier session");
-            let (b, _) = listener.accept().expect("accept tier session");
-            a.set_nodelay(true).ok();
-            b.set_nodelay(true).ok();
-            (a, b)
-        };
+        let pair = || loopback_pair(&listener).expect("connect tier session");
+
+        let machine = VipMachine::new();
+        let links = (0..m)
+            .map(|f| {
+                let (vip_end, endpoint_end) = pair();
+                for end in [&vip_end, &endpoint_end] {
+                    end.set_read_timeout(Some(ADMIT_TIMEOUT))
+                        .expect("set tier session timeout");
+                }
+                Mutex::new_classed(
+                    LockClass::admit_session(f as u32),
+                    BlockingLink {
+                        link: AdmissionLink::new(f, machine.clone()),
+                        vip_end,
+                        endpoint_end,
+                        dead: false,
+                    },
+                )
+            })
+            .collect();
 
         let mut shutdown_streams = Vec::new();
-        // Admission sessions: (vip side, endpoint side) per front-end.
-        let mut sessions = Vec::with_capacity(m);
-        let mut endpoints = Vec::with_capacity(m);
-        let mut session_readers = Vec::new(); // (fe, read half, ack_tx)
-        let mut endpoint_readers = Vec::new(); // (fe, read half)
-        for f in 0..m {
-            let (vip_side, fe_side) = pair();
-            let (ack_tx, ack_rx) = crossbeam::channel::unbounded();
-            shutdown_streams.push(vip_side.try_clone().expect("clone tier stream"));
-            shutdown_streams.push(fe_side.try_clone().expect("clone tier stream"));
-            session_readers.push((f, vip_side.try_clone().expect("clone tier stream"), ack_tx));
-            endpoint_readers.push((f, fe_side.try_clone().expect("clone tier stream")));
-            sessions.push(AdmitSession {
-                admit_lock: Mutex::new_classed(LockClass::admit_session(f as u32), ()),
-                write: Mutex::new_classed(LockClass::session_write(f as u32), vip_side),
-                ack_rx,
-            });
-            endpoints.push(Arc::new(Endpoint {
-                be: Mutex::new_classed(
-                    LockClass::be_endpoint(f as u32),
-                    (BeHandoff::new(NodeId(f), 0), fe_side),
-                ),
-            }));
-        }
 
         // Gossip mesh: one duplex loopback session per unordered pair.
         let mut gossip_tx: Vec<Vec<Option<Mutex<TcpStream>>>> =
@@ -216,9 +491,8 @@ impl Vip {
         let vip = Arc::new(Vip {
             alive: (0..m).map(|_| AtomicBool::new(true)).collect(),
             ring: RwLock::new_classed(LockClass::ring(), Ring::new(m)),
-            machine: Mutex::new_classed(LockClass::vip_machine(), FeHandoff::new()),
-            sessions,
-            endpoints,
+            machine,
+            links,
             tiers: (0..m)
                 .map(|f| FeTier {
                     view: Mutex::new_classed(
@@ -231,7 +505,6 @@ impl Vip {
                 })
                 .collect(),
             gossip_tx,
-            next_conn: AtomicU64::new(0),
             rr: AtomicUsize::new(0),
             handoffs: AtomicU64::new(0),
             fe_kills: AtomicU64::new(0),
@@ -245,18 +518,6 @@ impl Vip {
         });
 
         let mut threads = Vec::new();
-        for (f, stream, ack_tx) in session_readers {
-            let vip = vip.clone();
-            threads.push(spawn_named(format!("phttp-vip-ack-{f}"), move || {
-                vip.run_session_reader(f, stream, ack_tx);
-            }));
-        }
-        for (f, stream) in endpoint_readers {
-            let vip = vip.clone();
-            threads.push(spawn_named(format!("phttp-vip-ep-{f}"), move || {
-                vip.run_endpoint(f, stream);
-            }));
-        }
         for (f, stream) in gossip_readers {
             let vip = vip.clone();
             threads.push(spawn_named(format!("phttp-vip-gossip-{f}"), move || {
@@ -311,7 +572,7 @@ impl Vip {
     /// Admitted connections the Vip still tracks (drops to zero once
     /// every connection's close notification has been processed).
     pub fn tracked(&self) -> usize {
-        self.machine.lock().len()
+        self.machine.tracked()
     }
 
     /// Gossip rounds published by front-end `f`.
@@ -321,21 +582,14 @@ impl Vip {
 
     /// Routes a new client connection: picks a live front-end round
     /// robin and runs the handoff-request/ack exchange on its
-    /// admission session. Returns the chosen front-end index plus the
-    /// tier-level connection id (release it with
-    /// [`release`](Self::release) when the connection ends), or `None`
-    /// if no front-end admitted the connection.
+    /// admission link, on the caller's thread. Returns the chosen
+    /// front-end index plus the tier-level connection id (release it
+    /// with [`release`](Self::release) when the connection ends), or
+    /// `None` if no front-end admitted the connection.
     pub fn admit(&self, client: ClientKey) -> Option<(usize, ConnId)> {
-        let m = self.fes.len();
-        let start = self.rr.fetch_add(1, Ordering::Relaxed);
-        for off in 0..m {
-            let f = (start + off) % m;
-            if !self.alive[f].load(Ordering::Relaxed) {
-                continue;
-            }
+        let mut cursor = self.cursor();
+        while let Some(f) = self.next_candidate(&mut cursor) {
             if let Some(conn) = self.admit_to(f, client) {
-                self.handoffs.fetch_add(1, Ordering::Relaxed);
-                self.tiers[f].admitted.fetch_add(1, Ordering::Relaxed);
                 return Some((f, conn));
             }
         }
@@ -350,92 +604,90 @@ impl Vip {
             .unwrap_or(0)
     }
 
-    /// One admission handshake against front-end `f`.
-    fn admit_to(&self, f: usize, client: ClientKey) -> Option<ConnId> {
-        let conn = ConnId(self.next_conn.fetch_add(1, Ordering::Relaxed));
-        let tcp = TcpHandoffState {
-            client_ip: client.ip,
-            client_port: client.port,
-            local_port: 80,
-            snd_nxt: 0,
-            rcv_nxt: 0,
-            snd_wnd: 65535,
-            mss: 1460,
-        };
-        let session = &self.sessions[f];
-        let guard = session.admit_lock.lock();
-        let actions = self
-            .machine
-            .lock()
-            .start_handoff(conn, client, NodeId(f), tcp, Vec::new());
-        for action in actions {
-            if let Action::SendCtrl { msg, .. } = action {
-                if write_frame(&mut session.write.lock(), &ControlMsg::Handoff(msg)).is_err() {
-                    drop(guard);
-                    self.abandon_admit(f, conn);
-                    return None;
-                }
-            }
-        }
-        let deadline = Instant::now() + ADMIT_TIMEOUT;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            let Ok(ack) = session.ack_rx.recv_timeout(left) else {
-                drop(guard);
-                self.abandon_admit(f, conn);
-                return None;
-            };
-            let acked = match &ack {
-                CtrlMsg::HandoffAck { conn, .. } => *conn,
-                _ => continue,
-            };
-            let Ok(acts) = self.machine.lock().on_ctrl(NodeId(f), ack) else {
-                continue; // stale ack for an already-abandoned handshake
-            };
-            if acked != conn {
-                continue;
-            }
-            let refused = acts
-                .iter()
-                .any(|a| matches!(a, Action::ConnectionClosed { .. }));
-            if refused {
-                return None;
-            }
-            // Re-check liveness *after* the ack: `kill_frontend` may
-            // have decommissioned `f` between the round-robin pick and
-            // the ack arriving, and the route just installed would
-            // then track a front-end the tier no longer admits to.
-            // Unwind it (close in the machine, release on the
-            // endpoint) and report failure so `admit` retries the
-            // handshake on a surviving front-end.
-            if !self.alive[f].load(Ordering::SeqCst) {
-                drop(guard);
-                self.abandon_admit(f, conn);
-                return None;
-            }
-            return Some(conn);
+    /// The shared handoff machine, for a driver building its own links.
+    pub(crate) fn machine(&self) -> Arc<VipMachine> {
+        self.machine.clone()
+    }
+
+    /// Starts one connection's walk over the tier at the next
+    /// round-robin position.
+    pub(crate) fn cursor(&self) -> Cursor {
+        Cursor {
+            start: self.rr.fetch_add(1, Ordering::Relaxed),
+            tried: 0,
         }
     }
 
-    /// Unwinds the machine state of a handshake that never completed.
-    fn abandon_admit(&self, f: usize, conn: ConnId) {
-        let _ = self
-            .machine
-            .lock()
-            .on_ctrl(NodeId(f), CtrlMsg::ConnClosed { conn });
-        let mut be = self.endpoints[f].be.lock();
-        be.0.release(conn, false);
+    /// The next live front-end `cursor` has not tried yet; `None` once
+    /// the walk has been all the way round (the connection then falls
+    /// through to [`any_alive`](Self::any_alive), untracked).
+    pub(crate) fn next_candidate(&self, cursor: &mut Cursor) -> Option<usize> {
+        let m = self.fes.len();
+        while cursor.tried < m {
+            let f = (cursor.start + cursor.tried) % m;
+            cursor.tried += 1;
+            if self.alive[f].load(Ordering::Relaxed) {
+                return Some(f);
+            }
+        }
+        None
+    }
+
+    /// Decides a decoded ack, identically for both drivers. A refusal
+    /// fails. An acceptance re-checks liveness *after* the ack:
+    /// `kill_frontend` may have decommissioned the front-end between
+    /// the round-robin pick and the ack arriving, and the route just
+    /// installed would then track a front-end the tier no longer admits
+    /// to — it is unwound at both ends and the handshake fails, so the
+    /// caller retries on a survivor. Success is counted here.
+    pub(crate) fn settle(&self, link: &mut AdmissionLink, ack: Ack) -> bool {
+        if !ack.accepted {
+            return false;
+        }
+        let f = link.front_end();
+        if !self.alive[f].load(Ordering::SeqCst) {
+            link.abandon(ack.conn);
+            return false;
+        }
+        self.handoffs.fetch_add(1, Ordering::Relaxed);
+        self.tiers[f].admitted.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    /// One admission handshake against front-end `f`.
+    fn admit_to(&self, f: usize, client: ClientKey) -> Option<ConnId> {
+        let mut guard = self.links[f].lock();
+        let l = &mut *guard;
+        if l.dead {
+            return None;
+        }
+        let conn = l.link.begin(client);
+        let mut acks = Vec::with_capacity(1);
+        if l.run(&mut acks).is_err() {
+            l.dead = true;
+            l.link.abandon(conn);
+            return None;
+        }
+        // Every exchange runs to quiet under the lock, so the one ack
+        // this one decoded is its own.
+        let ack = acks.pop().expect("a quiet link has answered its request");
+        debug_assert_eq!(ack.conn, conn);
+        self.settle(&mut l.link, ack).then_some(conn)
     }
 
     /// The connection admitted to `f` as `conn` has ended: the
-    /// endpoint releases it and sends the close notification back to
-    /// the Vip machine (removing the forwarding-table route).
+    /// endpoint releases it and its close notification crosses the
+    /// session back to the Vip machine (removing the forwarding-table
+    /// route) before this returns.
     pub fn release(&self, f: usize, conn: ConnId) {
-        let mut be = self.endpoints[f].be.lock();
-        if let Some(close) = be.0.release(conn, true) {
-            // A write failure here means the tier is shutting down; the
-            // machine is then torn down wholesale, not per-connection.
-            let _ = write_frame(&mut be.1, &ControlMsg::Handoff(close));
+        let mut guard = self.links[f].lock();
+        let l = &mut *guard;
+        if !l.dead {
+            l.link.release(conn);
+            l.dead = l.run(&mut Vec::new()).is_err();
+        }
+        if l.dead {
+            l.link.abandon(conn);
         }
     }
 
@@ -446,7 +698,7 @@ impl Vip {
     /// on `f`'s still-running instance — a control-plane
     /// decommission, not a process kill — so no admitted request is
     /// lost. A handshake whose ack races this decommission is unwound
-    /// by `admit_to`'s post-ack liveness re-check
+    /// by the post-ack liveness re-check (`settle`, shared by both drivers)
     /// and retried on a survivor, so the forwarding table never leaks
     /// a route to `f`. Returns `false` if `f` was already dead or is
     /// the last live front-end.
@@ -568,9 +820,8 @@ impl Vip {
         true
     }
 
-    /// Stops the service threads and closes every tier session. Call
-    /// after the serving paths have drained (releases after shutdown
-    /// are tolerated but no longer notify).
+    /// Stops the gossip threads and closes their sessions. Call after
+    /// the serving paths have drained.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
         for s in self.shutdown_streams.lock().drain(..) {
@@ -583,47 +834,6 @@ impl Vip {
     }
 
     // ---- service threads -------------------------------------------------
-
-    /// Vip-side reader of front-end `f`'s admission session: acks go
-    /// to the waiting handshake, close notifications feed the shared
-    /// machine directly.
-    fn run_session_reader(
-        &self,
-        f: usize,
-        stream: TcpStream,
-        ack_tx: crossbeam::channel::Sender<CtrlMsg>,
-    ) {
-        self.read_frames(stream, |vip, msg| {
-            let ControlMsg::Handoff(msg) = msg else {
-                return;
-            };
-            match msg {
-                CtrlMsg::HandoffAck { .. } => {
-                    let _ = ack_tx.send(msg);
-                }
-                CtrlMsg::ConnClosed { .. } => {
-                    // Unknown conns are fine: the handshake may have
-                    // been abandoned or the close raced a kill.
-                    let _ = vip.machine.lock().on_ctrl(NodeId(f), msg);
-                }
-                _ => {}
-            }
-        });
-    }
-
-    /// Front-end `f`'s admission endpoint: feeds handoff requests into
-    /// its [`BeHandoff`] and writes the acks back.
-    fn run_endpoint(&self, f: usize, stream: TcpStream) {
-        self.read_frames(stream, |vip, msg| {
-            let ControlMsg::Handoff(msg) = msg else {
-                return;
-            };
-            let mut be = vip.endpoints[f].be.lock();
-            if let Some(reply) = be.0.on_ctrl(msg) {
-                let _ = write_frame(&mut be.1, &ControlMsg::Handoff(reply));
-            }
-        });
-    }
 
     /// Reader of one gossip session end owned by front-end `f`:
     /// merges every arriving peer delta into `f`'s view.
@@ -683,20 +893,15 @@ fn spawn_named(name: String, f: impl FnOnce() + Send + 'static) -> std::thread::
         .expect("spawn tier thread")
 }
 
-/// Writes one encoded control frame.
-fn write_frame(stream: &mut TcpStream, msg: &ControlMsg) -> std::io::Result<()> {
-    stream.write_all(&encode(msg))
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::node::DiskEmu;
     use crate::node::NodeState;
     use crate::store::ContentStore;
     use phttp_core::{LardParams, Mechanism, PolicyKind};
 
-    fn tier(m: usize, nodes: usize) -> (Arc<Vip>, Vec<Arc<FrontEnd>>) {
+    pub(crate) fn tier(m: usize, nodes: usize) -> (Arc<Vip>, Vec<Arc<FrontEnd>>) {
         let store = Arc::new(ContentStore::from_sizes(vec![1024; 32]));
         let node_states: Vec<Arc<NodeState>> = (0..nodes)
             .map(|i| {
@@ -725,11 +930,19 @@ mod tests {
         (Vip::start(fes.clone(), Duration::from_millis(1)), fes)
     }
 
-    fn key(port: u16) -> ClientKey {
+    pub(crate) fn key(port: u16) -> ClientKey {
         ClientKey {
             ip: 0x7F00_0001,
             port,
         }
+    }
+
+    fn cap_endpoint(vip: &Vip, f: usize, capacity: usize) {
+        vip.links[f].lock().link.set_endpoint_capacity(capacity);
+    }
+
+    fn endpoints_empty(vip: &Vip) -> bool {
+        vip.links.iter().all(|l| l.lock().link.endpoint_is_empty())
     }
 
     #[test]
@@ -748,6 +961,109 @@ mod tests {
             vip.release(f, conn);
         }
         assert!(vip.quiesce(Duration::from_secs(2)), "closes must drain");
+        vip.shutdown();
+    }
+
+    /// A release has crossed the wire and unwound the route by the
+    /// time it returns: the blocking driver leaves nothing in flight.
+    #[test]
+    fn release_is_synchronous_and_exactly_once() {
+        let (vip, _fes) = tier(2, 2);
+        let (f, conn) = vip.admit(key(40_100)).expect("admit");
+        assert_eq!(vip.tracked(), 1);
+        vip.release(f, conn);
+        assert_eq!(vip.tracked(), 0, "the close had not landed on return");
+        assert!(endpoints_empty(&vip));
+        // A second release of the same ticket finds nothing to unwind.
+        let (g, other) = vip.admit(key(40_101)).expect("admit");
+        vip.release(f, conn);
+        assert_eq!(vip.tracked(), 1, "a stale release took a live route");
+        vip.release(g, other);
+        assert_eq!(vip.tracked(), 0);
+        vip.shutdown();
+    }
+
+    /// A refusing endpoint passes the connection on round the tier;
+    /// when every front-end refuses, `admit` reports failure (callers
+    /// then serve the connection untracked on `any_alive`) and leaves
+    /// nothing behind in the machine.
+    #[test]
+    fn refusal_falls_through_round_robin_then_to_untracked() {
+        let (vip, _fes) = tier(2, 2);
+        cap_endpoint(&vip, 0, 1);
+        cap_endpoint(&vip, 1, 1);
+        let a = vip.admit(key(40_200)).expect("first fits");
+        let b = vip.admit(key(40_201)).expect("second fits");
+        assert_eq!((a.0, b.0), (0, 1));
+        assert_eq!(vip.admit(key(40_202)), None, "both endpoints are full");
+        assert_eq!(vip.tracked(), 2, "a refused handshake left a route");
+        assert_eq!(vip.handoffs(), 2, "a refusal is not a handoff");
+        assert_eq!(vip.any_alive(), 0);
+        // Room on 0 again: the walk starts at 1, is refused there, and
+        // lands on 0.
+        vip.release(a.0, a.1);
+        let d = vip
+            .admit(key(40_203))
+            .expect("retried on the next front-end");
+        assert_eq!(d.0, 0);
+        assert_eq!((vip.admitted(0), vip.admitted(1)), (2, 1));
+        vip.release(b.0, b.1);
+        vip.release(d.0, d.1);
+        assert_eq!(vip.tracked(), 0);
+        assert!(endpoints_empty(&vip));
+        vip.shutdown();
+    }
+
+    /// A session whose wire breaks is skipped from then on, and a
+    /// ticket it admitted earlier still releases (directly — there is
+    /// no wire left to carry the close).
+    #[test]
+    fn dead_link_is_skipped_and_its_tickets_still_release() {
+        let (vip, _fes) = tier(2, 2);
+        let a = vip.admit(key(40_300)).expect("admit");
+        assert_eq!(a.0, 0);
+        vip.links[0]
+            .lock()
+            .endpoint_end
+            .shutdown(std::net::Shutdown::Both)
+            .expect("break the session");
+        let mut later = Vec::new();
+        for p in 0..4 {
+            let (f, conn) = vip.admit(key(40_301 + p)).expect("the survivor admits");
+            assert_eq!(f, 1, "admitted over a broken session");
+            later.push((f, conn));
+        }
+        assert_eq!(vip.tracked(), 5, "the failed handshakes left routes");
+        vip.release(a.0, a.1);
+        for (f, conn) in later {
+            vip.release(f, conn);
+        }
+        assert_eq!(vip.tracked(), 0);
+        assert!(endpoints_empty(&vip));
+        vip.shutdown();
+    }
+
+    /// An endpoint that never answers: the handshake gives up at the
+    /// session's read timeout, unwinds, and the connection is admitted
+    /// elsewhere.
+    #[test]
+    fn unanswered_handshake_times_out_and_moves_on() {
+        let (vip, _fes) = tier(2, 2);
+        // Wedge session 0: its requests now reach a socket nobody
+        // reads, and the end the driver reads is fed by nobody.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (_feeder, silent) = loopback_pair(&listener).unwrap();
+        silent
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let _unread = std::mem::replace(&mut vip.links[0].lock().endpoint_end, silent);
+        let started = Instant::now();
+        let (f, conn) = vip.admit(key(40_400)).expect("the survivor admits");
+        assert_eq!(f, 1);
+        assert!(started.elapsed() >= Duration::from_millis(50));
+        assert_eq!(vip.tracked(), 1, "the timed-out handshake left a route");
+        vip.release(f, conn);
+        assert_eq!(vip.tracked(), 0);
         vip.shutdown();
     }
 

@@ -629,3 +629,66 @@ fn multiple_handoff_migrates_and_serves_correctly() {
         cluster.shutdown();
     }
 }
+
+/// Reactor deadlines are honoured to the microsecond, not rounded up to
+/// the poller's old whole-millisecond granularity: 40 cold misses in a
+/// row, each a 300 µs emulated disk read with nothing else going on in
+/// the loop, take ~40 × 0.3 ms — under the 40 × 1 ms a millisecond
+/// floor on the poll timeout would cost.
+#[test]
+fn reactor_disk_deadlines_are_sub_millisecond() {
+    use std::io::{Read, Write};
+    const MISSES: u32 = 40;
+    let requests = (0..MISSES)
+        .map(|t| phttp_trace::Request {
+            time: phttp_simcore::SimTime::from_micros(t as u64),
+            client: phttp_trace::ClientId(0),
+            target: phttp_trace::TargetId(t),
+        })
+        .collect();
+    let trace = phttp_trace::Trace::new(requests, vec![1024; MISSES as usize]);
+    let cluster = Cluster::start(
+        ProtoConfig {
+            nodes: 1,
+            cache_bytes: 8 * 1024 * 1024,
+            disk: fast_disk(),
+            io_model: IoModel::Reactor,
+            ..ProtoConfig::default()
+        },
+        &trace,
+    )
+    .expect("start cluster");
+    let mut stream = std::net::TcpStream::connect(cluster.frontend_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut parser = phttp_http::ResponseParser::new();
+    let mut buf = [0u8; 8192];
+    let started = std::time::Instant::now();
+    for t in 0..MISSES {
+        write!(stream, "GET /t/{t} HTTP/1.1\r\n\r\n").unwrap();
+        loop {
+            if let Some(resp) = parser.next().expect("parse response") {
+                assert_eq!(resp.status, 200);
+                break;
+            }
+            let n = stream.read(&mut buf).expect("read response");
+            assert!(n > 0, "server closed early");
+            parser.feed(&buf[..n]);
+        }
+    }
+    let took = started.elapsed();
+    let reads: u64 = cluster.node_stats().iter().map(|s| s.disk_reads).sum();
+    assert_eq!(reads, MISSES as u64, "every request must be a cold miss");
+    assert!(
+        took >= fast_disk().seek * MISSES,
+        "finished in {took:?}: the emulated disk was not waited for"
+    );
+    assert!(
+        took < Duration::from_millis(MISSES as u64),
+        "{MISSES} sequential 300 us misses took {took:?}: \
+         deadlines are being rounded up to milliseconds"
+    );
+    cluster.shutdown();
+}

@@ -16,6 +16,14 @@
 //! the survivor, new connections must route around it, and every
 //! in-flight request must still complete byte-exact — the tier's
 //! failover contract.
+//!
+//! Under the reactor the shards admit what they accept over their own
+//! admission links, on the event loop. The reactor legs therefore also
+//! pin the accept path (no acceptor thread where `SO_REUSEPORT` binds),
+//! count one handshake per connection, and attack the *admitting*
+//! state from outside: clients that reset before they are served,
+//! front-ends killed under an admission storm, and a shutdown that
+//! lands on connections still parked behind their handshake.
 
 use std::io::{Read, Write};
 use std::net::SocketAddr;
@@ -36,8 +44,9 @@ fn workload() -> (phttp_trace::Trace, ConnectionTrace) {
     (trace, conns)
 }
 
-fn config(io_model: IoModel, front_ends: usize) -> ProtoConfig {
+fn config(io_model: IoModel, front_ends: usize, shards: usize) -> ProtoConfig {
     ProtoConfig {
+        reactor_shards: shards,
         nodes: 3,
         policy: PolicyKind::ExtLard,
         mechanism: Mechanism::BackendForwarding,
@@ -114,9 +123,25 @@ fn play_capture(addrs: &[SocketAddr], workload: &ConnectionTrace) -> Vec<Vec<Vec
     transcript.into_iter().map(|m| m.into_inner()).collect()
 }
 
-fn run_tier(io_model: IoModel, front_ends: usize) -> Vec<Vec<Vec<u8>>> {
+fn run_tier(io_model: IoModel, front_ends: usize, shards: usize) -> Vec<Vec<Vec<u8>>> {
+    run_tier_with(config(io_model, front_ends, shards))
+}
+
+fn run_tier_with(config: ProtoConfig) -> Vec<Vec<Vec<u8>>> {
+    let (io_model, front_ends) = (config.io_model, config.front_ends);
+    let forced_handoff = config.force_accept_handoff;
     let (trace, conns) = workload();
-    let cluster = Cluster::start(config(io_model, front_ends), &trace).expect("start cluster");
+    let cluster = Cluster::start(config, &trace).expect("start cluster");
+    if io_model == IoModel::Reactor {
+        // A tier no longer forces acceptor threads on the reactor: the
+        // shards own the listeners (this host binds reuseport groups)
+        // unless the fallback is asked for by name.
+        assert_eq!(
+            cluster.used_accept_handoff(),
+            Some(forced_handoff),
+            "{front_ends} FEs"
+        );
+    }
     let transcript = play_capture(cluster.frontend_addrs(), &conns);
     assert!(
         cluster.quiesce(Duration::from_secs(10)),
@@ -140,7 +165,11 @@ fn run_tier(io_model: IoModel, front_ends: usize) -> Vec<Vec<Vec<u8>>> {
         // The tier must have actually run: real admission handshakes
         // over the control sessions, spread across both front-ends by
         // the round robin (conn_count >> front_ends, so each gets some).
-        assert!(vip.handoffs() > 0, "{io_model:?}: no admission ever ran");
+        assert_eq!(
+            vip.handoffs(),
+            conns.connections.len() as u64,
+            "{io_model:?}: every connection crosses exactly one handshake"
+        );
         for f in 0..front_ends {
             assert!(
                 vip.admitted(f) > 0,
@@ -155,35 +184,47 @@ fn run_tier(io_model: IoModel, front_ends: usize) -> Vec<Vec<Vec<u8>>> {
     transcript
 }
 
-/// The tier legs every differential run covers: the tierless baseline
-/// and a 2-front-end tier, per I/O model.
-const TIER_MATRIX: [usize; 2] = [1, 2];
+/// The tier legs every differential run covers, as `(io model,
+/// front-ends, reactor shards)`: the tierless baseline and a
+/// 2-front-end tier per I/O model, plus the tier across two shards —
+/// each shard then runs its own link to each front-end.
+const TIER_MATRIX: [(IoModel, usize, usize); 4] = [
+    (IoModel::Threads, 2, 1),
+    (IoModel::Reactor, 1, 1),
+    (IoModel::Reactor, 2, 1),
+    (IoModel::Reactor, 2, 2),
+];
 
-/// `front_ends ∈ {1, 2}` × both I/O models, all byte-identical to the
-/// single-front-end threads oracle.
+/// Every cell of the matrix is byte-identical to the single-front-end
+/// threads oracle.
 #[test]
 fn tier_matrix_matches_single_frontend_oracle() {
     let (trace, _) = workload();
-    let oracle = run_tier(IoModel::Threads, 1);
+    let oracle = run_tier(IoModel::Threads, 1, 1);
     let responses: usize = oracle.iter().map(|c| c.len()).sum();
     assert_eq!(responses, trace.len(), "every request got a response");
     assert!(oracle
         .iter()
         .flatten()
         .all(|r| r.starts_with(b"HTTP/1.1 200 ") || r.starts_with(b"HTTP/1.0 200 ")));
-    for io_model in [IoModel::Threads, IoModel::Reactor] {
-        for front_ends in TIER_MATRIX {
-            if io_model == IoModel::Threads && front_ends == 1 {
-                continue; // that is the oracle itself
-            }
-            let tiered = run_tier(io_model, front_ends);
-            assert_eq!(
-                oracle, tiered,
-                "transcripts diverge from the single-front-end oracle \
-                 ({io_model:?}, {front_ends} front-ends)"
-            );
-        }
+    for (io_model, front_ends, shards) in TIER_MATRIX {
+        let tiered = run_tier(io_model, front_ends, shards);
+        assert_eq!(
+            oracle, tiered,
+            "transcripts diverge from the single-front-end oracle \
+             ({io_model:?}, {front_ends} front-ends, {shards} shards)"
+        );
     }
+    // The acceptor-handoff fallback hands the shards raw streams; they
+    // admit them exactly as they admit their own accepts.
+    let fallback = run_tier_with(ProtoConfig {
+        force_accept_handoff: true,
+        ..config(IoModel::Reactor, 2, 2)
+    });
+    assert_eq!(
+        oracle, fallback,
+        "transcripts diverge under acceptor handoff"
+    );
 }
 
 /// Killing a front-end mid-traffic: its partition is re-owned, new
@@ -191,7 +232,7 @@ fn tier_matrix_matches_single_frontend_oracle() {
 #[test]
 fn kill_one_frontend_drains_without_loss() {
     let (trace, conns) = workload();
-    let cluster = Cluster::start(config(IoModel::Threads, 2), &trace).expect("start cluster");
+    let cluster = Cluster::start(config(IoModel::Threads, 2, 1), &trace).expect("start cluster");
     let store = cluster.store().clone();
     let addrs: Vec<SocketAddr> = cluster.frontend_addrs().to_vec();
 
@@ -286,4 +327,233 @@ fn kill_one_frontend_drains_without_loss() {
     }
     assert_eq!(vip.tracked(), 0, "tier routes leaked across the kill");
     cluster.shutdown();
+}
+
+/// One HTTP/1.0 connection: one GET, read to the server's close.
+/// Returns whether the response was the byte-exact document.
+fn one_shot(addr: SocketAddr, store: &ContentStore, target: TargetId) -> bool {
+    let Ok(mut stream) = std::net::TcpStream::connect(addr) else {
+        return false;
+    };
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut wire = BytesMut::new();
+    Request::get(ContentStore::uri(target), Version::Http10).encode(&mut wire);
+    if stream.write_all(&wire).is_err() {
+        return false;
+    }
+    let mut got = Vec::new();
+    if stream.read_to_end(&mut got).is_err() {
+        return false;
+    }
+    got[..] == phttp_http::Response::ok(Version::Http10, store.body(target)).to_bytes()[..]
+}
+
+/// Connects to `addr` and resets the connection at once (`SO_LINGER`
+/// zero turns the close into an RST) — a client that is gone before
+/// the server has read a byte from it.
+fn connect_and_reset(addr: SocketAddr) {
+    use std::os::fd::AsRawFd;
+    #[repr(C)]
+    struct Linger {
+        l_onoff: i32,
+        l_linger: i32,
+    }
+    extern "C" {
+        fn setsockopt(
+            fd: i32,
+            level: i32,
+            name: i32,
+            value: *const std::ffi::c_void,
+            len: u32,
+        ) -> i32;
+    }
+    const SOL_SOCKET: i32 = 1;
+    const SO_LINGER: i32 = 13;
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    let linger = Linger {
+        l_onoff: 1,
+        l_linger: 0,
+    };
+    // SAFETY: `stream` keeps the descriptor open across the call and
+    // `linger` is a live `struct linger` of the length passed.
+    let rc = unsafe {
+        setsockopt(
+            stream.as_raw_fd(),
+            SOL_SOCKET,
+            SO_LINGER,
+            (&linger as *const Linger).cast(),
+            std::mem::size_of::<Linger>() as u32,
+        )
+    };
+    assert_eq!(rc, 0, "set SO_LINGER");
+    drop(stream);
+}
+
+/// Polls `done` for up to five seconds.
+fn eventually(what: &str, done: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while !done() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "never happened: {what}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// A client that resets before it is served is parked as *admitting*
+/// like any other, acknowledged, and only then found dead: its ticket
+/// must come back exactly once — no route left in the forwarding table,
+/// no slot left in the slab — while live clients around it are served.
+#[test]
+fn client_reset_while_admitting_releases_its_ticket() {
+    let (trace, _) = workload();
+    let cluster = Cluster::start(config(IoModel::Reactor, 2, 2), &trace).expect("start cluster");
+    let vip = cluster.vip().expect("tier cluster has a vip").clone();
+    let store = cluster.store().clone();
+    let addrs = cluster.frontend_addrs().to_vec();
+    const RESETS: u64 = 200;
+    const LIVE: u64 = 50;
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for i in 0..RESETS as usize {
+                connect_and_reset(addrs[i % addrs.len()]);
+            }
+        });
+        scope.spawn(|| {
+            for i in 0..LIVE as usize {
+                let target = TargetId((i % store.len()) as u32);
+                assert!(
+                    one_shot(addrs[i % addrs.len()], &store, target),
+                    "a live client lost its response amid the resets"
+                );
+            }
+        });
+    });
+    // Every connection the shards accepted was handed off — the dead
+    // ones included; a reset caught still in the accept queue may have
+    // been dropped by the kernel before any shard saw it.
+    eventually("every admission settled", || {
+        vip.handoffs() >= LIVE && vip.tracked() == 0
+    });
+    assert!(vip.handoffs() <= LIVE + RESETS);
+    assert!(
+        cluster.quiesce(Duration::from_secs(10)),
+        "connections leaked"
+    );
+    let stats = cluster.reactor_stats().expect("reactor cluster");
+    eventually("the slab drained", || stats.sources() == 0);
+    assert_eq!(vip.tracked(), 0, "a reset client's route leaked");
+    for fe in cluster.front_ends() {
+        assert_eq!(fe.active_connections(), 0);
+    }
+    cluster.shutdown();
+    assert_eq!(vip.tracked(), 0);
+}
+
+/// The socket-level twin of the tier unit test
+/// `concurrent_kill_never_leaks_tracked_routes`: front-ends are
+/// decommissioned while the shards are mid-handshake with them. An ack
+/// that loses the race is unwound on the loop and the connection
+/// re-admitted to a survivor — so no request is lost, no route leaks,
+/// and once the kills have settled only the survivor admits.
+#[test]
+fn kill_frontend_during_reactor_admission_storm_loses_nothing() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    let (trace, _) = workload();
+    let cluster = Cluster::start(config(IoModel::Reactor, 3, 2), &trace).expect("start cluster");
+    let vip = cluster.vip().expect("tier cluster has a vip").clone();
+    let store = cluster.store().clone();
+    let addrs = cluster.frontend_addrs().to_vec();
+    let stop = AtomicBool::new(false);
+    let served = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        for w in 0..4usize {
+            let (stop, served, store, addrs) = (&stop, &served, &store, &addrs);
+            scope.spawn(move || {
+                let mut i = w;
+                while !stop.load(Ordering::Relaxed) {
+                    let target = TargetId((i % store.len()) as u32);
+                    assert!(
+                        one_shot(addrs[i % addrs.len()], store, target),
+                        "a request was lost to a front-end kill"
+                    );
+                    served.fetch_add(1, Ordering::Relaxed);
+                    i += 4;
+                }
+            });
+        }
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(cluster.kill_frontend(1));
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(cluster.kill_frontend(0));
+        std::thread::sleep(Duration::from_millis(30));
+        stop.store(true, Ordering::Relaxed);
+    });
+    assert!(
+        cluster.quiesce(Duration::from_secs(10)),
+        "connections leaked"
+    );
+    assert_eq!(vip.tracked(), 0, "a route to a killed front-end leaked");
+    let served = served.load(Ordering::Relaxed);
+    assert!(served > 0);
+    assert_eq!(
+        vip.handoffs(),
+        served,
+        "every connection is admitted exactly once, kills or not"
+    );
+    assert!(vip.admitted(0) > 0 && vip.admitted(1) > 0 && vip.admitted(2) > 0);
+    // Settled: only the survivor admits now.
+    let before = (vip.admitted(0), vip.admitted(1));
+    for i in 0..8 {
+        assert!(one_shot(addrs[i % addrs.len()], &store, TargetId(i as u32)));
+    }
+    assert!(cluster.quiesce(Duration::from_secs(10)));
+    assert_eq!((vip.admitted(0), vip.admitted(1)), before);
+    assert_eq!(vip.handoffs(), served + 8);
+    assert_eq!(vip.tracked(), 0);
+    cluster.shutdown();
+}
+
+/// Shutdown lands on shards whose slabs hold connections at every
+/// stage — parked behind a handshake, acknowledged and idle, mid-close
+/// with the notification still queued. Each shard unwinds its own: the
+/// tier tracks nothing afterwards.
+#[test]
+fn shard_teardown_with_admitting_connections_leaves_nothing_tracked() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let (trace, _) = workload();
+    let cluster = Cluster::start(config(IoModel::Reactor, 2, 2), &trace).expect("start cluster");
+    let vip = cluster.vip().expect("tier cluster has a vip").clone();
+    let addrs = cluster.frontend_addrs().to_vec();
+    let stop = AtomicBool::new(false);
+    let mut held = Vec::new();
+    std::thread::scope(|scope| {
+        // Connections that never send a byte: admitted, then idle.
+        for i in 0..32 {
+            held.push(std::net::TcpStream::connect(addrs[i % addrs.len()]).expect("connect"));
+        }
+        eventually("the idle connections were admitted", || vip.tracked() >= 32);
+        // A connect storm keeps handshakes in flight while the loops
+        // are told to stop.
+        for w in 0..3usize {
+            let (stop, addrs) = (&stop, &addrs);
+            scope.spawn(move || {
+                let mut i = w;
+                while !stop.load(Ordering::Relaxed) {
+                    // Refused or reset once the listeners are gone.
+                    let _ = std::net::TcpStream::connect(addrs[i % addrs.len()]);
+                    i += 1;
+                }
+            });
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        cluster.shutdown();
+        stop.store(true, Ordering::Relaxed);
+    });
+    assert_eq!(vip.tracked(), 0, "a torn-down shard left routes behind");
+    drop(held);
 }

@@ -40,11 +40,12 @@
 
 use std::io;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 mod sys {
     //! Raw Linux syscall bindings (via the always-linked system libc).
-    use std::os::raw::{c_int, c_uint, c_void};
+    use std::os::raw::{c_int, c_long, c_uint, c_void};
 
     /// Kernel `struct epoll_event`. The UAPI declares it packed on
     /// x86_64 only; everywhere else it has natural alignment.
@@ -80,6 +81,16 @@ mod sys {
     pub const SO_REUSEPORT: c_int = 15;
     pub const EINPROGRESS: i32 = 115;
     pub const EINTR: i32 = 4;
+    pub const ENOSYS: i32 = 38;
+
+    /// libc `struct timespec` (`time_t` is `long` on every Linux ABI
+    /// this shim builds for).
+    #[repr(C)]
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct Timespec {
+        pub tv_sec: c_long,
+        pub tv_nsec: c_long,
+    }
 
     /// Kernel `struct sockaddr_in` (IPv4 only — the reuseport group bind
     /// below is loopback-IPv4 by construction).
@@ -113,6 +124,18 @@ mod sys {
             events: *mut EpollEvent,
             maxevents: c_int,
             timeout: c_int,
+        ) -> c_int;
+        // SAFETY: glibc >= 2.34 exports this with exactly the signature
+        // of `epoll_pwait2(2)` (Linux >= 5.11; older kernels answer
+        // ENOSYS, which `Poll::poll` handles). `timeout` is read, never
+        // written; a null `sigmask` leaves the signal mask alone, so its
+        // pointee type is immaterial.
+        pub fn epoll_pwait2(
+            epfd: c_int,
+            events: *mut EpollEvent,
+            maxevents: c_int,
+            timeout: *const Timespec,
+            sigmask: *const c_void,
         ) -> c_int;
         pub fn eventfd(initval: c_uint, flags: c_int) -> c_int;
         pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
@@ -354,42 +377,73 @@ impl Poll {
     }
 
     /// Blocks until at least one registered source is ready or `timeout`
-    /// elapses (`None` blocks indefinitely). Sub-millisecond timeouts are
-    /// rounded up to 1 ms so they cannot spin.
+    /// elapses (`None` blocks indefinitely). The wait is passed to the
+    /// kernel at nanosecond resolution (`epoll_pwait2`), so a deadline
+    /// 30 µs away costs 30 µs, not a millisecond. Where the kernel
+    /// lacks the call the wait falls back to `epoll_wait`, rounded *up*
+    /// to whole milliseconds — late, never a busy spin on zero.
     pub fn poll(&mut self, events: &mut Events, timeout: Option<Duration>) -> io::Result<()> {
-        let ms: i32 = match timeout {
-            None => -1,
-            Some(d) => {
-                if d.is_zero() {
-                    0
-                } else {
-                    d.as_millis().clamp(1, i32::MAX as u128) as i32
-                }
-            }
-        };
         loop {
-            // SAFETY: `buf` is a live, exclusively borrowed allocation
-            // of `buf.len()` EpollEvent slots; the kernel writes at most
-            // that many entries and `rc` reports how many are valid.
-            let rc = unsafe {
-                sys::epoll_wait(
-                    self.ep.as_raw_fd(),
-                    events.buf.as_mut_ptr(),
-                    events.buf.len() as i32,
-                    ms,
-                )
+            let rc = match timeout {
+                Some(d) if !PWAIT2_MISSING.load(Ordering::Relaxed) => {
+                    let ts = timespec_of(d);
+                    // SAFETY: as for `epoll_wait` below; `ts` outlives
+                    // the call and the null sigmask is never read.
+                    unsafe {
+                        sys::epoll_pwait2(
+                            self.ep.as_raw_fd(),
+                            events.buf.as_mut_ptr(),
+                            events.buf.len() as i32,
+                            &ts,
+                            std::ptr::null(),
+                        )
+                    }
+                }
+                // SAFETY: `buf` is a live, exclusively borrowed
+                // allocation of `buf.len()` EpollEvent slots; the kernel
+                // writes at most that many entries and `rc` reports how
+                // many are valid.
+                _ => unsafe {
+                    sys::epoll_wait(
+                        self.ep.as_raw_fd(),
+                        events.buf.as_mut_ptr(),
+                        events.buf.len() as i32,
+                        timeout.map_or(-1, millis_ceil),
+                    )
+                },
             };
             if rc >= 0 {
                 events.len = rc as usize;
                 return Ok(());
             }
             let err = io::Error::last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
+            if err.raw_os_error() == Some(sys::ENOSYS) {
+                PWAIT2_MISSING.store(true, Ordering::Relaxed);
+            } else if err.kind() != io::ErrorKind::Interrupted {
                 return Err(err);
             }
             events.len = 0;
         }
     }
+}
+
+/// Set once the kernel has answered `epoll_pwait2` with `ENOSYS`
+/// (Linux < 5.11): every later wait goes straight to `epoll_wait`.
+static PWAIT2_MISSING: AtomicBool = AtomicBool::new(false);
+
+/// `d` as the `timespec` `epoll_pwait2` takes, exact to the nanosecond.
+fn timespec_of(d: Duration) -> sys::Timespec {
+    use std::os::raw::c_long;
+    sys::Timespec {
+        tv_sec: d.as_secs().min(c_long::MAX as u64) as c_long,
+        tv_nsec: d.subsec_nanos() as c_long,
+    }
+}
+
+/// `d` as an `epoll_wait` timeout: whole milliseconds, rounded up, so
+/// only a zero wait polls without blocking.
+fn millis_ceil(d: Duration) -> i32 {
+    d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32
 }
 
 /// Wakes a blocked [`Poll::poll`] from any thread — an `eventfd`
@@ -753,6 +807,61 @@ mod tests {
     const LISTENER: Token = Token(1);
     const CLIENT: Token = Token(2);
     const WAKER: Token = Token(3);
+
+    #[test]
+    fn timespec_keeps_every_nanosecond() {
+        let ts = |s, ns| sys::Timespec {
+            tv_sec: s,
+            tv_nsec: ns,
+        };
+        assert_eq!(timespec_of(Duration::ZERO), ts(0, 0));
+        assert_eq!(timespec_of(Duration::from_nanos(1)), ts(0, 1));
+        assert_eq!(timespec_of(Duration::from_micros(30)), ts(0, 30_000));
+        assert_eq!(timespec_of(Duration::from_micros(1_030)), ts(0, 1_030_000));
+        assert_eq!(
+            timespec_of(Duration::new(3, 999_999_999)),
+            ts(3, 999_999_999)
+        );
+        assert_eq!(
+            timespec_of(Duration::MAX).tv_sec,
+            std::os::raw::c_long::MAX,
+            "an absurd wait saturates instead of wrapping negative"
+        );
+    }
+
+    #[test]
+    fn fallback_millis_round_up_and_never_to_zero() {
+        assert_eq!(millis_ceil(Duration::ZERO), 0);
+        assert_eq!(millis_ceil(Duration::from_nanos(1)), 1);
+        assert_eq!(millis_ceil(Duration::from_micros(30)), 1);
+        assert_eq!(millis_ceil(Duration::from_millis(1)), 1);
+        assert_eq!(millis_ceil(Duration::from_micros(1_030)), 2);
+        assert_eq!(millis_ceil(Duration::from_millis(200)), 200);
+        assert_eq!(millis_ceil(Duration::MAX), i32::MAX);
+    }
+
+    #[test]
+    fn sub_millisecond_timeouts_are_honoured() {
+        let mut poll = Poll::new().unwrap();
+        let mut events = Events::with_capacity(8);
+        let start = Instant::now();
+        for _ in 0..20 {
+            poll.poll(&mut events, Some(Duration::from_micros(100)))
+                .unwrap();
+            assert!(events.is_empty());
+        }
+        let took = start.elapsed();
+        assert!(
+            took >= Duration::from_micros(2_000),
+            "returned early: {took:?}"
+        );
+        if !PWAIT2_MISSING.load(Ordering::Relaxed) {
+            assert!(
+                took < Duration::from_millis(20),
+                "20 waits of 100 us took {took:?}: rounded up to milliseconds"
+            );
+        }
+    }
 
     #[test]
     fn poll_times_out() {
