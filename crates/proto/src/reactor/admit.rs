@@ -115,9 +115,6 @@ struct ShardLink {
     endpoint_end: End,
     /// Handshakes awaiting their ack, oldest first.
     waiting: VecDeque<Waiting>,
-    /// A wire or framing error killed the session: admissions skip the
-    /// link and releases unwind directly.
-    dead: bool,
 }
 
 /// Drives one shard's admission links (see the module docs).
@@ -150,7 +147,6 @@ impl Admitter {
                 vip_end: end(vip_end, 0)?,
                 endpoint_end: end(endpoint_end, m)?,
                 waiting: VecDeque::new(),
-                dead: false,
             });
         }
         Ok(Admitter { vip, links })
@@ -192,7 +188,7 @@ impl Admitter {
     ) {
         while let Some(f) = self.vip.next_candidate(&mut cursor) {
             let l = &mut self.links[f];
-            if l.dead {
+            if l.link.is_dead() {
                 continue;
             }
             l.waiting.push_back(Waiting {
@@ -210,22 +206,19 @@ impl Admitter {
     /// The connection admitted to `fe_idx` as `ticket` has ended; its
     /// close notification leaves with the turn's flush.
     pub fn release(&mut self, fe_idx: usize, ticket: ConnId) {
-        let l = &mut self.links[fe_idx];
-        if l.dead {
-            l.link.abandon(ticket);
-        } else {
-            l.link.release(ticket);
-        }
+        self.links[fe_idx].link.release(ticket);
     }
 
     /// Readiness on the link end registered as token `base + off`.
     /// Only reading acts here: an armed `WRITABLE` firing just means
     /// the turn's flush will get further.
-    pub fn on_event(&mut self, off: usize, out: &mut Vec<Admitted>) {
+    pub fn on_event(&mut self, off: usize, registry: &Registry, out: &mut Vec<Admitted>) {
         let m = self.links.len();
         let f = off % m;
-        if !self.links[f].dead && self.pull(f, off < m, out).is_err() {
-            self.fail(f, out);
+        // A dead link's ends are deregistered; an event of the batch
+        // that killed it can still name them.
+        if !self.links[f].link.is_dead() && self.pull(f, off < m, out).is_err() {
+            self.fail(f, registry, out);
         }
     }
 
@@ -290,8 +283,8 @@ impl Admitter {
         loop {
             let mut lost = false;
             for f in 0..self.links.len() {
-                if !self.links[f].dead && self.push(f, registry).is_err() {
-                    self.fail(f, out);
+                if !self.links[f].link.is_dead() && self.push(f, registry).is_err() {
+                    self.fail(f, registry, out);
                     lost = true;
                 }
             }
@@ -310,11 +303,16 @@ impl Admitter {
         Ok(())
     }
 
-    /// The session is unusable: every handshake parked on it moves on
-    /// to the next front-end, and later releases unwind directly.
-    fn fail(&mut self, f: usize, out: &mut Vec<Admitted>) {
+    /// The session is unusable: the link fails (unwinding the closes
+    /// lost with the wire), its ends leave the poller — level-triggered,
+    /// it would report their EOF or unread residue every turn — and
+    /// every handshake parked on it moves on to the next front-end.
+    fn fail(&mut self, f: usize, registry: &Registry, out: &mut Vec<Admitted>) {
         let l = &mut self.links[f];
-        l.dead = true;
+        l.link.fail();
+        for end in [&mut l.vip_end, &mut l.endpoint_end] {
+            let _ = registry.deregister(&mut end.stream);
+        }
         for w in std::mem::take(&mut l.waiting) {
             self.links[f].link.abandon(w.ticket);
             self.offer(w.slot, w.client, w.cursor, out);
@@ -347,8 +345,9 @@ impl Admitter {
 
     /// The loop is exiting: parked handshakes are abandoned (their
     /// connections die with the shard) and every close already queued
-    /// or on the wire is carried to the machine, so the tier tracks
-    /// nothing of this shard afterwards.
+    /// or on the wire is carried to the machine — or, on a session that
+    /// will not carry it, unwound by failing the link — so the tier
+    /// tracks nothing of this shard afterwards.
     pub fn teardown(&mut self, registry: &Registry) {
         let mut unused = Vec::new();
         for l in &mut self.links {
@@ -360,12 +359,15 @@ impl Admitter {
         // only keeps a broken kernel path from wedging shutdown.
         let give_up = Instant::now() + Duration::from_secs(1);
         for f in 0..self.links.len() {
-            while !self.links[f].dead && !self.links[f].link.quiet() && Instant::now() < give_up {
+            // A failed link is quiet.
+            while !self.links[f].link.quiet() {
                 let step = self
                     .push(f, registry)
                     .and_then(|()| self.pull(f, false, &mut unused))
                     .and_then(|_| self.pull(f, true, &mut unused));
-                self.links[f].dead = step.is_err();
+                if step.is_err() || Instant::now() >= give_up {
+                    self.fail(f, registry, &mut unused);
+                }
                 std::thread::yield_now();
             }
         }
@@ -420,7 +422,8 @@ mod tests {
                 .poll(&mut events, Some(Duration::from_millis(20)))
                 .unwrap();
             for ev in events.iter() {
-                self.admitter.on_event(ev.token().0 - BASE, &mut self.out);
+                self.admitter
+                    .on_event(ev.token().0 - BASE, self.poll.registry(), &mut self.out);
             }
         }
 
@@ -447,6 +450,26 @@ mod tests {
                 );
                 self.turn();
             }
+        }
+
+        /// Breaks session `f`: one of its ends becomes a socket whose
+        /// peer has hung up, and whatever the old socket held is lost.
+        fn hang_up(&mut self, f: usize, vip_end: bool) {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let (orphan, hung_up) = loopback_pair(&listener).unwrap();
+            drop(hung_up);
+            let l = &mut self.admitter.links[f];
+            let end = if vip_end {
+                &mut l.vip_end
+            } else {
+                &mut l.endpoint_end
+            };
+            self.poll.registry().deregister(&mut end.stream).unwrap();
+            end.stream = mio::net::TcpStream::from_std(orphan);
+            self.poll
+                .registry()
+                .register(&mut end.stream, end.token, Interest::READABLE)
+                .unwrap();
         }
 
         fn endpoints_empty(&self) -> bool {
@@ -603,21 +626,10 @@ mod tests {
         assert_eq!(first.fe_idx, 0);
         s.admit(1, 50_401); // to 1
         s.admit(2, 50_402); // to 0
-                            // Break session 0 under them: its endpoint end becomes a
-                            // socket whose peer has hung up.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let (orphan, hung_up) = loopback_pair(&listener).unwrap();
-        drop(hung_up);
-        let end = &mut s.admitter.links[0].endpoint_end;
-        s.poll.registry().deregister(&mut end.stream).unwrap();
-        end.stream = mio::net::TcpStream::from_std(orphan);
-        s.poll
-            .registry()
-            .register(&mut end.stream, end.token, Interest::READABLE)
-            .unwrap();
+        s.hang_up(0, false); // session 0 breaks under them
         let got = s.resolve(2);
         assert!(got.iter().all(|a| a.fe_idx == 1 && a.ticket.is_some()));
-        assert!(s.admitter.links[0].dead);
+        assert!(s.admitter.links[0].link.is_dead());
         // New work avoids the dead session; its old ticket still goes.
         s.admit(3, 50_403);
         s.admit(4, 50_404);
@@ -629,6 +641,42 @@ mod tests {
             s.admitter.release(a.fe_idx, a.ticket.unwrap());
         }
         s.settle_to(0);
+    }
+
+    /// A session that breaks with one close on the wire and another
+    /// queued: the endpoint has let go of both connections already, so
+    /// failing the link must unwind their routes itself — and take its
+    /// ends off the level-triggered poller, which would otherwise
+    /// report the hung-up socket on every turn.
+    #[test]
+    fn a_session_breaking_under_its_closes_leaks_no_route_and_leaves_the_poller() {
+        let mut s = shard(2);
+        for i in 0..4 {
+            s.admit(i, 50_600 + i as u16);
+        }
+        let got = s.resolve(4);
+        let ticket = |i: usize| got[i].ticket.unwrap();
+        assert_eq!((got[0].fe_idx, got[2].fe_idx), (0, 0));
+        s.admitter.release(0, ticket(0));
+        s.admitter.flush(s.poll.registry(), &mut s.out); // on the wire
+        s.admitter.release(0, ticket(2)); // queued
+        assert_eq!(s.vip.tracked(), 4);
+        s.hang_up(0, true); // the close in flight goes with the socket
+        let give_up = Instant::now() + Duration::from_secs(5);
+        while !s.admitter.links[0].link.is_dead() {
+            assert!(Instant::now() < give_up, "the hang-up went unnoticed");
+            s.turn();
+        }
+        assert_eq!(s.vip.tracked(), 2, "the lost closes left their routes");
+        s.admitter.release(1, ticket(1));
+        s.admitter.release(1, ticket(3));
+        s.settle_to(0);
+        // Nothing is outstanding, so nothing may be ready.
+        let mut events = Events::with_capacity(16);
+        s.poll
+            .poll(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert!(events.is_empty(), "a dead link's end is still polled");
     }
 
     #[test]

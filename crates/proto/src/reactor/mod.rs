@@ -747,7 +747,7 @@ impl Reactor {
     /// Readiness on one end of an admission link.
     fn on_link_event(&mut self, off: usize) {
         if let Some(admitter) = self.admitter.as_mut() {
-            admitter.on_event(off, &mut self.admitted);
+            admitter.on_event(off, self.poll.registry(), &mut self.admitted);
         }
         self.activate_admitted();
     }
@@ -780,15 +780,9 @@ impl Reactor {
             _ => None,
         };
         let Some(Slot::Client(mut c)) = parked else {
-            // Nothing frees a parked slot today (the sweep and stray
-            // events skip it, teardown abandons its handshake first),
-            // but a `SlotRef` is only ever good while its generation
-            // matches — and a ticket without a connection must not
-            // outlive this call.
-            if let (Some(admitter), Some(ticket)) = (self.admitter.as_mut(), a.ticket) {
-                admitter.release(a.fe_idx, ticket);
-            }
-            return;
+            // The sweep and stray events skip a parked slot, and
+            // teardown abandons its handshake without activating it.
+            unreachable!("only its admission resolving frees a parked slot");
         };
         c.admitting = false;
         c.fe_idx = a.fe_idx;

@@ -50,6 +50,7 @@
 //! [`Vip`] when `front_ends > 1`, so the single-front-end fast path is
 //! byte-for-byte the pre-tier prototype.
 
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -149,6 +150,13 @@ pub struct AdmissionLink {
     /// Bytes reported sent from each end and not yet fed to the other.
     to_endpoint: usize,
     to_vip: usize,
+    /// Released tickets whose close frame the Vip end has not decoded
+    /// yet, oldest first: the routes [`fail`](Self::fail) must unwind
+    /// itself, because the endpoint has already let go of them.
+    closing: VecDeque<ConnId>,
+    /// The session broke ([`fail`](Self::fail)): nothing more crosses
+    /// it, and releases unwind directly.
+    dead: bool,
 }
 
 impl AdmissionLink {
@@ -164,6 +172,8 @@ impl AdmissionLink {
             endpoint_tx: Vec::new(),
             to_endpoint: 0,
             to_vip: 0,
+            closing: VecDeque::new(),
+            dead: false,
         }
     }
 
@@ -200,10 +210,15 @@ impl AdmissionLink {
     }
 
     /// The admitted connection `conn` has ended: the endpoint drops it
-    /// and queues the close notification that removes its route.
+    /// and queues the close notification that removes its route. On a
+    /// dead link there is no wire left to carry the close, so the route
+    /// is unwound directly.
     pub fn release(&mut self, conn: ConnId) {
-        if let Some(close) = self.be.release(conn, true) {
+        if self.dead {
+            self.abandon(conn);
+        } else if let Some(close) = self.be.release(conn, true) {
             queue_frame(&mut self.endpoint_tx, close);
+            self.closing.push_back(conn);
         }
     }
 
@@ -217,6 +232,30 @@ impl AdmissionLink {
             .lock()
             .on_ctrl(NodeId(self.f), CtrlMsg::ConnClosed { conn });
         self.be.release(conn, false);
+    }
+
+    /// The session's wire broke, desynchronized or timed out. The link
+    /// is dead from here on — drivers stop admitting through it
+    /// ([`is_dead`](Self::is_dead)) and drop or deregister its sockets
+    /// — and goes quiet at once: whatever was queued or in flight is
+    /// discarded, and the routes of the closes lost with it are unwound
+    /// here. Handshakes still waiting for an ack are the driver's to
+    /// [`abandon`](Self::abandon); it holds their tickets.
+    pub fn fail(&mut self) {
+        self.dead = true;
+        self.vip_tx.clear();
+        self.endpoint_tx.clear();
+        self.to_endpoint = 0;
+        self.to_vip = 0;
+        let mut fe = self.machine.fe.lock();
+        for conn in self.closing.drain(..) {
+            let _ = fe.on_ctrl(NodeId(self.f), CtrlMsg::ConnClosed { conn });
+        }
+    }
+
+    /// Whether [`fail`](Self::fail) has been called.
+    pub fn is_dead(&self) -> bool {
+        self.dead
     }
 
     /// Bytes the Vip end owes its socket.
@@ -302,7 +341,11 @@ impl AdmissionLink {
                         self.be.release(conn, false);
                     }
                 }
-                CtrlMsg::ConnClosed { .. } => {
+                CtrlMsg::ConnClosed { conn } => {
+                    // Closes arrive in release order.
+                    if let Some(pos) = self.closing.iter().position(|&c| c == conn) {
+                        self.closing.remove(pos);
+                    }
                     // Unknown conns are fine: the route was unwound by
                     // an abandon that raced this close.
                     let _ = fe.on_ctrl(NodeId(self.f), msg);
@@ -334,9 +377,6 @@ struct BlockingLink {
     link: AdmissionLink,
     vip_end: TcpStream,
     endpoint_end: TcpStream,
-    /// A wire error or [`ADMIT_TIMEOUT`] hit: the session is unusable,
-    /// admissions skip it and releases unwind directly.
-    dead: bool,
 }
 
 impl BlockingLink {
@@ -344,7 +384,17 @@ impl BlockingLink {
     /// other end, until the link is quiet. Nothing else touches these
     /// sockets and every call leaves them empty, so a write never
     /// blocks and a read only ever waits for bytes this thread sent.
+    /// A wire error or [`ADMIT_TIMEOUT`] fails the link, which is
+    /// quiet — nothing left to carry — ever after.
     fn run(&mut self, acks: &mut Vec<Ack>) -> io::Result<()> {
+        let ran = self.carry(acks);
+        if ran.is_err() {
+            self.link.fail();
+        }
+        ran
+    }
+
+    fn carry(&mut self, acks: &mut Vec<Ack>) -> io::Result<()> {
         let mut buf = [0u8; 4096];
         while !self.link.quiet() {
             let n = self.link.vip_out().len();
@@ -457,7 +507,6 @@ impl Vip {
                         link: AdmissionLink::new(f, machine.clone()),
                         vip_end,
                         endpoint_end,
-                        dead: false,
                     },
                 )
             })
@@ -658,13 +707,12 @@ impl Vip {
     fn admit_to(&self, f: usize, client: ClientKey) -> Option<ConnId> {
         let mut guard = self.links[f].lock();
         let l = &mut *guard;
-        if l.dead {
+        if l.link.is_dead() {
             return None;
         }
         let conn = l.link.begin(client);
         let mut acks = Vec::with_capacity(1);
         if l.run(&mut acks).is_err() {
-            l.dead = true;
             l.link.abandon(conn);
             return None;
         }
@@ -680,15 +728,11 @@ impl Vip {
     /// session back to the Vip machine (removing the forwarding-table
     /// route) before this returns.
     pub fn release(&self, f: usize, conn: ConnId) {
-        let mut guard = self.links[f].lock();
-        let l = &mut *guard;
-        if !l.dead {
-            l.link.release(conn);
-            l.dead = l.run(&mut Vec::new()).is_err();
-        }
-        if l.dead {
-            l.link.abandon(conn);
-        }
+        let mut l = self.links[f].lock();
+        l.link.release(conn);
+        // A session that breaks under the close unwinds the route in
+        // `fail`; one already dead did so in `release`.
+        let _ = l.run(&mut Vec::new());
     }
 
     /// Takes front-end `f` out of the tier: new connections stop
@@ -1040,6 +1084,24 @@ pub(crate) mod tests {
         }
         assert_eq!(vip.tracked(), 0);
         assert!(endpoints_empty(&vip));
+        vip.shutdown();
+    }
+
+    /// A release is what finds the session broken: the endpoint has let
+    /// go of the connection and the close has nowhere to go, so failing
+    /// the link unwinds the route.
+    #[test]
+    fn a_close_lost_with_its_session_still_unwinds_the_route() {
+        let (vip, _fes) = tier(2, 2);
+        let a = vip.admit(key(40_350)).expect("admit");
+        vip.links[a.0]
+            .lock()
+            .vip_end
+            .shutdown(std::net::Shutdown::Both)
+            .expect("break the session");
+        vip.release(a.0, a.1);
+        assert_eq!(vip.tracked(), 0, "the lost close left its route");
+        assert!(vip.links[a.0].lock().link.is_dead());
         vip.shutdown();
     }
 

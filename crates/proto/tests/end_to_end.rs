@@ -685,10 +685,15 @@ fn reactor_disk_deadlines_are_sub_millisecond() {
         took >= fast_disk().seek * MISSES,
         "finished in {took:?}: the emulated disk was not waited for"
     );
-    assert!(
-        took < Duration::from_millis(MISSES as u64),
-        "{MISSES} sequential 300 us misses took {took:?}: \
-         deadlines are being rounded up to milliseconds"
-    );
+    // On a kernel without `epoll_pwait2` the poller has, by now,
+    // fallen back to whole milliseconds (rounded up, so the lower bound
+    // above still holds) and there is no upper bound to check.
+    if mio::timeouts_are_exact() {
+        assert!(
+            took < Duration::from_millis(MISSES as u64),
+            "{MISSES} sequential 300 us misses took {took:?}: \
+             deadlines are being rounded up to milliseconds"
+        );
+    }
     cluster.shutdown();
 }

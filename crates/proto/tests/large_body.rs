@@ -210,30 +210,21 @@ fn run_cell(mut cfg: ProtoConfig, cell: &str) -> (Vec<Vec<Vec<u8>>>, u64) {
     (transcript, lateral)
 }
 
-/// Runs a cell until one run forwards, and returns that run's
-/// transcript. Whether disk queues build far enough for extLARD to
-/// forward is the scheduler's call — on a loaded 2-core host roughly
-/// one run in five never does — while everything else a cell asserts
-/// holds on every run.
-fn run_forwarding_cell(cfg: ProtoConfig, cell: &str) -> Vec<Vec<Vec<u8>>> {
-    for _ in 0..4 {
-        let (transcript, lateral) = run_cell(cfg.clone(), cell);
-        if lateral > 0 {
-            return transcript;
-        }
-    }
-    panic!("{cell}: never forwarded in 4 runs — the recipe exercises no remote path");
-}
-
 fn matrix(coalesce: bool) {
-    let oracle = run_forwarding_cell(config(IoModel::Threads, 1, 1, coalesce), "threads oracle");
+    let (oracle, oracle_lateral) =
+        run_cell(config(IoModel::Threads, 1, 1, coalesce), "threads oracle");
+    assert!(
+        oracle_lateral > 0,
+        "oracle never forwarded — the recipe exercises no remote path"
+    );
     for shards in [1usize, 2, 4] {
         for front_ends in [1usize, 2] {
             let cell = format!("reactor/shards={shards}/fe={front_ends}/coalesce={coalesce}");
-            let transcript = run_forwarding_cell(
+            let (transcript, lateral) = run_cell(
                 config(IoModel::Reactor, shards, front_ends, coalesce),
                 &cell,
             );
+            assert!(lateral > 0, "{cell}: no lateral stream ever ran");
             assert_eq!(
                 oracle, transcript,
                 "{cell}: large-body transcripts diverge from the threads oracle"

@@ -83,13 +83,20 @@ mod sys {
     pub const EINTR: i32 = 4;
     pub const ENOSYS: i32 = 38;
 
-    /// libc `struct timespec` (`time_t` is `long` on every Linux ABI
-    /// this shim builds for).
+    /// `epoll_pwait2(2)`'s syscall number — 441 on every Linux
+    /// architecture (it postdates the unified syscall table).
+    pub const SYS_EPOLL_PWAIT2: c_long = 441;
+    /// Size of the kernel's `sigset_t`, which the raw syscall takes
+    /// beside the (here always null) mask pointer.
+    pub const KERNEL_SIGSET_SIZE: usize = 8;
+
+    /// Kernel `struct __kernel_timespec`: both fields 64-bit on every
+    /// ABI, which is what the raw `epoll_pwait2` syscall reads.
     #[repr(C)]
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub struct Timespec {
-        pub tv_sec: c_long,
-        pub tv_nsec: c_long,
+        pub tv_sec: i64,
+        pub tv_nsec: i64,
     }
 
     /// Kernel `struct sockaddr_in` (IPv4 only — the reuseport group bind
@@ -125,18 +132,14 @@ mod sys {
             maxevents: c_int,
             timeout: c_int,
         ) -> c_int;
-        // SAFETY: glibc >= 2.34 exports this with exactly the signature
-        // of `epoll_pwait2(2)` (Linux >= 5.11; older kernels answer
-        // ENOSYS, which `Poll::poll` handles). `timeout` is read, never
-        // written; a null `sigmask` leaves the signal mask alone, so its
-        // pointee type is immaterial.
-        pub fn epoll_pwait2(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: *const Timespec,
-            sigmask: *const c_void,
-        ) -> c_int;
+        // SAFETY: every libc exports the variadic `syscall(2)` wrapper
+        // (errors come back as -1 + errno). It is only ever called as
+        // `epoll_pwait2` — number, then (epfd, events, maxevents,
+        // timeout, sigmask, sigsetsize) — which glibc wraps by name only
+        // from 2.34, so going through `syscall` leaves the kernel's own
+        // ENOSYS (Linux < 5.11, handled in `Poll::poll`) as the one way
+        // the call can be missing: nothing fails to link.
+        pub fn syscall(num: c_long, ...) -> c_long;
         pub fn eventfd(initval: c_uint, flags: c_int) -> c_int;
         pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
         pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
@@ -387,16 +390,22 @@ impl Poll {
             let rc = match timeout {
                 Some(d) if !PWAIT2_MISSING.load(Ordering::Relaxed) => {
                     let ts = timespec_of(d);
-                    // SAFETY: as for `epoll_wait` below; `ts` outlives
-                    // the call and the null sigmask is never read.
+                    // SAFETY: the arguments are `epoll_pwait2`'s, every
+                    // one register-wide as `syscall` reads them. `buf`
+                    // as for `epoll_wait` below; `ts` outlives the call
+                    // and is only read; the null sigmask is never
+                    // dereferenced. The result is an event count or -1,
+                    // so it fits an `i32`.
                     unsafe {
-                        sys::epoll_pwait2(
-                            self.ep.as_raw_fd(),
+                        sys::syscall(
+                            sys::SYS_EPOLL_PWAIT2,
+                            self.ep.as_raw_fd() as std::os::raw::c_long,
                             events.buf.as_mut_ptr(),
-                            events.buf.len() as i32,
-                            &ts,
-                            std::ptr::null(),
-                        )
+                            events.buf.len() as std::os::raw::c_long,
+                            &ts as *const sys::Timespec,
+                            std::ptr::null::<u64>(), // sigmask
+                            sys::KERNEL_SIGSET_SIZE,
+                        ) as i32
                     }
                 }
                 // SAFETY: `buf` is a live, exclusively borrowed
@@ -431,12 +440,19 @@ impl Poll {
 /// (Linux < 5.11): every later wait goes straight to `epoll_wait`.
 static PWAIT2_MISSING: AtomicBool = AtomicBool::new(false);
 
+/// Whether [`Poll::poll`] timeouts are still honoured to the
+/// nanosecond: `false` once a wait in this process has found the
+/// kernel without `epoll_pwait2` and fallen back to whole milliseconds
+/// (for tests that bound sub-millisecond deadlines from above).
+pub fn timeouts_are_exact() -> bool {
+    !PWAIT2_MISSING.load(Ordering::Relaxed)
+}
+
 /// `d` as the `timespec` `epoll_pwait2` takes, exact to the nanosecond.
 fn timespec_of(d: Duration) -> sys::Timespec {
-    use std::os::raw::c_long;
     sys::Timespec {
-        tv_sec: d.as_secs().min(c_long::MAX as u64) as c_long,
-        tv_nsec: d.subsec_nanos() as c_long,
+        tv_sec: d.as_secs().min(i64::MAX as u64) as i64,
+        tv_nsec: d.subsec_nanos() as i64,
     }
 }
 
@@ -824,7 +840,7 @@ mod tests {
         );
         assert_eq!(
             timespec_of(Duration::MAX).tv_sec,
-            std::os::raw::c_long::MAX,
+            i64::MAX,
             "an absurd wait saturates instead of wrapping negative"
         );
     }
@@ -855,7 +871,7 @@ mod tests {
             took >= Duration::from_micros(2_000),
             "returned early: {took:?}"
         );
-        if !PWAIT2_MISSING.load(Ordering::Relaxed) {
+        if timeouts_are_exact() {
             assert!(
                 took < Duration::from_millis(20),
                 "20 waits of 100 us took {took:?}: rounded up to milliseconds"
