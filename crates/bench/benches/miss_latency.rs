@@ -1,5 +1,5 @@
-//! Miss latency: what single-flight coalescing and delayed-hits-aware
-//! (LRU-MAD) eviction buy, on the simulator's deterministic clock.
+//! Miss latency: what single-flight coalescing and GreedyDual-Size
+//! eviction buy, on the simulator's deterministic clock.
 //!
 //! Two experiments, both asserted in-bench so a regression fails loudly
 //! rather than quietly skewing the JSON:
@@ -11,16 +11,18 @@
 //!   shrink (waiters ride a read that is already under way).
 //! * **sweep** — a Zipf workload whose working set far exceeds the
 //!   cache, run at several fetch latencies (disk seek sweep) under
-//!   plain LRU and LRU-MAD with coalescing on. LRU-MAD ranks victims by
-//!   EWMA aggregate-miss-delay per byte, so the entries it keeps are the
-//!   ones whose re-fetch would stall the most request-seconds. Its edge
-//!   grows with fetch latency (the delay *is* its signal): the asserts
-//!   demand a strict win at 10 ms+ seeks and overall, and tolerate only
-//!   noise (≤0.5%) in the cheap-miss regime where MAD ≈ LRU.
+//!   strict LRU and GreedyDual with coalescing on. GreedyDual keeps
+//!   `H = L + cost/size` per entry, `cost` being the EWMA aggregate miss
+//!   delay the simulator measures per fetch, and evicts the smallest
+//!   `H`: what stays is what is expensive to stall on per byte held.
+//!   The asserts demand strictly fewer disk fetches *and* a lower
+//!   aggregate miss delay at every seek.
 //!
 //! Writes `BENCH_misslatency.json` at the repo root. The criterion
-//! group measures the cache-side cost LRU-MAD adds to the hot insert
-//! path (EWMA update + tail candidate scan).
+//! group prices the cache itself: an evicting insert under each policy
+//! (LRU's tail pop vs GreedyDual's lazy-heap pop and push), and a hit
+//! under each (GreedyDual re-stamps `H`, with no heap operation — the
+//! pair shows the hit path did not grow).
 
 #![allow(missing_docs)]
 
@@ -81,15 +83,13 @@ fn sweep_cell(trace: &Trace, seek_us: u64, policy: EvictPolicy) -> Report {
     Simulator::new(cfg, trace, &workload).run()
 }
 
-fn bench_mad_insert(c: &mut Criterion) {
-    // The hot-path delta LRU-MAD adds: an EWMA refresh per insert and a
-    // bounded tail scan per eviction, vs plain LRU's tail pop.
+const POLICIES: [(&str, EvictPolicy); 2] =
+    [("lru", EvictPolicy::Lru), ("gd", EvictPolicy::GreedyDual)];
+
+fn bench_cache_ops(c: &mut Criterion) {
     let mut g = c.benchmark_group("miss_latency");
-    for (name, policy) in [
-        ("insert_lru", EvictPolicy::Lru),
-        ("insert_mad", EvictPolicy::LruMad),
-    ] {
-        g.bench_function(name, |b| {
+    for (name, policy) in POLICIES {
+        g.bench_function(&format!("insert_{name}"), |b| {
             let mut cache: LruCache<TargetId> = LruCache::new(512 * 1024);
             cache.set_policy(policy);
             let mut i = 0u32;
@@ -103,6 +103,21 @@ fn bench_mad_insert(c: &mut Criterion) {
                     8 * 1024,
                     10_000 + (i % 7) as u64 * 3_000,
                 ));
+            });
+        });
+    }
+    for (name, policy) in POLICIES {
+        g.bench_function(&format!("touch_{name}"), |b| {
+            // 4096 resident entries, hit in a scattered order.
+            let mut cache: LruCache<TargetId> = LruCache::new(4096 * 8 * 1024);
+            cache.set_policy(policy);
+            for t in 0..4096 {
+                cache.insert_with_delay(TargetId(t), 8 * 1024, 10_000 + (t % 7) as u64 * 3_000);
+            }
+            let mut i = 0u32;
+            b.iter(|| {
+                i = i.wrapping_add(2_654_435_761);
+                criterion::black_box(cache.touch(TargetId(i % 4096)));
             });
         });
     }
@@ -152,16 +167,16 @@ fn bench_report(_c: &mut Criterion) {
         );
     }
 
-    // --- sweep: LRU vs LRU-MAD across fetch latencies, coalescing on.
+    // --- sweep: LRU vs GreedyDual across fetch latencies, coalescing on.
     let trace = zipf_trace(views);
-    let (mut lru_total, mut mad_total) = (0.0f64, 0.0f64);
+    let (mut lru_total, mut gd_total) = (0.0f64, 0.0f64);
     for &seek in SEEK_US {
         let lru = sweep_cell(&trace, seek, EvictPolicy::Lru);
-        let mad = sweep_cell(&trace, seek, EvictPolicy::LruMad);
-        for (name, r) in [("LRU", &lru), ("LRU-MAD", &mad)] {
+        let gd = sweep_cell(&trace, seek, EvictPolicy::GreedyDual);
+        for (name, r) in [("LRU", &lru), ("GreedyDual", &gd)] {
             println!(
-                "miss_latency/sweep   seek {:>5} us  {name:<8} fetches {:>6}  delayed {:>5}  agg {:>10.1} ms  p50 {:>7.2}  p99 {:>8.2}",
-                seek, r.disk_fetches, r.delayed_hits, r.agg_miss_delay_ms, r.miss_p50_latency_ms, r.miss_p99_latency_ms
+                "miss_latency/sweep   seek {:>5} us  {name:<10} fetches {:>6}  delayed {:>5}  agg {:>10.1} ms  p50 {:>7.2}  p99 {:>8.2}  hit {:.4}",
+                seek, r.disk_fetches, r.delayed_hits, r.agg_miss_delay_ms, r.miss_p50_latency_ms, r.miss_p99_latency_ms, r.cache_hit_rate
             );
             push_row(
                 &mut rows,
@@ -172,42 +187,29 @@ fn bench_report(_c: &mut Criterion) {
             );
         }
         lru_total += lru.agg_miss_delay_ms;
-        mad_total += mad.agg_miss_delay_ms;
-        // Delayed-hits awareness pays in proportion to the fetch latency
-        // (its signal *is* the delay): demand a strict win once a miss
-        // costs 10 ms+, and no more than noise-level regression (0.5%)
-        // in the cheap-miss regime where MAD degenerates to ~LRU.
-        if seek >= 10_000 {
-            assert!(
-                mad.agg_miss_delay_ms < lru.agg_miss_delay_ms,
-                "LRU-MAD must beat plain LRU at seek {seek} us \
-                 (MAD {:.1} ms vs LRU {:.1} ms)",
-                mad.agg_miss_delay_ms,
-                lru.agg_miss_delay_ms
-            );
-        } else {
-            assert!(
-                mad.agg_miss_delay_ms <= lru.agg_miss_delay_ms * 1.005,
-                "LRU-MAD regressed past noise at seek {seek} us \
-                 (MAD {:.1} ms vs LRU {:.1} ms)",
-                mad.agg_miss_delay_ms,
-                lru.agg_miss_delay_ms
-            );
-        }
+        gd_total += gd.agg_miss_delay_ms;
+        assert!(
+            gd.disk_fetches < lru.disk_fetches,
+            "GreedyDual must fetch less than LRU at seek {seek} us ({} vs {})",
+            gd.disk_fetches,
+            lru.disk_fetches
+        );
+        assert!(
+            gd.agg_miss_delay_ms < lru.agg_miss_delay_ms,
+            "GreedyDual must stall less than LRU at seek {seek} us \
+             ({:.1} ms vs {:.1} ms)",
+            gd.agg_miss_delay_ms,
+            lru.agg_miss_delay_ms
+        );
     }
-
-    assert!(
-        mad_total < lru_total,
-        "LRU-MAD must win the sweep overall (MAD {mad_total:.1} ms vs LRU {lru_total:.1} ms)"
-    );
     println!(
-        "miss_latency/sweep   total agg delay: LRU-MAD/LRU = {:.4}",
-        mad_total / lru_total
+        "miss_latency/sweep   total agg delay: GreedyDual/LRU = {:.4}",
+        gd_total / lru_total
     );
 
     let host = phttp_bench::host_meta_json();
     let json = format!(
-        "{{\n  \"benchmark\": \"miss_latency\",\n  {host},\n  \"workloads\": {{\"burst\": \"{BURST} concurrent requests for one cold 64 KiB target, 1 node, WRR-PHTTP, eviction-free cache\", \"sweep\": \"Zipf(1.0) synthetic trace, {views} page views, 300 pages, WRR-PHTTP, 1 node, 2 MiB cache (working set >> cache), disk seek swept over {SEEK_US:?} us, coalescing on\"}},\n  \"baseline\": \"coalescing off (burst) / strict-LRU eviction (sweep)\",\n  \"contender\": \"single-flight miss coalescing (burst) / LRU-MAD delayed-hits-aware eviction (sweep)\",\n  \"metrics\": \"disk_fetches; delayed_hits (misses parked on an in-flight fetch); agg_miss_delay_ms = sum over every miss of probe-to-fetch-completion delay; per-miss p50/p99\",\n  \"notes\": \"simulated clock, so results are deterministic and unaffected by the 1-core CI container; the prototype-side analogues are asserted in crates/proto/tests/coalescing.rs over real threads/reactor I/O\",\n  \"results\": [\n{rows}\n  ]\n}}\n"
+        "{{\n  \"benchmark\": \"miss_latency\",\n  {host},\n  \"workloads\": {{\"burst\": \"{BURST} concurrent requests for one cold 64 KiB target, 1 node, WRR-PHTTP, eviction-free cache\", \"sweep\": \"Zipf(1.0) synthetic trace, {views} page views, 300 pages, WRR-PHTTP, 1 node, 2 MiB cache (working set >> cache), disk seek swept over {SEEK_US:?} us, coalescing on\"}},\n  \"baseline\": \"coalescing off (burst) / strict-LRU eviction (sweep)\",\n  \"contender\": \"single-flight miss coalescing (burst) / GreedyDual-Size eviction costed by EWMA aggregate miss delay (sweep)\",\n  \"metrics\": \"disk_fetches; delayed_hits (misses parked on an in-flight fetch); agg_miss_delay_ms = sum over every miss of probe-to-fetch-completion delay; per-miss p50/p99\",\n  \"notes\": \"simulated clock, so the rows are deterministic and independent of the host; the prototype-side analogues are asserted in crates/proto/tests/coalescing.rs over real threads/reactor I/O\",\n  \"results\": [\n{rows}\n  ]\n}}\n"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_misslatency.json");
     match std::fs::write(path, &json) {
@@ -216,6 +218,6 @@ fn bench_report(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(insert, bench_mad_insert);
+criterion_group!(cache_ops, bench_cache_ops);
 criterion_group!(report, bench_report);
-criterion_main!(insert, report);
+criterion_main!(cache_ops, report);

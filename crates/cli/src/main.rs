@@ -3,7 +3,7 @@
 //! ```text
 //! phttp trace gen   [--views N] [--seed S] [--specweb] [--out FILE]
 //! phttp trace stats [FILE]   (reads CLF; without FILE, uses the built-in synthetic trace)
-//! phttp sim         [--config LABEL] [--nodes N] [--flash] [--cache-mb M] [FILE]
+//! phttp sim         [--config LABEL] [--nodes N] [--flash] [--cache-mb M] [--lru] [FILE]
 //! phttp sweep       [--flash] [--quick] [FILE]
 //! phttp demo        [--nodes N] [--policy wrr|lard|extlard] [--views N]
 //! ```
@@ -16,7 +16,7 @@ use std::time::Duration;
 use args::Args;
 use phttp_core::PolicyKind;
 use phttp_proto::{run_load, ClientProtocol, Cluster, IoModel, LoadConfig, ProtoConfig};
-use phttp_sim::{build_workload, SimConfig, Simulator};
+use phttp_sim::{build_workload, EvictPolicy, SimConfig, Simulator};
 use phttp_trace::{
     clf, generate, generate_specweb, reconstruct, SessionConfig, SpecWebConfig, SynthConfig, Trace,
 };
@@ -29,19 +29,21 @@ commands:
                generate a synthetic workload (Common Log Format on stdout/FILE)
   trace stats  [FILE]
                workload statistics + P-HTTP connection reconstruction
-  sim          [--config LABEL] [--nodes N] [--flash] [--cache-mb M] [FILE]
+  sim          [--config LABEL] [--nodes N] [--flash] [--cache-mb M] [--lru] [FILE]
                one simulated run (LABEL as in the paper's figures, e.g.
-               BEforward-extLARD-PHTTP; FILE is a CLF log, default synthetic)
+               BEforward-extLARD-PHTTP; FILE is a CLF log, default synthetic;
+               node caches run GreedyDual-Size, --lru the strict-LRU baseline)
   sweep        [--flash] [--quick] [FILE]
                the full Figure 7/8 sweep over cluster sizes and configs
   demo         [--nodes N] [--policy wrr|lard|extlard] [--views N] [--reactor]
-               [--shards N] [--coalesce] [--mad]
+               [--shards N] [--coalesce] [--lru]
                boot the live loopback cluster and drive it with real HTTP
                (--reactor serves it from epoll event loops instead of the
                worker-thread pool; --shards N spreads the reactor over N
                loops with SO_REUSEPORT accept distribution; --coalesce
                single-flights concurrent misses per target and reports
-               delayed hits; --mad evicts by aggregate miss delay, LRU-MAD)
+               delayed hits; --lru evicts strictly least-recently-used
+               instead of GreedyDual-Size costed by measured miss delay)
 ";
 
 fn main() {
@@ -60,7 +62,7 @@ fn run(argv: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse(
         argv,
         &[
-            "flash", "quick", "specweb", "phttp10", "reactor", "coalesce", "mad",
+            "flash", "quick", "specweb", "phttp10", "reactor", "coalesce", "lru",
         ],
     )?;
     match (args.pos(0), args.pos(1)) {
@@ -174,6 +176,7 @@ fn sim_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         cfg = cfg.with_flash();
     }
     cfg.cache_bytes = args.get_or("cache-mb", 16u64)? * 1024 * 1024;
+    cfg.eviction = cache_policy(args);
     let workload = build_workload(&trace, cfg.protocol, SessionConfig::default());
     let report = Simulator::new(cfg, &trace, &workload).run();
     println!("{}", report.summary());
@@ -197,6 +200,15 @@ fn sim_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     Ok(())
+}
+
+/// The node caches' replacement policy: GreedyDual-Size unless `--lru`.
+fn cache_policy(args: &Args) -> EvictPolicy {
+    if args.flag("lru") {
+        EvictPolicy::Lru
+    } else {
+        EvictPolicy::GreedyDual
+    }
 }
 
 fn sweep(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
@@ -263,11 +275,7 @@ fn demo(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             },
             reactor_shards: args.get_or("shards", 1)?,
             coalesce_misses: args.flag("coalesce"),
-            cache_policy: if args.flag("mad") {
-                phttp_proto::EvictPolicy::LruMad
-            } else {
-                phttp_proto::EvictPolicy::Lru
-            },
+            cache_policy: cache_policy(args),
             ..ProtoConfig::default()
         },
         &trace,

@@ -821,10 +821,13 @@ impl ConcurrentDispatcher {
 
     /// Closes `conn` if it is registered; returns whether it was. The
     /// removal and the idempotence check happen under one shard lock,
-    /// so duplicate closes from racing teardown paths are safe.
+    /// so duplicate closes from racing teardown paths are safe. Its
+    /// load is released under that same lock: whoever sees the
+    /// connection gone ([`active_connections`](Self::active_connections)
+    /// takes the lock) also sees its load gone, rather than a window in
+    /// which a quiescent cluster still reads loaded.
     pub fn try_close_connection(&self, conn: ConnId) -> bool {
-        let state = self.conns.with(conn, |c| c.remove(&conn));
-        match state {
+        self.conns.with(conn, |c| match c.remove(&conn) {
             None => false,
             Some(state) => {
                 self.loads.discharge(state.node, LOAD_UNIT);
@@ -833,7 +836,7 @@ impl ConcurrentDispatcher {
                 }
                 true
             }
-        }
+        })
     }
 }
 

@@ -142,9 +142,14 @@ pub struct ProtoConfig {
     /// function of `(target, HTTP version)`, so transcripts are
     /// byte-identical either way; only timing and fetch counts change.
     pub coalesce_misses: bool,
-    /// Per-node cache eviction policy. [`EvictPolicy::Lru`] is the
-    /// paper's policy; [`EvictPolicy::LruMad`] ranks victims by
-    /// estimated aggregate miss delay per byte (delayed-hits-aware).
+    /// Per-node cache eviction policy. The default,
+    /// [`EvictPolicy::GreedyDual`], is GreedyDual-Size — what the paper's
+    /// *simulator* runs (its *prototype* left replacement to FreeBSD's
+    /// buffer cache) — costed by the aggregate miss delay each fetch is
+    /// measured to have caused. [`EvictPolicy::Lru`] is the baseline arm
+    /// and what a test that depends on strict-LRU victim order pins.
+    /// Eviction order changes *when* a document is read from disk,
+    /// never *what* is served.
     pub cache_policy: EvictPolicy,
     /// Number of front-end instances behind the VIP. With the default
     /// of 1 the cluster is the paper's single-front-end prototype,
@@ -223,7 +228,7 @@ impl Default for ProtoConfig {
             peer_pool_cap: 8,
             force_accept_handoff: false,
             coalesce_misses: false,
-            cache_policy: EvictPolicy::Lru,
+            cache_policy: EvictPolicy::GreedyDual,
             front_ends: 1,
             gossip_interval: DEFAULT_GOSSIP_INTERVAL,
             standby_nodes: 0,

@@ -1,7 +1,8 @@
 //! Back-end node state: file cache, emulated disk, peer connections, stats.
 //!
-//! Each node owns a byte-budget LRU cache (standing in for FreeBSD's unified
-//! buffer cache), an emulated disk (a mutex-serialized sleep, preserving the
+//! Each node owns a byte-budget cache (standing in for FreeBSD's unified
+//! buffer cache; GreedyDual-Size replacement by default), an emulated disk
+//! (one spindle serving reads back to back on its own timeline, preserving the
 //! one-disk-per-node queueing behaviour the extended-LARD heuristic observes),
 //! and a pool of persistent lateral TCP connections to its peers (standing in
 //! for the paper's NFS cross-mounts — DESIGN.md §6.3). Remotely fetched
@@ -50,6 +51,17 @@ impl DiskEmu {
     /// Read latency for `bytes`.
     pub fn read_time(&self, bytes: u64) -> Duration {
         self.seek + Duration::from_secs_f64(bytes as f64 / self.bytes_per_sec)
+    }
+
+    /// When the spindle starts a read that reached it at `arrival`,
+    /// given the deadline of the read admitted before it (`None`: there
+    /// was none): back to back behind a busy spindle, at once on an idle
+    /// one. Both I/O models schedule by this rule, so the emulated
+    /// device runs on its own timeline — arrivals and service times —
+    /// and is never billed for how late its driver (an event loop turn,
+    /// a thread wake-up) got round to the next read.
+    pub fn read_start(busy_until: Option<Instant>, arrival: Instant) -> Instant {
+        busy_until.map_or(arrival, |t| t.max(arrival))
     }
 }
 
@@ -122,7 +134,7 @@ enum FlightOutcome {
 struct Flight {
     state: Mutex<FlightOutcome>,
     cv: Condvar,
-    /// Requests parked on this flight so far (MAD delay estimation).
+    /// Requests parked on this flight so far (miss-delay estimation).
     waiters: AtomicU64,
 }
 
@@ -220,8 +232,9 @@ pub struct NodeState {
     /// owner — serve paths hold extra handles only while bytes are in
     /// flight toward a socket.
     pub cache: Mutex<LruCache<TargetId, Bytes>>,
-    /// Serializes disk reads (one spindle per node).
-    disk: Mutex<()>,
+    /// The spindle (one per node): the deadline of the last read
+    /// admitted to it, which is when the next one may start.
+    disk: Mutex<Option<Instant>>,
     /// Number of requests queued on or holding the disk.
     disk_queue: AtomicUsize,
     /// Disk timing model.
@@ -277,7 +290,7 @@ impl NodeState {
         NodeState {
             id,
             cache: Mutex::new_classed(LockClass::cache(nid), cache),
-            disk: Mutex::new_classed(LockClass::disk_spindle(nid), ()),
+            disk: Mutex::new_classed(LockClass::disk_spindle(nid), None),
             disk_queue: AtomicUsize::new(0),
             disk_emu,
             store,
@@ -325,7 +338,7 @@ impl NodeState {
     }
 
     /// Selects the cache victim-selection policy (builder style) — strict
-    /// LRU or the delayed-hits-aware LRU-MAD.
+    /// LRU or GreedyDual-Size costed by measured miss delay.
     pub fn with_cache_policy(mut self, policy: EvictPolicy) -> Self {
         self.cache.get_mut().set_policy(policy);
         self
@@ -458,8 +471,8 @@ impl NodeState {
     /// that lets the dispatcher's mirror replay to the true contents.
     /// `agg_delay_us` is the aggregate miss delay of the fetch that
     /// produced this insert (read latency times one-plus-waiters under
-    /// coalescing) — the LRU-MAD policy's victim-scoring sample; plain
-    /// LRU records and ignores it. `body` is the just-read document
+    /// coalescing) — GreedyDual's cost sample for the entry; plain LRU
+    /// records and ignores it. `body` is the just-read document
     /// slice the cache takes (shared) ownership of.
     fn cache_insert_reporting(&self, target: TargetId, size: u64, agg_delay_us: u64, body: Bytes) {
         let mut cache = self.cache.lock();
@@ -656,7 +669,7 @@ impl NodeState {
             }
             Role::Leader(f) => {
                 let read = self.blocking_disk_read(size);
-                // MAD sample: the read latency paid once, on behalf of the
+                // Cost sample: the read latency paid once, on behalf of the
                 // leader and every waiter parked so far. (Waiters joining
                 // between this load and the insert below merely undercount
                 // the estimate; they are still woken correctly.)
@@ -688,15 +701,20 @@ impl NodeState {
     }
 
     /// The one real disk access of a miss: queue-depth accounting around
-    /// the mutex-serialized sleep spindle. Returns the emulated latency.
+    /// a slot on the spindle's timeline ([`DiskEmu::read_start`]), slept
+    /// out to its deadline. Returns the emulated service time.
     fn blocking_disk_read(&self, size: u64) -> Duration {
         let read = self.disk_emu.read_time(size);
+        let arrival = Instant::now();
         self.disk_queue.fetch_add(1, Ordering::Relaxed);
         self.stats.disk_reads.fetch_add(1, Ordering::Relaxed);
-        {
-            let _spindle = self.disk.lock();
-            std::thread::sleep(read);
-        }
+        let deadline = {
+            let mut busy_until = self.disk.lock();
+            let deadline = DiskEmu::read_start(*busy_until, arrival) + read;
+            *busy_until = Some(deadline);
+            deadline
+        };
+        std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
         self.disk_queue.fetch_sub(1, Ordering::Relaxed);
         read
     }
@@ -753,7 +771,7 @@ impl NodeState {
 
     /// [`finish_disk_read`](Self::finish_disk_read) for a coalesced
     /// flight: `waiters` requests were parked on this read, so the cache
-    /// insert's MAD sample is the read latency times one-plus-waiters —
+    /// insert's cost sample is the read latency times one-plus-waiters —
     /// the aggregate delay this fetch actually cost.
     pub fn finish_disk_read_shared(&self, target: TargetId, waiters: u64) -> Bytes {
         self.disk_queue.fetch_sub(1, Ordering::Relaxed);
@@ -1271,6 +1289,51 @@ mod tests {
         stop.store(true, Ordering::Relaxed);
         let _ = TcpStream::connect(addr); // unblock the accept loop
         server.join().unwrap();
+    }
+
+    #[test]
+    fn spindle_starts_reads_back_to_back_or_on_arrival() {
+        let t0 = Instant::now();
+        let ms = Duration::from_millis;
+        // First read ever, or one reaching an idle spindle: at arrival.
+        assert_eq!(DiskEmu::read_start(None, t0), t0);
+        assert_eq!(DiskEmu::read_start(Some(t0), t0 + ms(5)), t0 + ms(5));
+        assert_eq!(DiskEmu::read_start(Some(t0), t0), t0);
+        // One that queued behind a busy spindle: at the previous read's
+        // deadline, however long ago it arrived — and however late
+        // whoever drives the spindle got round to starting it.
+        assert_eq!(DiskEmu::read_start(Some(t0 + ms(5)), t0), t0 + ms(5));
+        assert_eq!(
+            DiskEmu::read_start(Some(t0 + ms(5)), t0 + ms(4)),
+            t0 + ms(5)
+        );
+    }
+
+    #[test]
+    fn blocking_reads_share_one_spindle_timeline() {
+        // Four threads miss at once on one node: the reads are served
+        // one after another — never done before 4 x read_time — each
+        // from its predecessor's deadline, so the last is late by one
+        // thread wake-up, not by a fifth read.
+        let store = Arc::new(ContentStore::from_sizes(vec![1024; 4]));
+        let disk = DiskEmu {
+            seek: Duration::from_millis(5),
+            bytes_per_sec: 1e12,
+        };
+        let node = NodeState::new(NodeId(0), 1 << 20, disk, store, Vec::new());
+        let read = disk.read_time(1024);
+        let started = Instant::now();
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let node = &node;
+                s.spawn(move || node.serve_local(TargetId(t)));
+            }
+        });
+        let took = started.elapsed();
+        assert_eq!(node.stats.snapshot().disk_reads, 4);
+        assert_eq!(node.disk_queue_len(), 0);
+        assert!(took >= read * 4, "4 queued reads took {took:?}");
+        assert!(took < read * 5, "4 queued reads took {took:?}");
     }
 
     #[test]

@@ -1173,6 +1173,7 @@ impl Reactor {
                     target,
                     version,
                     waiters: Vec::new(),
+                    arrival: Instant::now(),
                 },
             );
             EntryState::Disk
@@ -1301,8 +1302,8 @@ impl Reactor {
     }
 
     fn disk_start(&mut self, node_idx: usize, job: DiskJob) {
-        let at = Instant::now() + self.fe.nodes()[node_idx].disk_read_time(job.target);
-        self.disks[node_idx].busy = Some(job);
+        let read_time = self.fe.nodes()[node_idx].disk_read_time(job.target);
+        let at = self.disks[node_idx].start(job, read_time);
         self.schedule(at, Timer::DiskDone(node_idx));
     }
 
@@ -1310,7 +1311,7 @@ impl Reactor {
         let Some(job) = self.disks[node_idx].busy.take() else {
             return;
         };
-        // One cache insert for the whole flight; the MAD sample scales
+        // One cache insert for the whole flight; the cost sample scales
         // with the waiters this single read unblocked. Leader and
         // waiters all serve clones of the slice that was just admitted
         // to the cache — one allocation for the entire flight.

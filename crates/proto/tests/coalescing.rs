@@ -212,12 +212,12 @@ fn leader_death_mid_flight_still_serves_waiters() {
     }
 }
 
-/// LRU-MAD is a drop-in eviction policy for the live cluster: under
+/// GreedyDual is a drop-in eviction policy for the live cluster: under
 /// churn with coalescing on, every response stays byte-exact and the
 /// cache-feedback mirror still replays the journal exactly (divergence
 /// converges to 0) — victim selection changed, journaling did not.
 #[test]
-fn lru_mad_with_coalescing_serves_and_stays_coherent() {
+fn greedy_dual_with_coalescing_serves_and_stays_coherent() {
     let mut synth = SynthConfig::small();
     synth.num_page_views = 300;
     synth.num_pages = 100;
@@ -235,7 +235,7 @@ fn lru_mad_with_coalescing_serves_and_stays_coherent() {
             read_timeout: Duration::from_secs(5),
             io_model: io,
             coalesce_misses: true,
-            cache_policy: EvictPolicy::LruMad,
+            cache_policy: EvictPolicy::GreedyDual,
             feedback_interval: Duration::from_millis(2),
             ..ProtoConfig::default()
         };
@@ -250,7 +250,10 @@ fn lru_mad_with_coalescing_serves_and_stays_coherent() {
                 ..LoadConfig::default()
             },
         );
-        assert_eq!(report.errors, 0, "{io:?}: byte-exactness broke under MAD");
+        assert_eq!(
+            report.errors, 0,
+            "{io:?}: byte-exactness broke under GreedyDual"
+        );
         assert_eq!(report.requests as usize, trace.len(), "{io:?}");
         assert!(cluster.quiesce(Duration::from_secs(10)), "{io:?}");
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -262,7 +265,7 @@ fn lru_mad_with_coalescing_serves_and_stays_coherent() {
         }
         assert_eq!(
             snap.divergence, 0,
-            "{io:?}: MAD victim journaling desynced the mirror ({snap:?})"
+            "{io:?}: GreedyDual victim journaling desynced the mirror ({snap:?})"
         );
         assert!(snap.stale_removed > 0, "{io:?}: churn must shed beliefs");
         cluster.shutdown();

@@ -10,13 +10,19 @@
 //! * with feedback **off**, eviction churn leaves the only-grows belief
 //!   genuinely diverged from the caches.
 //!
+//! The contract is about journalled victims, not about which entry the
+//! cache picks, so the convergence half runs under both eviction
+//! policies — the default GreedyDual and the strict-LRU baseline.
+//!
 //! `PHTTP_IO_MODEL=threads|reactor` restricts the prototype half of the
 //! matrix to one model, mirroring `end_to_end.rs`.
 
 use std::time::{Duration, Instant};
 
 use phttp_core::PolicyKind;
-use phttp_proto::{run_load, ClientProtocol, Cluster, DiskEmu, IoModel, LoadConfig, ProtoConfig};
+use phttp_proto::{
+    run_load, ClientProtocol, Cluster, DiskEmu, EvictPolicy, IoModel, LoadConfig, ProtoConfig,
+};
 use phttp_sim::{build_workload, SimConfig, Simulator};
 use phttp_simcore::SimDuration;
 use phttp_trace::{generate, reconstruct, SessionConfig, SynthConfig};
@@ -36,7 +42,7 @@ fn io_models() -> Vec<IoModel> {
     }
 }
 
-fn proto_config(io_model: IoModel, feedback: bool) -> ProtoConfig {
+fn proto_config(io_model: IoModel, feedback: bool, cache_policy: EvictPolicy) -> ProtoConfig {
     ProtoConfig {
         nodes: 3,
         policy: PolicyKind::ExtLard,
@@ -50,6 +56,7 @@ fn proto_config(io_model: IoModel, feedback: bool) -> ProtoConfig {
         read_timeout: Duration::from_secs(5),
         io_model,
         cache_feedback: feedback,
+        cache_policy,
         feedback_interval: Duration::from_millis(2),
         ..ProtoConfig::default()
     }
@@ -90,24 +97,35 @@ fn run_traffic(cluster: &Cluster, trace: &phttp_trace::Trace) {
 
 #[test]
 fn divergence_converges_to_zero_in_sim_and_proto() {
+    for policy in [EvictPolicy::GreedyDual, EvictPolicy::Lru] {
+        divergence_converges_to_zero_under(policy);
+    }
+}
+
+fn divergence_converges_to_zero_under(policy: EvictPolicy) {
     let trace = churn_trace();
 
     // --- Simulator half: deterministic, flushes at end of run.
     let mut cfg = SimConfig::paper_config("BEforward-extLARD-PHTTP", 3)
-        .with_feedback(SimDuration::from_millis(100));
+        .with_feedback(SimDuration::from_millis(100))
+        .with_eviction(policy);
     cfg.cache_bytes = 384 * 1024;
     let workload = build_workload(&trace, cfg.protocol, SessionConfig::default());
     let sim = Simulator::new(cfg, &trace, &workload).run();
-    assert_eq!(sim.mapping_divergence, 0, "sim: divergence must reach 0");
+    assert_eq!(
+        sim.mapping_divergence, 0,
+        "sim/{policy:?}: divergence must reach 0"
+    );
     assert!(
         sim.stale_mappings_removed > 0,
-        "sim: churn must shed beliefs"
+        "sim/{policy:?}: churn must shed beliefs"
     );
     assert!(sim.believed_pairs > 0);
 
     // --- Prototype half: real control sessions, both I/O models.
     for io in io_models() {
-        let cluster = Cluster::start(proto_config(io, true), &trace).expect("start cluster");
+        let cluster =
+            Cluster::start(proto_config(io, true, policy), &trace).expect("start cluster");
         run_traffic(&cluster, &trace);
 
         // Reports are applied asynchronously (reader threads / poller),
@@ -126,18 +144,28 @@ fn divergence_converges_to_zero_in_sim_and_proto() {
         }
         assert_eq!(
             snap.divergence, 0,
-            "{io:?}: divergence stuck at {} of {} believed pairs ({snap:?})",
+            "{io:?}/{policy:?}: divergence stuck at {} of {} believed pairs ({snap:?})",
             snap.divergence, snap.believed_pairs
         );
-        assert!(snap.believed_pairs > 0, "{io:?}: no beliefs formed");
-        assert!(snap.reports > 0, "{io:?}: no control reports flowed");
+        assert!(
+            snap.believed_pairs > 0,
+            "{io:?}/{policy:?}: no beliefs formed"
+        );
+        assert!(
+            snap.reports > 0,
+            "{io:?}/{policy:?}: no control reports flowed"
+        );
         assert!(
             snap.stale_removed > 0,
-            "{io:?}: churn must have removed stale beliefs"
+            "{io:?}/{policy:?}: churn must have removed stale beliefs"
         );
         // Mirror-based and ground-truth divergence must agree: every
         // believed mapping points at a document the node really caches.
-        assert_eq!(true_divergence(&cluster), 0, "{io:?}: belief not ⊆ caches");
+        assert_eq!(
+            true_divergence(&cluster),
+            0,
+            "{io:?}/{policy:?}: belief not ⊆ caches"
+        );
         cluster.shutdown();
     }
 }
@@ -150,7 +178,8 @@ fn open_loop_belief_really_diverges() {
     // suffices — the belief path is shared.
     let trace = churn_trace();
     let io = io_models()[0];
-    let cluster = Cluster::start(proto_config(io, false), &trace).expect("start cluster");
+    let cluster = Cluster::start(proto_config(io, false, EvictPolicy::GreedyDual), &trace)
+        .expect("start cluster");
     run_traffic(&cluster, &trace);
 
     let snap = cluster.frontend().coherence();

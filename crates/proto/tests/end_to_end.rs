@@ -630,23 +630,17 @@ fn multiple_handoff_migrates_and_serves_correctly() {
     }
 }
 
-/// Reactor deadlines are honoured to the microsecond, not rounded up to
-/// the poller's old whole-millisecond granularity: 40 cold misses in a
-/// row, each a 300 µs emulated disk read with nothing else going on in
-/// the loop, take ~40 × 0.3 ms — under the 40 × 1 ms a millisecond
-/// floor on the poll timeout would cost.
-#[test]
-fn reactor_disk_deadlines_are_sub_millisecond() {
-    use std::io::{Read, Write};
-    const MISSES: u32 = 40;
-    let requests = (0..MISSES)
+/// One reactor node whose every target is a 1 KiB cold miss on a 300 µs
+/// disk, and a client connection to it.
+fn cold_miss_cluster(misses: u32) -> (Cluster, std::net::TcpStream) {
+    let requests = (0..misses)
         .map(|t| phttp_trace::Request {
             time: phttp_simcore::SimTime::from_micros(t as u64),
             client: phttp_trace::ClientId(0),
             target: phttp_trace::TargetId(t),
         })
         .collect();
-    let trace = phttp_trace::Trace::new(requests, vec![1024; MISSES as usize]);
+    let trace = phttp_trace::Trace::new(requests, vec![1024; misses as usize]);
     let cluster = Cluster::start(
         ProtoConfig {
             nodes: 1,
@@ -658,25 +652,50 @@ fn reactor_disk_deadlines_are_sub_millisecond() {
         &trace,
     )
     .expect("start cluster");
-    let mut stream = std::net::TcpStream::connect(cluster.frontend_addr()).unwrap();
+    let stream = std::net::TcpStream::connect(cluster.frontend_addr()).unwrap();
     stream.set_nodelay(true).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    let mut parser = phttp_http::ResponseParser::new();
+    (cluster, stream)
+}
+
+/// Reads `n` 200 responses off `stream`.
+fn read_ok_responses(
+    stream: &mut std::net::TcpStream,
+    parser: &mut phttp_http::ResponseParser,
+    n: u32,
+) {
+    use std::io::Read;
     let mut buf = [0u8; 8192];
+    let mut got = 0;
+    while got < n {
+        if let Some(resp) = parser.next().expect("parse response") {
+            assert_eq!(resp.status, 200);
+            got += 1;
+            continue;
+        }
+        let read = stream.read(&mut buf).expect("read response");
+        assert!(read > 0, "server closed early");
+        parser.feed(&buf[..read]);
+    }
+}
+
+/// Reactor deadlines are honoured to the microsecond, not rounded up to
+/// the poller's old whole-millisecond granularity: 40 cold misses in a
+/// row, each a 300 µs emulated disk read with nothing else going on in
+/// the loop, take ~40 × 0.3 ms — under the 40 × 1 ms a millisecond
+/// floor on the poll timeout would cost.
+#[test]
+fn reactor_disk_deadlines_are_sub_millisecond() {
+    use std::io::Write;
+    const MISSES: u32 = 40;
+    let (cluster, mut stream) = cold_miss_cluster(MISSES);
+    let mut parser = phttp_http::ResponseParser::new();
     let started = std::time::Instant::now();
     for t in 0..MISSES {
         write!(stream, "GET /t/{t} HTTP/1.1\r\n\r\n").unwrap();
-        loop {
-            if let Some(resp) = parser.next().expect("parse response") {
-                assert_eq!(resp.status, 200);
-                break;
-            }
-            let n = stream.read(&mut buf).expect("read response");
-            assert!(n > 0, "server closed early");
-            parser.feed(&buf[..n]);
-        }
+        read_ok_responses(&mut stream, &mut parser, 1);
     }
     let took = started.elapsed();
     let reads: u64 = cluster.node_stats().iter().map(|s| s.disk_reads).sum();
@@ -693,6 +712,55 @@ fn reactor_disk_deadlines_are_sub_millisecond() {
             took < Duration::from_millis(MISSES as u64),
             "{MISSES} sequential 300 us misses took {took:?}: \
              deadlines are being rounded up to milliseconds"
+        );
+    }
+    cluster.shutdown();
+}
+
+/// The emulated spindle keeps its own time: 40 misses queued on one
+/// node at once are read back to back, each from the deadline of the
+/// one before, so the whole queue drains in 40 × `read_time` plus one
+/// late wake-up — not 40 of them, which is what starting each read
+/// "now", after the loop has woken up and delivered the previous
+/// response, used to cost. The lower bound holds for every batch; the
+/// upper bound is about the schedule, and all that can add to it is
+/// this host descheduling the loop or the client mid-batch (the suite
+/// runs 16 tests on 2 cores), so the quickest of three batches carries
+/// it — the old scheme paid its 40 wake-ups on every batch.
+#[test]
+fn reactor_disk_queue_drains_on_the_spindle_timeline() {
+    use std::io::Write;
+    const MISSES: u32 = 40;
+    const BATCHES: u32 = 3;
+    let (cluster, mut stream) = cold_miss_cluster(MISSES * BATCHES);
+    let mut parser = phttp_http::ResponseParser::new();
+    let nominal = fast_disk().read_time(1024) * MISSES;
+    let mut quickest = Duration::MAX;
+    for b in 0..BATCHES {
+        let batch: String = (b * MISSES..(b + 1) * MISSES)
+            .map(|t| format!("GET /t/{t} HTTP/1.1\r\n\r\n"))
+            .collect();
+        let started = std::time::Instant::now();
+        stream.write_all(batch.as_bytes()).unwrap();
+        read_ok_responses(&mut stream, &mut parser, MISSES);
+        let took = started.elapsed();
+        assert!(
+            took >= nominal,
+            "{MISSES} queued reads finished in {took:?}, before their {nominal:?} of service"
+        );
+        quickest = quickest.min(took);
+    }
+    let reads: u64 = cluster.node_stats().iter().map(|s| s.disk_reads).sum();
+    assert_eq!(
+        reads,
+        (MISSES * BATCHES) as u64,
+        "every request must be a cold miss"
+    );
+    if mio::timeouts_are_exact() {
+        assert!(
+            quickest < nominal + Duration::from_millis(2),
+            "{MISSES} queued reads of {nominal:?} in all took {quickest:?} at best: \
+             event-loop lateness is being billed to the disk"
         );
     }
     cluster.shutdown();

@@ -19,10 +19,12 @@
 //! function of `(target, HTTP version)`, so transcripts compare across
 //! io models, shard counts, and tier shapes). Each response body is
 //! additionally verified against the store, anchoring the equality to
-//! ground truth rather than to a shared bug. Every reactor run must
-//! demonstrably stream laterally (the remote path byte-identity alone
-//! cannot see), and must unwind to zero tracked connections, zero
-//! residual load, and a fully drained `pending_body_bytes` gauge.
+//! ground truth rather than to a shared bug. Every run must
+//! demonstrably stream laterally and evict cached bodies (paths that
+//! byte-identity alone cannot see; the recipe forces both by
+//! construction — see `config` and `play_capture`), and must unwind to
+//! zero tracked connections, zero residual load, and a fully drained
+//! `pending_body_bytes` gauge.
 //!
 //! A final leg flips `zero_copy` off and replays the matrix corner
 //! cells: the copying baseline the zerocopy bench compares against must
@@ -34,13 +36,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use bytes::BytesMut;
-use phttp_core::{Mechanism, PolicyKind};
+use phttp_core::{LardParams, Mechanism, PolicyKind};
 use phttp_http::{Request, ResponseParser, Version};
 use phttp_proto::{Cluster, ContentStore, DiskEmu, IoModel, ProtoConfig};
 use phttp_simcore::SimTime;
 use phttp_trace::{reconstruct, ClientId, ConnectionTrace, SessionConfig, TargetId, Trace};
 
 const MIB: u64 = 1024 * 1024;
+
+/// Per-node cache: just below the two largest bodies.
+const CACHE_BYTES: u64 = 2 * MIB - 1;
 
 /// Mixed corpus dominated by multi-MiB targets, with small files
 /// sprinkled in so gathered writes interleave tiny and huge iovecs on
@@ -75,6 +80,18 @@ fn workload() -> (Trace, ConnectionTrace) {
     }
     let trace = Trace::new(requests, SIZES.to_vec());
     let conns = reconstruct(&trace, SessionConfig::default());
+    // `play_capture`'s lead-in rests on this: the first connection asks
+    // for the three cacheable targets that cannot share one cache.
+    let lead: Vec<TargetId> = conns.connections[0]
+        .batches
+        .iter()
+        .flat_map(|b| b.targets.iter().copied())
+        .collect();
+    let together: u64 = [2, 4, 6].map(|t| SIZES[t]).iter().sum();
+    assert!([2, 4, 6]
+        .iter()
+        .all(|&t| lead.contains(&TargetId(t as u32))));
+    assert!(together > CACHE_BYTES && SIZES[2] <= CACHE_BYTES);
     (trace, conns)
 }
 
@@ -84,17 +101,26 @@ fn config(io_model: IoModel, shards: usize, front_ends: usize, coalesce: bool) -
         policy: PolicyKind::ExtLard,
         mechanism: Mechanism::BackendForwarding,
         // Per-node cache *below* the two largest bodies: those are
-        // uncacheable (every serve is a slow disk read, so queues build
-        // and extLARD demonstrably forwards), the mid-size targets fit
-        // but evict each other — so cached slices get evicted while
-        // their bytes are still queued for write-out (the refcount
-        // keeps them alive; a path that freed early would corrupt).
-        cache_bytes: 2 * MIB - 1,
+        // uncacheable (every serve is a slow disk read), the mid-size
+        // targets fit but evict each other — so cached slices get
+        // evicted (every cell asserts it) while connections still hold
+        // them queued for write-out (the refcount keeps them alive; a
+        // path that freed early would corrupt).
+        cache_bytes: CACHE_BYTES,
         disk: DiskEmu {
             seek: Duration::from_millis(2),
             bytes_per_sec: 100.0 * MIB as f64,
         },
         coalesce_misses: coalesce,
+        // extLARD rule 1b off: with a threshold of 0 no disk queue is
+        // ever "low", so a target mapped to another node is never read
+        // locally just because this node's disk looked idle at the
+        // last report — whether a cell forwards no longer depends on
+        // when queue depths happened to be sampled.
+        lard: LardParams {
+            disk_queue_low: 0,
+            ..LardParams::default()
+        },
         read_timeout: Duration::from_secs(10),
         io_model,
         reactor_shards: shards,
@@ -145,20 +171,28 @@ fn play_one(
     responses
 }
 
-/// Plays every connection, several in flight at once (so staging queues
-/// actually back up against HIGH_WATER and extLARD actually forwards),
-/// spread across all front-end addresses.
+/// Plays every connection, spread across all front-end addresses. The
+/// first plays alone on the cold cluster: nothing is mapped yet, so each
+/// of its targets is a first-ever fetch, read and cached on its own
+/// connection node — and the three cacheable ones (8 KiB + 512 KiB +
+/// 1.5 MiB) do not fit that node's cache together, so bodies are evicted
+/// whatever the eviction policy and however the rest is timed. The
+/// others then play several at a time, so staging queues actually back
+/// up against HIGH_WATER; they open together on a loaded cluster, LARD
+/// spreads them over the nodes, and each asks for targets the others
+/// fetched first — which, rule 1b being off, are forwarded.
 fn play_capture(
     addrs: &[SocketAddr],
     workload: &ConnectionTrace,
     store: &ContentStore,
 ) -> Vec<Vec<Vec<u8>>> {
-    let cursor = AtomicUsize::new(0);
+    let cursor = AtomicUsize::new(1);
     let transcript: Vec<parking_lot::Mutex<Vec<Vec<u8>>>> = workload
         .connections
         .iter()
         .map(|_| parking_lot::Mutex::new(Vec::new()))
         .collect();
+    *transcript[0].lock() = play_one(addrs[0], &workload.connections[0], store);
     std::thread::scope(|scope| {
         for _ in 0..8 {
             scope.spawn(|| loop {
@@ -174,7 +208,8 @@ fn play_capture(
 }
 
 /// One matrix cell: serve the workload, capture transcripts, prove the
-/// cluster unwound clean, and return (transcript, summed lateral_out).
+/// cluster evicted and unwound clean, and return (transcript, summed
+/// lateral_out).
 fn run_cell(mut cfg: ProtoConfig, cell: &str) -> (Vec<Vec<Vec<u8>>>, u64) {
     let (trace, conns) = workload();
     let io_model = cfg.io_model;
@@ -206,6 +241,8 @@ fn run_cell(mut cfg: ProtoConfig, cell: &str) -> (Vec<Vec<Vec<u8>>>, u64) {
     let responses: usize = transcript.iter().map(|c| c.len()).sum();
     assert_eq!(responses, trace.len(), "{cell}: lost responses");
     let lateral: u64 = cluster.node_stats().iter().map(|s| s.lateral_out).sum();
+    let evictions: u64 = fe.nodes().iter().map(|n| n.cache.lock().evictions()).sum();
+    assert!(evictions > 0, "{cell}: no cached body was ever evicted");
     cluster.shutdown();
     (transcript, lateral)
 }

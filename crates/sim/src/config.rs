@@ -111,8 +111,9 @@ pub struct SimConfig {
     /// Off by default: the paper's model fetches redundantly, and the
     /// off/on delta is the headline of the `miss_latency` bench.
     pub coalesce_misses: bool,
-    /// Cache victim-selection policy (strict LRU, or the delayed-hits-aware
-    /// LRU-MAD — see [`EvictPolicy`]).
+    /// Cache victim-selection policy: strict LRU (the default, which the
+    /// figure binaries' shape checks were calibrated under) or
+    /// GreedyDual-Size costed by aggregate miss delay — see [`EvictPolicy`].
     pub eviction: EvictPolicy,
     /// Number of front-end instances behind the VIP. With 1 (the default,
     /// the paper's configuration) the model is the classic single
@@ -398,9 +399,9 @@ mod tests {
         let cfg = SimConfig::paper_config("WRR-PHTTP", 2);
         assert!(!cfg.coalesce_misses, "coalescing is off by default");
         assert_eq!(cfg.eviction, EvictPolicy::Lru, "strict LRU by default");
-        let cfg = cfg.with_coalescing().with_eviction(EvictPolicy::LruMad);
+        let cfg = cfg.with_coalescing().with_eviction(EvictPolicy::GreedyDual);
         assert!(cfg.coalesce_misses);
-        assert_eq!(cfg.eviction, EvictPolicy::LruMad);
+        assert_eq!(cfg.eviction, EvictPolicy::GreedyDual);
         cfg.validate().unwrap();
     }
 

@@ -10,7 +10,7 @@
 //! The pieces:
 //!
 //! * [`costs`] — server, mechanism, and disk cost models (DESIGN.md §6.6);
-//! * [`cache`] — the byte-budget LRU file cache;
+//! * [`cache`] — the byte-budget file cache (LRU or GreedyDual-Size);
 //! * [`config`] — run configuration incl. the paper's named configurations;
 //! * [`engine`] — the event loop;
 //! * [`report`] — output statistics.

@@ -114,7 +114,7 @@ pub struct Report {
     pub delayed_hits: u64,
     /// Aggregate miss delay: the sum over every miss (flight leaders and
     /// parked waiters alike) of the time from cache probe to fetch
-    /// completion, in milliseconds — the quantity LRU-MAD minimizes.
+    /// completion, in milliseconds — the cost GreedyDual eviction weighs.
     pub agg_miss_delay_ms: f64,
     /// Median per-miss delay, milliseconds (bucketed).
     pub miss_p50_latency_ms: f64,

@@ -227,14 +227,14 @@ proptest! {
         prop_assert_eq!(a.disk_fetches, b.disk_fetches);
     }
 
-    /// LRU-MAD is a drop-in policy: conservation and accounting hold, and
+    /// GreedyDual is a drop-in policy: conservation and accounting hold, and
     /// runs stay bit-for-bit deterministic.
     #[test]
-    fn lru_mad_conserves_and_is_deterministic(trace in arb_trace(), label in arb_label(), nodes in 1usize..4) {
+    fn greedy_dual_conserves_and_is_deterministic(trace in arb_trace(), label in arb_label(), nodes in 1usize..4) {
         let run = || {
             let mut cfg = SimConfig::paper_config(label, nodes)
                 .with_coalescing()
-                .with_eviction(phttp_sim::EvictPolicy::LruMad);
+                .with_eviction(phttp_sim::EvictPolicy::GreedyDual);
             cfg.cache_bytes = 256 * 1024;
             let workload = build_workload(&trace, cfg.protocol, SessionConfig::default());
             Simulator::new(cfg, &trace, &workload).run()

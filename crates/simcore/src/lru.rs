@@ -1,24 +1,56 @@
-//! Byte-budget LRU cache modeling a node's main-memory file cache.
+//! Byte-budget cache modeling a node's main-memory file cache.
 //!
-//! The paper's back-ends rely on FreeBSD's unified buffer cache; both the
-//! simulator (`phttp-sim`) and the live prototype (`phttp-proto`) model it
-//! as a strict LRU over whole entries with a byte budget. Entries are whole
-//! documents — the workload is static files, which the OS caches in full.
+//! The paper's prototype back-ends rely on FreeBSD's unified buffer
+//! cache; its simulator (the LARD simulator of Pai et al., ASPLOS '98,
+//! which it extends) runs Greedy-Dual-Size replacement over whole files.
+//! This module serves both the simulator (`phttp-sim`) and the live
+//! prototype (`phttp-proto`): whole-document entries under a byte budget,
+//! with the victim chosen by an [`EvictPolicy`] — strict LRU, or
+//! GreedyDual-Size costed by the miss delay the owner measures.
 //!
-//! Implementation: hash map + intrusive doubly-linked list over a slab, so
-//! `touch`/`insert`/evict are O(1) and the structure handles millions of
-//! operations per run.
+//! Implementation: hash map + intrusive doubly-linked recency list over
+//! a slab, so `touch`/`insert`/LRU-evict are O(1). GreedyDual keeps a
+//! priority `H` per entry and a lazy min-heap over them; a hit only
+//! re-stamps the entry (`H = L + step`, no heap operation), and the heap
+//! is repaired where it is consumed — inside eviction. All arithmetic is
+//! integer fixed point and nothing is randomized, so simulator runs stay
+//! bit-for-bit deterministic under either policy.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::Hash;
 
 const NIL: usize = usize::MAX;
 
-/// How many entries from the LRU tail the MAD policy examines per
-/// eviction. Small and constant: recency still dominates (only cold-ish
-/// entries are candidates), the scan is O(1), and the choice is
-/// deterministic.
-pub const MAD_CANDIDATES: usize = 8;
+/// Fractional bits of the GreedyDual fixed point: `step = cost · 2³² /
+/// size` resolves a unit cost over sizes up to 4 GiB.
+const GD_FRAC_BITS: u32 = 32;
+
+/// Cost (µs of aggregate miss delay) of an entry never given a delay
+/// sample. With no samples at all every entry costs the same and the
+/// policy is plain GDS(1): evict by size, aged by `L`.
+const GD_UNIT_COST: u64 = 1;
+
+/// Costs are clamped here (2²⁸ µs ≈ 4.5 min of aggregate delay) before
+/// entering the fixed point, so `step < 2⁶⁰` whatever the owner reports.
+const GD_MAX_COST: u64 = (1 << 28) - 1;
+
+/// Inflation value past which `L`, every `H` and every heap key are
+/// rebased by `−L`. With `step < 2⁶⁰`, no `H = L + step` computed below
+/// this bound can reach 2⁶³, so the arithmetic never wraps.
+const GD_REBASE_AT: u64 = 1 << 62;
+
+// `L` is checked against the bound once per insert, whose victims can
+// overshoot it by less than one step; the newcomer adds one more.
+const _: () = assert!(GD_MAX_COST << GD_FRAC_BITS < 1 << 60);
+const _: () = assert!(GD_REBASE_AT + (2 << 60) < 1 << 63);
+
+/// Stale heap items tolerated beyond one per live entry before the heap
+/// is rebuilt from the live entries (`heap ≤ 2·len + GD_HEAP_SLACK`).
+const GD_HEAP_SLACK: usize = 64;
+
+/// `queued_tick` of a slab slot that holds no live entry.
+const DEAD: u64 = u64::MAX;
 
 /// Victim-selection policy for [`LruCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -26,15 +58,24 @@ pub enum EvictPolicy {
     /// Strict LRU: always evict the tail (least recently used) entry.
     #[default]
     Lru,
-    /// LRU-MAD ("miss aggregate delay", after *Caching with Delayed Hits*,
-    /// SIGCOMM 2020): examine the [`MAD_CANDIDATES`] least-recently-used
-    /// entries and evict the one whose estimated next miss costs the least
-    /// aggregate delay *per cached byte*. The per-entry cost estimate is an
-    /// EWMA of the aggregate miss delay observed when the entry was last
-    /// fetched (leader fetch latency plus every coalesced waiter's wait),
-    /// fed in via [`LruCache::insert_with_delay`]. Recency still gates the
-    /// candidate set, so the policy degrades to LRU when delays are uniform.
-    LruMad,
+    /// GreedyDual-Size (Cao & Irani, USITS '97 — the replacement policy
+    /// of the LARD simulator this paper extends). Every entry carries
+    /// `H = L + cost/size`; the victim is the entry with the smallest
+    /// `H`, the inflation value `L` then rises to that `H`, and a hit or
+    /// refresh re-stamps the entry's `H` from the current `L` — so what
+    /// stays is what is expensive to miss per byte held, aged by how
+    /// long ago it was last useful.
+    ///
+    /// `cost` is the entry's EWMA aggregate miss delay (µs): the fetch
+    /// latency plus the wait of every request coalesced onto that fetch,
+    /// fed in via [`LruCache::insert_with_delay`] — after *Caching with
+    /// Delayed Hits* (SIGCOMM 2020), a miss costs what it stalls, not 1.
+    /// Entries never given a sample cost one unit, which makes a
+    /// metadata-only cache plain GDS(1). Ties go to the least recently
+    /// used entry, so costs proportional to size degenerate to *exactly*
+    /// [`Lru`](Self::Lru). The entry being inserted is never its own
+    /// insert's victim unless nothing else is left.
+    GreedyDual,
 }
 
 #[derive(Debug, Clone)]
@@ -42,8 +83,20 @@ struct Entry<K, V> {
     target: K,
     size: u64,
     /// EWMA of observed aggregate miss delay (µs) for this entry; 0 until
-    /// a delay sample is provided. Only consulted by [`EvictPolicy::LruMad`].
+    /// a delay sample is provided. The GreedyDual cost.
     score: u64,
+    /// `cost/size` in fixed point, recomputed whenever size or score
+    /// changes so a hit is one add.
+    step: u64,
+    /// GreedyDual priority, `L + step` as of the last insert/hit.
+    h: u64,
+    /// Logical time of the last insert/hit: the recency tie-break among
+    /// equal `H`, and the identity of a heap item (ticks are unique).
+    tick: u64,
+    /// Tick carried by this entry's one valid heap item ([`DEAD`] for a
+    /// free slot). An item whose tick differs is stale and dropped; a
+    /// valid item older than `tick` means the entry was hit since.
+    queued_tick: u64,
     /// The cached payload, if the owner caches one (see
     /// [`LruCache::insert_valued`]). Metadata-only entries — the
     /// simulator's, and any admitted through the plain
@@ -53,7 +106,11 @@ struct Entry<K, V> {
     next: usize,
 }
 
-/// A strict-LRU cache of keyed entries with a byte budget.
+/// Heap item: `(H, tick, slab index)` as of the push, min first.
+type HeapItem = Reverse<(u64, u64, usize)>;
+
+/// A cache of keyed entries with a byte budget (strict LRU unless
+/// [`set_policy`](Self::set_policy) says otherwise).
 ///
 /// Generic over an optional per-entry payload `V` (default `()` — the
 /// simulator and the dispatcher's mirrors track metadata only). The
@@ -76,10 +133,29 @@ pub struct LruCache<K, V = ()> {
     /// the owner to drain — the raw material of cache-coherence feedback
     /// reports. Disabled by default so unconsumed journals cannot grow.
     journal: Option<Vec<K>>,
+    /// GreedyDual inflation value `L`: the `H` of the last victim.
+    inflation: u64,
+    /// Next tick to hand out.
+    clock: u64,
+    /// Lazy min-heap over `(H, tick)`; empty under [`EvictPolicy::Lru`].
+    /// Holds exactly one valid item per live entry, keyed at or below the
+    /// entry's current `(H, tick)`, plus stale items awaiting a pop.
+    heap: BinaryHeap<HeapItem>,
+    /// Heap pushes + pops so far — lets tests prove the hit path does
+    /// none.
+    #[cfg(test)]
+    heap_ops: u64,
+}
+
+/// `cost/size` in fixed point for an entry with EWMA delay `score`.
+fn gd_step(score: u64, size: u64) -> u64 {
+    let cost = score.clamp(GD_UNIT_COST, GD_MAX_COST);
+    (cost << GD_FRAC_BITS) / size.max(1)
 }
 
 impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
-    /// Creates a cache holding at most `budget_bytes` of content.
+    /// Creates a strict-LRU cache holding at most `budget_bytes` of
+    /// content.
     pub fn new(budget_bytes: u64) -> Self {
         LruCache {
             budget: budget_bytes,
@@ -92,22 +168,47 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
             tail: NIL,
             evictions: 0,
             journal: None,
+            inflation: 0,
+            clock: 0,
+            heap: BinaryHeap::new(),
+            #[cfg(test)]
+            heap_ops: 0,
         }
     }
 
     /// Selects the victim-selection policy. Switching policy never touches
     /// cache contents — it only changes which entry future budget pressure
     /// evicts — so the eviction journal (and any [`drain_evictions`]
-    /// consumer replaying it) stays exact under either policy.
+    /// consumer replaying it) stays exact under either policy. Entries
+    /// cached under LRU enter GreedyDual stamped in recency order at the
+    /// current inflation value.
     ///
     /// [`drain_evictions`]: Self::drain_evictions
     pub fn set_policy(&mut self, policy: EvictPolicy) {
+        if policy == self.policy {
+            return;
+        }
         self.policy = policy;
+        if self.is_gd() {
+            let mut idx = self.tail;
+            while idx != NIL {
+                let e = &mut self.slab[idx];
+                e.step = gd_step(e.score, e.size);
+                let prev = e.prev;
+                self.stamp(idx);
+                idx = prev;
+            }
+        }
+        self.rebuild_heap();
     }
 
     /// Returns the active victim-selection policy.
     pub fn policy(&self) -> EvictPolicy {
         self.policy
+    }
+
+    fn is_gd(&self) -> bool {
+        self.policy == EvictPolicy::GreedyDual
     }
 
     /// Turns the eviction journal on or off. While on, every entry
@@ -156,14 +257,15 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
     }
 
     /// Returns `true` if the target is cached, and if so marks it most
-    /// recently used (a cache hit).
+    /// recently used (a cache hit). O(1) under either policy: GreedyDual
+    /// re-stamps the entry's `H` and leaves the heap alone.
     pub fn touch(&mut self, target: K) -> bool {
-        if let Some(&idx) = self.map.get(&target) {
-            self.unlink(idx);
-            self.push_front(idx);
-            true
-        } else {
-            false
+        match self.map.get(&target) {
+            Some(&idx) => {
+                self.hit(idx);
+                true
+            }
+            None => false,
         }
     }
 
@@ -173,8 +275,7 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
     /// recency is updated iff the target is present.
     pub fn touch_value(&mut self, target: K) -> Option<&V> {
         let &idx = self.map.get(&target)?;
-        self.unlink(idx);
-        self.push_front(idx);
+        self.hit(idx);
         self.slab[idx].value.as_ref()
     }
 
@@ -200,7 +301,8 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
         self.map.contains_key(&target)
     }
 
-    /// Inserts a target of the given size, evicting LRU entries as needed.
+    /// Inserts a target of the given size, evicting entries as the
+    /// active [`EvictPolicy`] chooses until the budget holds.
     /// Returns `true` iff the target was **newly admitted** — absent
     /// before the call and cached after it. Refreshing an existing entry
     /// and rejecting an oversized one both return `false`.
@@ -236,9 +338,9 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
     /// [`insert`](Self::insert) plus a miss-delay observation: `agg_delay_us`
     /// is the aggregate delay (µs) the miss that produced this insert cost —
     /// the fetch latency itself plus the wait of every coalesced request
-    /// parked on the same in-flight fetch. The entry's MAD score becomes an
+    /// parked on the same in-flight fetch. The entry's score becomes an
     /// EWMA of these samples (`new = (old + sample) / 2` on refresh), which
-    /// [`EvictPolicy::LruMad`] uses to rank eviction victims. Under
+    /// is the `cost` of [`EvictPolicy::GreedyDual`]. Under
     /// [`EvictPolicy::Lru`] the sample is recorded but never consulted, so
     /// the two entry points behave identically.
     pub fn insert_with_delay(&mut self, target: K, size: u64, agg_delay_us: u64) -> bool {
@@ -253,22 +355,24 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
         value: Option<V>,
     ) -> bool {
         if let Some(&idx) = self.map.get(&target) {
+            let e = &mut self.slab[idx];
             // Size update (static content rarely changes, but stay safe).
-            let old = self.slab[idx].size;
-            self.used = self.used - old + size;
-            self.slab[idx].size = size;
+            self.used = self.used - e.size + size;
+            e.size = size;
             if let Some(sample) = delay_us {
-                let old_score = self.slab[idx].score;
-                self.slab[idx].score = (old_score + sample) / 2;
+                e.score = ((e.score as u128 + sample as u128) / 2) as u64;
             }
             if value.is_some() {
                 // A metadata-only refresh keeps whatever payload the
                 // entry already owns; a valued refresh replaces it.
-                self.slab[idx].value = value;
+                e.value = value;
             }
+            // Its heap item goes stale here: the entry sits out the
+            // eviction below and is queued again, re-stamped, after it.
+            e.queued_tick = DEAD;
             self.unlink(idx);
             self.push_front(idx);
-            self.shrink_to_budget(Some(target));
+            self.settle(idx);
             return false;
         }
         if size > self.budget {
@@ -279,18 +383,39 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
             target,
             size,
             score: delay_us.unwrap_or(0),
+            step: 0,
+            h: 0,
+            tick: 0,
+            queued_tick: DEAD,
             value,
             prev: NIL,
             next: NIL,
         });
         self.map.insert(target, idx);
         self.push_front(idx);
-        self.shrink_to_budget(Some(target));
-        self.map.contains_key(&target)
+        self.settle(idx)
     }
 
-    /// The entry's current MAD score (EWMA aggregate miss delay, µs), if
-    /// cached. Diagnostic / test hook.
+    /// Makes room for the just-inserted (or refreshed) entry `keep` and
+    /// then — as GreedyDual-Size prescribes, *after* the evictions raised
+    /// `L` — stamps it and gives it its heap item. Returns whether
+    /// `keep` is still cached.
+    fn settle(&mut self, keep: usize) -> bool {
+        let kept = self.shrink_to_budget(keep);
+        if self.is_gd() {
+            if kept {
+                let e = &mut self.slab[keep];
+                e.step = gd_step(e.score, e.size);
+                self.stamp(keep);
+                self.enqueue(keep);
+            }
+            self.maintain_heap();
+        }
+        kept
+    }
+
+    /// The entry's current cost estimate (EWMA aggregate miss delay, µs;
+    /// 0 until a sample arrives), if cached. Diagnostic / test hook.
     pub fn mad_score(&self, target: K) -> Option<u64> {
         self.map.get(&target).map(|&idx| self.slab[idx].score)
     }
@@ -324,6 +449,9 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
         self.head = NIL;
         self.tail = NIL;
         self.used = 0;
+        self.inflation = 0;
+        self.clock = 0;
+        self.heap.clear();
         if let Some(j) = self.journal.as_mut() {
             j.clear();
         }
@@ -331,79 +459,159 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
 
     /// Removes a target if present; returns whether it was cached.
     pub fn remove(&mut self, target: K) -> bool {
-        if let Some(idx) = self.map.remove(&target) {
-            self.used -= self.slab[idx].size;
-            self.unlink(idx);
-            // Drop the payload now, not when the slot is next reused —
-            // an evicted body slice must release its refcount with the
-            // eviction (the refcount-hygiene invariant).
-            self.slab[idx].value = None;
-            self.free.push(idx);
-            true
-        } else {
-            false
+        match self.map.get(&target) {
+            Some(&idx) => {
+                self.detach(idx);
+                // The entry's heap item is now stale; explicit removes
+                // are the one way stale items pile up without a pop.
+                self.maintain_heap();
+                true
+            }
+            None => false,
         }
+    }
+
+    /// Drops the live entry in slot `idx` and frees the slot.
+    fn detach(&mut self, idx: usize) {
+        let e = &mut self.slab[idx];
+        self.map.remove(&e.target);
+        self.used -= e.size;
+        // Drop the payload now, not when the slot is next reused —
+        // an evicted body slice must release its refcount with the
+        // eviction (the refcount-hygiene invariant).
+        e.value = None;
+        e.queued_tick = DEAD;
+        self.unlink(idx);
+        self.free.push(idx);
     }
 
     /// Evicts entries until within budget, never evicting `keep` (the entry
-    /// just inserted) unless it is the only entry left. The victim each
-    /// round is chosen by the active [`EvictPolicy`]; victims are counted
-    /// and journalled in eviction order regardless of policy, so journal
-    /// replay (the cache-feedback mirror) stays exact.
-    fn shrink_to_budget(&mut self, keep: Option<K>) {
+    /// just inserted) unless it is the only entry left, in which case it
+    /// is dropped uncounted; returns whether `keep` survived. The victim
+    /// each round is chosen by the active [`EvictPolicy`]; victims are
+    /// counted and journalled in eviction order regardless of policy, so
+    /// journal replay (the cache-feedback mirror) stays exact.
+    fn shrink_to_budget(&mut self, keep: usize) -> bool {
         while self.used > self.budget {
-            debug_assert_ne!(self.tail, NIL, "over budget with empty cache");
             let victim = match self.policy {
-                EvictPolicy::Lru => self.slab[self.tail].target,
-                EvictPolicy::LruMad => self.pick_mad_victim(keep),
+                EvictPolicy::Lru => self.tail,
+                // `keep` holds no heap item while room is made for it,
+                // so an exhausted heap means it is alone.
+                EvictPolicy::GreedyDual => self.pop_min().unwrap_or(keep),
             };
-            if Some(victim) == keep {
+            debug_assert_ne!(victim, NIL, "over budget with empty cache");
+            if victim == keep {
                 // Only the just-inserted oversized entry remains; drop it.
-                self.remove(victim);
-                break;
+                self.detach(keep);
+                return false;
             }
-            self.remove(victim);
+            let e = &self.slab[victim];
+            if self.is_gd() {
+                self.inflation = e.h;
+            }
+            let target = e.target;
+            self.detach(victim);
             self.evictions += 1;
             if let Some(journal) = self.journal.as_mut() {
-                journal.push(victim);
+                journal.push(target);
             }
+        }
+        true
+    }
+
+    /// Pops the live entry with the smallest `(H, tick)` off the lazy
+    /// heap, repairing what it meets on the way: an item whose entry is
+    /// gone (or was refreshed under a newer item) is dropped; an item
+    /// whose entry was hit since the push — its `H` has moved up — is
+    /// pushed back at the entry's current key. An item that matches its
+    /// entry is the true minimum, because every other live entry's item
+    /// sits at or below that entry's key and above this one.
+    fn pop_min(&mut self) -> Option<usize> {
+        while let Some(Reverse((_, tick, idx))) = self.heap.pop() {
+            #[cfg(test)]
+            {
+                self.heap_ops += 1;
+            }
+            let e = &self.slab[idx];
+            if e.queued_tick != tick {
+                continue;
+            }
+            if e.tick == tick {
+                return Some(idx);
+            }
+            self.enqueue(idx);
+        }
+        None
+    }
+
+    /// Pushes entry `idx`'s one valid heap item, at its current key;
+    /// whatever item it had before is stale from here on.
+    fn enqueue(&mut self, idx: usize) {
+        let e = &mut self.slab[idx];
+        e.queued_tick = e.tick;
+        self.heap.push(Reverse((e.h, e.tick, idx)));
+        #[cfg(test)]
+        {
+            self.heap_ops += 1;
         }
     }
 
-    /// LRU-MAD victim choice: among the [`MAD_CANDIDATES`] tail-most
-    /// entries (excluding `keep`), the one with the smallest estimated
-    /// aggregate miss delay per cached byte — evicting it frees the most
-    /// bytes per unit of future delay re-incurred. Ties keep the earliest
-    /// (most LRU) candidate, so uniform scores degrade to strict LRU.
-    /// Returns `keep` itself only when it is the sole entry.
-    fn pick_mad_victim(&self, keep: Option<K>) -> K {
-        let mut best: Option<usize> = None;
-        let mut idx = self.tail;
-        let mut seen = 0;
-        while idx != NIL && seen < MAD_CANDIDATES {
-            let e = &self.slab[idx];
-            if Some(e.target) != keep {
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        // score/size comparison without division:
-                        // e wins iff score_e * size_b < score_b * size_e.
-                        (e.score as u128) * (self.slab[b].size as u128)
-                            < (self.slab[b].score as u128) * (e.size as u128)
-                    }
-                };
-                if better {
-                    best = Some(idx);
-                }
+    /// A hit: most recently used, and — GreedyDual — `H` re-stamped from
+    /// the current `L`. No heap operation: the entry's queued item now
+    /// undershoots its key, which [`pop_min`](Self::pop_min) repairs if
+    /// and when that item surfaces.
+    fn hit(&mut self, idx: usize) {
+        self.unlink(idx);
+        self.push_front(idx);
+        if self.is_gd() {
+            self.stamp(idx);
+        }
+    }
+
+    /// `H = L + step` at a fresh tick.
+    fn stamp(&mut self, idx: usize) {
+        let e = &mut self.slab[idx];
+        e.h = self.inflation + e.step;
+        e.tick = self.clock;
+        self.clock += 1;
+    }
+
+    /// Keeps the two bounds, once per mutation. Width: past
+    /// [`GD_REBASE_AT`], `L` is subtracted from itself, from every `H`
+    /// and (by rebuilding) from every heap key — every live `H` is at
+    /// least `L`, and a common shift preserves order. Length: past one
+    /// stale item per live entry plus slack, the heap is rebuilt from
+    /// the live entries.
+    fn maintain_heap(&mut self) {
+        if self.inflation >= GD_REBASE_AT {
+            let base = self.inflation;
+            self.inflation = 0;
+            let mut idx = self.tail;
+            while idx != NIL {
+                let e = &mut self.slab[idx];
+                e.h -= base;
+                idx = e.prev;
             }
-            seen += 1;
-            idx = e.prev;
+            self.rebuild_heap();
+        } else if self.heap.len() > 2 * self.map.len() + GD_HEAP_SLACK {
+            self.rebuild_heap();
         }
-        match best {
-            Some(i) => self.slab[i].target,
-            // Every candidate was `keep`: it is the only entry left.
-            None => self.slab[self.tail].target,
+    }
+
+    /// Replaces the heap with exactly one item per live entry at its
+    /// current key (none under LRU).
+    fn rebuild_heap(&mut self) {
+        let mut items = Vec::with_capacity(self.map.len());
+        if self.is_gd() {
+            let mut idx = self.tail;
+            while idx != NIL {
+                let e = &mut self.slab[idx];
+                e.queued_tick = e.tick;
+                items.push(Reverse((e.h, e.tick, idx)));
+                idx = e.prev;
+            }
         }
+        self.heap = BinaryHeap::from(items);
     }
 
     fn alloc(&mut self, e: Entry<K, V>) -> usize {
@@ -601,7 +809,7 @@ mod tests {
     #[test]
     fn clear_wipes_contents_but_keeps_configuration() {
         let mut c: LruCache<u32> = LruCache::new(250);
-        c.set_policy(EvictPolicy::LruMad);
+        c.set_policy(EvictPolicy::GreedyDual);
         c.set_journal(true);
         c.insert(t(1), 100);
         c.insert(t(2), 100);
@@ -610,7 +818,7 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.used(), 0);
         assert_eq!(c.budget(), 250);
-        assert_eq!(c.policy(), EvictPolicy::LruMad);
+        assert_eq!(c.policy(), EvictPolicy::GreedyDual);
         assert!(c.contents_lru_order().is_empty());
         assert!(
             c.drain_evictions().is_empty(),
@@ -633,7 +841,7 @@ mod tests {
     #[test]
     fn mad_evicts_cheapest_delay_per_byte() {
         let mut c: LruCache<u32> = LruCache::new(300);
-        c.set_policy(EvictPolicy::LruMad);
+        c.set_policy(EvictPolicy::GreedyDual);
         // Same size, different miss cost: the cheap entry goes first even
         // though the expensive one is older (more LRU).
         c.insert_with_delay(t(1), 100, 50_000); // expensive to re-fetch
@@ -651,7 +859,7 @@ mod tests {
     fn mad_uniform_scores_degrade_to_lru() {
         let mut lru: LruCache<u32> = LruCache::new(300);
         let mut mad: LruCache<u32> = LruCache::new(300);
-        mad.set_policy(EvictPolicy::LruMad);
+        mad.set_policy(EvictPolicy::GreedyDual);
         for c in [&mut lru, &mut mad] {
             c.insert_with_delay(t(1), 100, 10_000);
             c.insert_with_delay(t(2), 100, 10_000);
@@ -663,7 +871,7 @@ mod tests {
             assert_eq!(
                 lru.contains(t(i)),
                 mad.contains(t(i)),
-                "uniform-score MAD must match LRU on t({i})"
+                "uniform-cost GreedyDual must match LRU on t({i})"
             );
         }
         assert!(!mad.contains(t(2)), "t(2) is the LRU victim in both");
@@ -672,7 +880,7 @@ mod tests {
     #[test]
     fn mad_normalizes_by_size() {
         let mut c: LruCache<u32> = LruCache::new(1_000);
-        c.set_policy(EvictPolicy::LruMad);
+        c.set_policy(EvictPolicy::GreedyDual);
         // The large entry costs more in absolute delay but much less per
         // byte — evicting it frees the most space per unit of future delay.
         c.insert_with_delay(t(1), 800, 20_000); // 25 µs/byte
@@ -686,7 +894,7 @@ mod tests {
     #[test]
     fn mad_score_is_ewma_and_candidates_respect_recency() {
         let mut c: LruCache<u32> = LruCache::new(10_000);
-        c.set_policy(EvictPolicy::LruMad);
+        c.set_policy(EvictPolicy::GreedyDual);
         assert!(c.insert_with_delay(t(1), 100, 8_000));
         assert_eq!(c.mad_score(t(1)), Some(8_000));
         assert!(!c.insert_with_delay(t(1), 100, 2_000), "refresh");
@@ -696,27 +904,33 @@ mod tests {
         assert_eq!(c.mad_score(t(1)), Some(5_000));
         assert_eq!(c.mad_score(t(9)), None);
 
-        // An entry outside the MAD candidate window is safe no matter how
-        // cheap: only the MAD_CANDIDATES tail entries are examined.
-        let mut c: LruCache<u32> = LruCache::new((MAD_CANDIDATES as u64 + 1) * 100);
-        c.set_policy(EvictPolicy::LruMad);
-        c.insert_with_delay(t(0), 100, 0); // cheapest, but will be MRU-side
-        for i in 1..=MAD_CANDIDATES as u32 {
-            c.insert_with_delay(t(i), 100, 50_000);
+        // Recency is the inflation value: every eviction raises L to the
+        // victim's H, so an expensive entry nobody hits is overtaken by
+        // the cheap ones stamped after it and ages out — here exactly
+        // when L reaches its H, the tie going to the older entry.
+        let mut c: LruCache<u32> = LruCache::new(200);
+        c.set_policy(EvictPolicy::GreedyDual);
+        c.insert_with_delay(t(0), 100, 9_000); // H = 9 000/100, never hit again
+        for i in 1..=9 {
+            c.insert_with_delay(t(i), 100, 1_000); // evicts t(i-1) at H = (i-1)·10
+            assert!(c.contains(t(0)), "still the costlier entry at round {i}");
         }
-        assert!(c.touch(t(0))); // move the cheap entry to the head
-        c.insert_with_delay(t(99), 100, 50_000); // forces one eviction
-        assert!(
-            c.contains(t(0)),
-            "entry outside the tail window must not be chosen"
-        );
-        assert_eq!(c.evictions(), 1);
+        c.insert_with_delay(t(10), 100, 1_000); // t(0) and t(9) tie at H = 90
+        assert!(!c.contains(t(0)), "an idle entry ages out");
+        assert!(c.contains(t(9)));
+        // A hit re-stamps H from the risen L and buys the entry new life.
+        c.insert_with_delay(t(11), 100, 9_000); // evicts t(9); L = 90, H = 180
+        assert!(c.touch(t(10))); // H: 100 -> 90 + 10, unchanged; t(10) still goes next
+        c.insert_with_delay(t(12), 100, 1_000); // evicts t(10); L = 100
+        assert!(c.touch(t(11))); // H: 180 -> 100 + 90 = 190
+        assert!(c.contains(t(11)) && c.contains(t(12)) && c.len() == 2);
+        assert_eq!(c.evictions(), 11);
     }
 
     #[test]
     fn mad_oversized_keep_semantics_match_lru() {
         let mut c: LruCache<u32> = LruCache::new(100);
-        c.set_policy(EvictPolicy::LruMad);
+        c.set_policy(EvictPolicy::GreedyDual);
         c.insert_with_delay(t(1), 60, 1_000);
         // Refresh-grow beyond budget: the grown entry itself is dropped
         // once it is the only one left, exactly like strict LRU.
@@ -779,7 +993,7 @@ mod tests {
     #[test]
     fn mad_journals_victims_in_eviction_order() {
         let mut c: LruCache<u32> = LruCache::new(300);
-        c.set_policy(EvictPolicy::LruMad);
+        c.set_policy(EvictPolicy::GreedyDual);
         c.set_journal(true);
         c.insert_with_delay(t(1), 100, 30_000);
         c.insert_with_delay(t(2), 100, 1_000);
@@ -790,3 +1004,7 @@ mod tests {
         assert!(c.contains(t(4)));
     }
 }
+
+#[cfg(test)]
+#[path = "lru_props.rs"]
+mod props;
