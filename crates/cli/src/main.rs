@@ -36,12 +36,12 @@ commands:
   sweep        [--flash] [--quick] [FILE]
                the full Figure 7/8 sweep over cluster sizes and configs
   demo         [--nodes N] [--policy wrr|lard|extlard] [--views N] [--reactor]
-               [--shards N] [--coalesce] [--lru]
+               [--shards N] [--lru]
                boot the live loopback cluster and drive it with real HTTP
                (--reactor serves it from epoll event loops instead of the
                worker-thread pool; --shards N spreads the reactor over N
-               loops with SO_REUSEPORT accept distribution; --coalesce
-               single-flights concurrent misses per target and reports
+               loops with SO_REUSEPORT accept distribution; concurrent
+               misses per target are single-flighted and reported as
                delayed hits; --lru evicts strictly least-recently-used
                instead of GreedyDual-Size costed by measured miss delay)
 ";
@@ -61,9 +61,7 @@ fn main() {
 fn run(argv: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse(
         argv,
-        &[
-            "flash", "quick", "specweb", "phttp10", "reactor", "coalesce", "lru",
-        ],
+        &["flash", "quick", "specweb", "phttp10", "reactor", "lru"],
     )?;
     match (args.pos(0), args.pos(1)) {
         (Some("trace"), Some("gen")) => trace_gen(&args),
@@ -274,7 +272,6 @@ fn demo(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 IoModel::Threads
             },
             reactor_shards: args.get_or("shards", 1)?,
-            coalesce_misses: args.flag("coalesce"),
             cache_policy: cache_policy(args),
             ..ProtoConfig::default()
         },

@@ -134,13 +134,15 @@ pub struct ProtoConfig {
     /// (diagnostics/tests; normally the handoff is auto-selected only
     /// when the group bind fails). No effect under [`IoModel::Threads`].
     pub force_accept_handoff: bool,
-    /// Single-flight miss coalescing: when `true`, concurrent misses on
-    /// the same `(node, target)` share one emulated disk read (and
+    /// Single-flight miss coalescing (default `true`): concurrent misses
+    /// on the same `(node, target)` share one emulated disk read (and
     /// concurrent lateral fetches of one target from one handler share
     /// one peer round-trip) — the extra missers park as *delayed hits*
     /// instead of issuing redundant fetches. Response bytes are a pure
     /// function of `(target, HTTP version)`, so transcripts are
     /// byte-identical either way; only timing and fetch counts change.
+    /// `false` is the one-fetch-per-miss arm whose last A/B
+    /// `BENCH_misslatency.json` records; ROADMAP item C deletes it.
     pub coalesce_misses: bool,
     /// Per-node cache eviction policy. The default,
     /// [`EvictPolicy::GreedyDual`], is GreedyDual-Size — what the paper's
@@ -227,7 +229,7 @@ impl Default for ProtoConfig {
             reactor_shards: 1,
             peer_pool_cap: 8,
             force_accept_handoff: false,
-            coalesce_misses: false,
+            coalesce_misses: true,
             cache_policy: EvictPolicy::GreedyDual,
             front_ends: 1,
             gossip_interval: DEFAULT_GOSSIP_INTERVAL,

@@ -52,16 +52,28 @@ impl DiskEmu {
     pub fn read_time(&self, bytes: u64) -> Duration {
         self.seek + Duration::from_secs_f64(bytes as f64 / self.bytes_per_sec)
     }
+}
 
-    /// When the spindle starts a read that reached it at `arrival`,
-    /// given the deadline of the read admitted before it (`None`: there
-    /// was none): back to back behind a busy spindle, at once on an idle
-    /// one. Both I/O models schedule by this rule, so the emulated
-    /// device runs on its own timeline — arrivals and service times —
-    /// and is never billed for how late its driver (an event loop turn,
-    /// a thread wake-up) got round to the next read.
-    pub fn read_start(busy_until: Option<Instant>, arrival: Instant) -> Instant {
-        busy_until.map_or(arrival, |t| t.max(arrival))
+/// One node's emulated spindle. Both I/O models admit every read here,
+/// so the device runs on its own timeline — arrivals and service times —
+/// and is never billed for how late its driver (an event loop turn, a
+/// thread wake-up) got round to the next read.
+#[derive(Debug, Default)]
+pub struct Spindle {
+    /// Deadline of the last read admitted: when the next may start.
+    busy_until: Option<Instant>,
+}
+
+impl Spindle {
+    /// Admits a read that reached the disk at `arrival`: it starts back
+    /// to back behind a busy spindle, at once on an idle one. Returns
+    /// its deadline and its delay — queue wait plus `read_time`, the
+    /// miss's GreedyDual cost sample.
+    pub fn admit(&mut self, arrival: Instant, read_time: Duration) -> (Instant, Duration) {
+        let read_start = self.busy_until.map_or(arrival, |t| t.max(arrival));
+        let deadline = read_start + read_time;
+        self.busy_until = Some(deadline);
+        (deadline, deadline - arrival)
     }
 }
 
@@ -134,17 +146,39 @@ enum FlightOutcome {
 struct Flight {
     state: Mutex<FlightOutcome>,
     cv: Condvar,
-    /// Requests parked on this flight so far (miss-delay estimation).
+    /// When the leader's miss arrived.
+    opened: Instant,
+    /// Requests parked on this flight so far, and the sum of how long
+    /// after `opened` each arrived, µs.
     waiters: AtomicU64,
+    parked_after_us: AtomicU64,
 }
 
 impl Flight {
-    fn new() -> Self {
+    fn new(opened: Instant) -> Self {
         Flight {
             state: Mutex::new_classed(LockClass::flight(), FlightOutcome::Pending),
             cv: Condvar::new(),
+            opened,
             waiters: AtomicU64::new(0),
+            parked_after_us: AtomicU64::new(0),
         }
+    }
+
+    /// Parks a request that arrived at `arrival` on this flight.
+    fn park(&self, arrival: Instant) {
+        let after = arrival.saturating_duration_since(self.opened).as_micros() as u64;
+        self.waiters.fetch_add(1, Ordering::Relaxed);
+        self.parked_after_us.fetch_add(after, Ordering::Relaxed);
+    }
+
+    /// What the flight stalled, µs: its leader's `delay` from `opened`
+    /// plus each waiter's from its own arrival to the same completion.
+    /// (A waiter parking meanwhile skews one sample of an EWMA.)
+    fn stalled_us(&self, delay: Duration) -> u64 {
+        let parked = self.waiters.load(Ordering::Relaxed);
+        (delay.as_micros() as u64 * (1 + parked))
+            .saturating_sub(self.parked_after_us.load(Ordering::Relaxed))
     }
 
     fn complete(&self, outcome: FlightOutcome) {
@@ -232,9 +266,8 @@ pub struct NodeState {
     /// owner — serve paths hold extra handles only while bytes are in
     /// flight toward a socket.
     pub cache: Mutex<LruCache<TargetId, Bytes>>,
-    /// The spindle (one per node): the deadline of the last read
-    /// admitted to it, which is when the next one may start.
-    disk: Mutex<Option<Instant>>,
+    /// The spindle (one per node) the threads model's reads queue on.
+    disk: Mutex<Spindle>,
     /// Number of requests queued on or holding the disk.
     disk_queue: AtomicUsize,
     /// Disk timing model.
@@ -290,7 +323,7 @@ impl NodeState {
         NodeState {
             id,
             cache: Mutex::new_classed(LockClass::cache(nid), cache),
-            disk: Mutex::new_classed(LockClass::disk_spindle(nid), None),
+            disk: Mutex::new_classed(LockClass::disk_spindle(nid), Spindle::default()),
             disk_queue: AtomicUsize::new(0),
             disk_emu,
             store,
@@ -301,7 +334,7 @@ impl NodeState {
             stats: NodeStats::default(),
             feedback,
             control: Mutex::new_classed(LockClass::control(nid), ControlTx::default()),
-            coalesce: false,
+            coalesce: true,
             disk_flights: Mutex::new_classed(LockClass::disk_flights(nid), HashMap::new()),
             lateral_flights: Mutex::new_classed(LockClass::lateral_flights(nid), HashMap::new()),
         }
@@ -330,11 +363,6 @@ impl NodeState {
     pub fn with_coalescing(mut self, on: bool) -> Self {
         self.coalesce = on;
         self
-    }
-
-    /// Whether single-flight miss coalescing is enabled.
-    pub fn coalescing(&self) -> bool {
-        self.coalesce
     }
 
     /// Selects the cache victim-selection policy (builder style) — strict
@@ -469,11 +497,11 @@ impl NodeState {
     /// order: `cache` → `control`), so the per-node event order on the
     /// wire is exactly the cache's own mutation order — the property
     /// that lets the dispatcher's mirror replay to the true contents.
-    /// `agg_delay_us` is the aggregate miss delay of the fetch that
-    /// produced this insert (read latency times one-plus-waiters under
-    /// coalescing) — GreedyDual's cost sample for the entry; plain LRU
-    /// records and ignores it. `body` is the just-read document
-    /// slice the cache takes (shared) ownership of.
+    /// `agg_delay_us` is the measured aggregate miss delay of the fetch
+    /// that produced this insert (arrival to completion, summed over
+    /// leader and waiters, as `phttp-sim` feeds) — GreedyDual's cost
+    /// sample for the entry; plain LRU records and ignores it. `body` is
+    /// the just-read document slice the cache takes (shared) ownership of.
     fn cache_insert_reporting(&self, target: TargetId, size: u64, agg_delay_us: u64, body: Bytes) {
         let mut cache = self.cache.lock();
         let admitted = cache.insert_valued_with_delay(target, size, body, agg_delay_us);
@@ -621,11 +649,16 @@ impl NodeState {
     /// when the leader's read completes; otherwise it becomes the flight
     /// leader and performs the one real disk read.
     pub fn serve_local(&self, target: TargetId) -> Bytes {
+        self.serve_local_at(target, Instant::now())
+    }
+
+    /// [`serve_local`](Self::serve_local), a miss's delay measured from `arrival`.
+    fn serve_local_at(&self, target: TargetId, arrival: Instant) -> Bytes {
         enum Role {
             /// Cached: the body slice cloned out under the cache lock.
             Hit(Option<Bytes>),
-            Solo,
-            Leader(Arc<Flight>),
+            /// Performs the read; with coalescing on, for its flight.
+            Leader(Option<Arc<Flight>>),
             Waiter(Arc<Flight>),
         }
         let size = self.store.size(target);
@@ -637,17 +670,17 @@ impl NodeState {
                 let mut flights = self.disk_flights.lock();
                 match flights.get(&target) {
                     Some(f) => {
-                        f.waiters.fetch_add(1, Ordering::Relaxed);
+                        f.park(arrival);
                         Role::Waiter(f.clone())
                     }
                     None => {
-                        let f = Arc::new(Flight::new());
+                        let f = Arc::new(Flight::new(arrival));
                         flights.insert(target, f.clone());
-                        Role::Leader(f)
+                        Role::Leader(Some(f))
                     }
                 }
             } else {
-                Role::Solo
+                Role::Leader(None)
             }
         };
         self.stats.served.fetch_add(1, Ordering::Relaxed);
@@ -661,26 +694,21 @@ impl NodeState {
                 // carries its body).
                 cached.unwrap_or_else(|| self.store.body(target))
             }
-            Role::Solo => {
-                let read = self.blocking_disk_read(size);
-                let body = self.store.body(target);
-                self.cache_insert_reporting(target, size, read.as_micros() as u64, body.clone());
-                body
-            }
-            Role::Leader(f) => {
-                let read = self.blocking_disk_read(size);
-                // Cost sample: the read latency paid once, on behalf of the
-                // leader and every waiter parked so far. (Waiters joining
-                // between this load and the insert below merely undercount
-                // the estimate; they are still woken correctly.)
-                let parked = f.waiters.load(Ordering::Relaxed);
-                let agg_us = read.as_micros() as u64 * (1 + parked);
+            Role::Leader(flight) => {
+                let delay = self.blocking_disk_read(size, arrival);
+                // Cost sample: what this one read stalled — the leader and
+                // every waiter parked so far, each from its own arrival.
+                let stalled_us = flight
+                    .as_ref()
+                    .map_or(delay.as_micros() as u64, |f| f.stalled_us(delay));
                 let body = self.store.body(target);
                 // Insert BEFORE retiring the flight: a concurrent probe
                 // always finds the target either cached or in flight.
-                self.cache_insert_reporting(target, size, agg_us, body.clone());
-                self.disk_flights.lock().remove(&target);
-                f.complete(FlightOutcome::Done);
+                self.cache_insert_reporting(target, size, stalled_us, body.clone());
+                if let Some(f) = flight {
+                    self.disk_flights.lock().remove(&target);
+                    f.complete(FlightOutcome::Done);
+                }
                 body
             }
             Role::Waiter(f) => {
@@ -700,42 +728,31 @@ impl NodeState {
         }
     }
 
-    /// The one real disk access of a miss: queue-depth accounting around
-    /// a slot on the spindle's timeline ([`DiskEmu::read_start`]), slept
-    /// out to its deadline. Returns the emulated service time.
-    fn blocking_disk_read(&self, size: u64) -> Duration {
-        let read = self.disk_emu.read_time(size);
-        let arrival = Instant::now();
+    /// The one real disk access of a miss that arrived at `arrival`:
+    /// queue-depth accounting around a slot on the [`Spindle`], slept out
+    /// to its deadline. Returns the delay the spindle measured.
+    fn blocking_disk_read(&self, size: u64, arrival: Instant) -> Duration {
+        let (deadline, delay) = self
+            .disk
+            .lock()
+            .admit(arrival, self.disk_emu.read_time(size));
         self.disk_queue.fetch_add(1, Ordering::Relaxed);
         self.stats.disk_reads.fetch_add(1, Ordering::Relaxed);
-        let deadline = {
-            let mut busy_until = self.disk.lock();
-            let deadline = DiskEmu::read_start(*busy_until, arrival) + read;
-            *busy_until = Some(deadline);
-            deadline
-        };
         std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
         self.disk_queue.fetch_sub(1, Ordering::Relaxed);
-        read
+        delay
     }
 
     /// Non-blocking first half of serving `target`: probes the cache and
-    /// records the serve/bytes/hit counters. Returns `true` on a hit —
-    /// the body can be produced immediately. On a miss the disk-queue
-    /// depth is already incremented (the request is now "queued on the
-    /// disk" as far as the extended-LARD control data is concerned) and
-    /// the caller owns scheduling the emulated read; it must call
+    /// records the serve/bytes/hit counters. A hit returns the body — a
+    /// clone of the cached slice (zero-copy; the rare metadata-only entry
+    /// regenerates). On a miss (`None`) the disk-queue depth is already
+    /// incremented (the request is now "queued on the disk" as far as
+    /// the extended-LARD control data is concerned) and the caller owns
+    /// scheduling the emulated read; it must call
     /// [`finish_disk_read`](Self::finish_disk_read) exactly once when
     /// the read completes. The event-driven reactor uses this pair where
     /// the thread path calls the blocking [`serve_local`](Self::serve_local).
-    pub fn begin_serve(&self, target: TargetId) -> bool {
-        self.begin_serve_body(target).is_some()
-    }
-
-    /// [`begin_serve`](Self::begin_serve) that, on a hit, also hands out
-    /// the body: a clone of the cached slice (zero-copy; the rare
-    /// metadata-only entry regenerates). `None` is a miss with the
-    /// disk-queue depth already incremented, exactly as `begin_serve`.
     pub fn begin_serve_body(&self, target: TargetId) -> Option<Bytes> {
         let size = self.store.size(target);
         let cached = {
@@ -760,26 +777,19 @@ impl NodeState {
         }
     }
 
-    /// Completes a miss started by [`begin_serve`](Self::begin_serve):
+    /// Completes a miss started by [`begin_serve_body`](Self::begin_serve_body):
     /// pops the disk queue and inserts the document into the cache (the
     /// OS caches what it reads), mirroring the tail of
-    /// [`serve_local`](Self::serve_local). Returns the body so callers
-    /// serve the very slice the cache now owns.
-    pub fn finish_disk_read(&self, target: TargetId) -> Bytes {
-        self.finish_disk_read_shared(target, 0)
-    }
-
-    /// [`finish_disk_read`](Self::finish_disk_read) for a coalesced
-    /// flight: `waiters` requests were parked on this read, so the cache
-    /// insert's cost sample is the read latency times one-plus-waiters —
-    /// the aggregate delay this fetch actually cost.
-    pub fn finish_disk_read_shared(&self, target: TargetId, waiters: u64) -> Bytes {
+    /// [`serve_local`](Self::serve_local). `stalled` — the read's measured
+    /// delay plus the wait of every request coalesced onto it — is the
+    /// insert's cost sample. Returns the body so callers serve the very
+    /// slice the cache now owns.
+    pub fn finish_disk_read(&self, target: TargetId, stalled: Duration) -> Bytes {
         self.disk_queue.fetch_sub(1, Ordering::Relaxed);
         self.stats.disk_reads.fetch_add(1, Ordering::Relaxed);
         let size = self.store.size(target);
-        let agg_us = self.disk_emu.read_time(size).as_micros() as u64 * (1 + waiters);
         let body = self.store.body(target);
-        self.cache_insert_reporting(target, size, agg_us, body.clone());
+        self.cache_insert_reporting(target, size, stalled.as_micros() as u64, body.clone());
         body
     }
 
@@ -894,12 +904,9 @@ impl NodeState {
         let leader = {
             let mut flights = self.lateral_flights.lock();
             match flights.get(&key) {
-                Some(f) => {
-                    f.waiters.fetch_add(1, Ordering::Relaxed);
-                    Err(f.clone())
-                }
+                Some(f) => Err(f.clone()),
                 None => {
-                    let f = Arc::new(Flight::new());
+                    let f = Arc::new(Flight::new(Instant::now()));
                     flights.insert(key, f.clone());
                     Ok(f)
                 }
@@ -1008,13 +1015,13 @@ mod tests {
         let n = node();
         // Miss: depth rises until the caller completes the read, which
         // also populates the cache — the split non-blocking protocol.
-        assert!(!n.begin_serve(TargetId(0)));
+        assert!(n.begin_serve_body(TargetId(0)).is_none());
         assert_eq!(n.disk_queue_len(), 1);
-        n.finish_disk_read(TargetId(0));
+        n.finish_disk_read(TargetId(0), n.disk_read_time(TargetId(0)));
         assert_eq!(n.disk_queue_len(), 0);
         assert!(n.cache.lock().contains(TargetId(0)));
         // Hit: resolved synchronously, depth untouched.
-        assert!(n.begin_serve(TargetId(0)));
+        assert!(n.begin_serve_body(TargetId(0)).is_some());
         assert_eq!(n.disk_queue_len(), 0);
         let s = n.stats.snapshot();
         assert_eq!(s.served, 2);
@@ -1084,10 +1091,8 @@ mod tests {
         drop(b3);
         assert!(n.cached_body_refcounts().iter().all(|&(_, c)| c == 1));
         // And a split-path miss returns the very slice it admitted.
-        let b4 = n.finish_disk_read({
-            assert!(n.begin_serve_body(TargetId(0)).is_none());
-            TargetId(0)
-        });
+        assert!(n.begin_serve_body(TargetId(0)).is_none());
+        let b4 = n.finish_disk_read(TargetId(0), n.disk_read_time(TargetId(0)));
         assert_eq!(b4.strong_count(), 2);
     }
 
@@ -1194,7 +1199,7 @@ mod tests {
 
     #[test]
     fn coalescing_off_reads_redundantly() {
-        let n = Arc::new(node()); // coalescing off by default
+        let n = Arc::new(node().with_coalescing(false));
         let barrier = Arc::new(std::sync::Barrier::new(2));
         let handles: Vec<_> = (0..2)
             .map(|_| {
@@ -1291,22 +1296,31 @@ mod tests {
         server.join().unwrap();
     }
 
-    #[test]
-    fn spindle_starts_reads_back_to_back_or_on_arrival() {
-        let t0 = Instant::now();
-        let ms = Duration::from_millis;
-        // First read ever, or one reaching an idle spindle: at arrival.
-        assert_eq!(DiskEmu::read_start(None, t0), t0);
-        assert_eq!(DiskEmu::read_start(Some(t0), t0 + ms(5)), t0 + ms(5));
-        assert_eq!(DiskEmu::read_start(Some(t0), t0), t0);
-        // One that queued behind a busy spindle: at the previous read's
-        // deadline, however long ago it arrived — and however late
-        // whoever drives the spindle got round to starting it.
-        assert_eq!(DiskEmu::read_start(Some(t0 + ms(5)), t0), t0 + ms(5));
-        assert_eq!(
-            DiskEmu::read_start(Some(t0 + ms(5)), t0 + ms(4)),
-            t0 + ms(5)
-        );
+    proptest::proptest! {
+        /// The one spindle rule, over arbitrary arrival gaps and read
+        /// times: a read starts at its arrival on an idle spindle and
+        /// back to back behind a busy one — however late it arrived or
+        /// its driver got round to it — so deadlines are strictly
+        /// ordered, and its delay is its read time plus exactly the
+        /// wait behind the previous deadline.
+        #[test]
+        fn spindle_starts_reads_back_to_back_or_on_arrival(
+            reads in proptest::collection::vec((0u64..3_000, 1u64..2_000), 1..40),
+        ) {
+            let us = Duration::from_micros;
+            let mut spindle = Spindle::default();
+            let mut arrival = Instant::now();
+            let mut prev: Option<Instant> = None;
+            for (gap, read) in reads {
+                arrival += us(gap);
+                let (deadline, delay) = spindle.admit(arrival, us(read));
+                let wait = prev.map_or(Duration::ZERO, |p| p.saturating_duration_since(arrival));
+                proptest::prop_assert_eq!(deadline, arrival + wait + us(read));
+                proptest::prop_assert_eq!(delay, wait + us(read));
+                proptest::prop_assert!(prev.is_none_or(|p| deadline > p));
+                prev = Some(deadline);
+            }
+        }
     }
 
     #[test]
@@ -1314,7 +1328,8 @@ mod tests {
         // Four threads miss at once on one node: the reads are served
         // one after another — never done before 4 x read_time — each
         // from its predecessor's deadline, so the last is late by one
-        // thread wake-up, not by a fifth read.
+        // thread wake-up, not by a fifth read. The cost samples are the
+        // measured delays, read_time x (1 + 2 + 3 + 4) between them.
         let store = Arc::new(ContentStore::from_sizes(vec![1024; 4]));
         let disk = DiskEmu {
             seek: Duration::from_millis(5),
@@ -1326,7 +1341,7 @@ mod tests {
         std::thread::scope(|s| {
             for t in 0..4 {
                 let node = &node;
-                s.spawn(move || node.serve_local(TargetId(t)));
+                s.spawn(move || node.serve_local_at(TargetId(t), started));
             }
         });
         let took = started.elapsed();
@@ -1334,6 +1349,64 @@ mod tests {
         assert_eq!(node.disk_queue_len(), 0);
         assert!(took >= read * 4, "4 queued reads took {took:?}");
         assert!(took < read * 5, "4 queued reads took {took:?}");
+        let cache = node.cache.lock();
+        let mut scores: Vec<u64> = (0..4)
+            .map(|t| cache.mad_score(TargetId(t)).unwrap())
+            .collect();
+        scores.sort_unstable();
+        let read_us = read.as_micros() as u64;
+        assert_eq!(scores, [read_us, 2 * read_us, 3 * read_us, 4 * read_us]);
+    }
+
+    /// A threads-model flight with `k` parked waiters inserts costed by
+    /// the k+1 *measured* delays — the leader's queue wait plus service,
+    /// each waiter's from its own later arrival — not by
+    /// `read_time x (k + 1)`; an uncontended miss still costs its read.
+    #[test]
+    fn flight_is_costed_by_what_it_was_measured_to_stall() {
+        let ms = Duration::from_millis;
+        let store = Arc::new(ContentStore::from_sizes(vec![1024; 2]));
+        let disk = DiskEmu {
+            seek: ms(150),
+            bytes_per_sec: 1e12,
+        };
+        let read = disk.read_time(1024);
+        let n = NodeState::new(NodeId(0), 1 << 20, disk, store, Vec::new());
+        let t0 = Instant::now();
+        let k = 3u64;
+        std::thread::scope(|s| {
+            // Target 0 takes the idle spindle; target 1's flight queues
+            // behind it, and k waiters park on that flight 10 ms apart.
+            // (The depth counter moves once a read is on the spindle.)
+            s.spawn(|| n.serve_local_at(TargetId(0), t0));
+            while n.disk_queue_len() < 1 {
+                std::thread::yield_now();
+            }
+            s.spawn(|| n.serve_local_at(TargetId(1), t0 + ms(20)));
+            while n.disk_queue_len() < 2 {
+                std::thread::yield_now();
+            }
+            for w in 1..=k {
+                let n = &n;
+                s.spawn(move || n.serve_local_at(TargetId(1), t0 + ms(20 + 10 * w)));
+            }
+        });
+        let stats = n.stats.snapshot();
+        assert_eq!((stats.disk_reads, stats.coalesced_waits), (2, k));
+        let cache = n.cache.lock();
+        assert_eq!(
+            cache.mad_score(TargetId(0)),
+            Some(read.as_micros() as u64),
+            "an uncontended miss costs its read time"
+        );
+        // The flight completes at t0 + 2 reads; leader and waiters
+        // arrived 20, 30, 40, 50 ms after t0.
+        let stalled: Duration = (0..=k).map(|w| read * 2 - ms(20 + 10 * w)).sum();
+        assert_eq!(
+            cache.mad_score(TargetId(1)),
+            Some(stalled.as_micros() as u64)
+        );
+        assert_ne!(stalled, read * (k as u32 + 1), "the nominal sample differs");
     }
 
     #[test]

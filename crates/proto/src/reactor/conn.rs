@@ -443,9 +443,12 @@ impl ClientConn {
         write_queue(&mut self.stream, &mut self.out)
     }
 
-    /// Reads available bytes into the parser. Returns `Ok(true)` if any
-    /// bytes arrived, `Ok(false)` on `WouldBlock` with nothing new;
-    /// `Err` means the connection is dead. EOF only sets `eof` — NOT
+    /// Reads available bytes into the parser through `buf` (the shard's
+    /// scratch). `Ok(true)`: a read filled `buf` and more may be waiting
+    /// — parse, then call again. `Ok(false)`: the socket is drained for
+    /// now (`WouldBlock`, EOF or backpressure; calling again would only
+    /// buy an `EAGAIN`) — parse what arrived and stop. `Err`: the
+    /// connection is dead. EOF only sets `eof` — NOT
     /// `close_after_drain` — because requests already received must
     /// still be served: a client may legitimately half-close right
     /// after its last pipelined request, and its FIN can arrive in the
@@ -453,23 +456,20 @@ impl ClientConn {
     /// this for free (`read_batch` drains the parser before it can
     /// observe the EOF); skipping them here would break the
     /// byte-identical-responses contract between the io models.
-    pub fn read_into_parser(&mut self) -> io::Result<bool> {
-        let mut buf = [0u8; 16 * 1024];
-        let mut any = false;
+    pub fn read_into_parser(&mut self, buf: &mut [u8]) -> io::Result<bool> {
         loop {
             if self.eof || self.backpressured() {
-                return Ok(any);
+                return Ok(false);
             }
-            match self.stream.read(&mut buf) {
-                Ok(0) => {
-                    self.eof = true;
-                    return Ok(any);
-                }
+            match self.stream.read(buf) {
+                Ok(0) => self.eof = true,
                 Ok(n) => {
                     self.parser.feed(&buf[..n]);
-                    any = true;
+                    if n == buf.len() {
+                        return Ok(true);
+                    }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(any),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }

@@ -199,9 +199,9 @@ pub(crate) struct ReactorConfig {
     /// Idle lateral sessions retained per peer, per shard (mirrors the
     /// thread path's per-peer pool cap).
     pub peer_pool_cap: usize,
-    /// Single-flight miss coalescing (`ProtoConfig::coalesce_misses`):
-    /// concurrent misses on one `(node, target)` park on the existing
-    /// disk flight, and concurrent lateral fetches of one
+    /// Single-flight miss coalescing (`ProtoConfig::coalesce_misses`,
+    /// on by default): concurrent misses on one `(node, target)` park on
+    /// the existing disk flight, and concurrent lateral fetches of one
     /// `(remote, target)` park on the existing peer round-trip.
     pub coalesce: bool,
     /// Zero-copy staging (`ProtoConfig::zero_copy`): responses stage as
@@ -468,6 +468,7 @@ pub(crate) fn spawn(
             read_timeout: cfg.read_timeout,
             peer_pool_cap: cfg.peer_pool_cap,
             last_sweep: Instant::now(),
+            scratch: vec![0u8; 16 * 1024].into_boxed_slice(),
         };
         joins.push(
             std::thread::Builder::new()
@@ -567,6 +568,9 @@ struct Reactor {
     read_timeout: Duration,
     peer_pool_cap: usize,
     last_sweep: Instant,
+    /// The shard's one socket-read buffer: every read on the loop lands
+    /// here and is fed to a parser or decoder before the next.
+    scratch: Box<[u8]>,
 }
 
 /// A complete `200 OK` staged for write-out. With `zero_copy` (the
@@ -869,6 +873,7 @@ impl Reactor {
             fes,
             poll,
             stop,
+            scratch: buf,
             ..
         } = self;
         let Some(chan) = controls.get_mut(idx) else {
@@ -888,9 +893,8 @@ impl Reactor {
                 }
             }
         };
-        let mut buf = [0u8; 16 * 1024];
         loop {
-            match chan.stream.read(&mut buf) {
+            match chan.stream.read(buf) {
                 Ok(0) => {
                     // Node side closed while the cluster is live: the
                     // node is gone (clean shutdown never reaches here —
@@ -966,19 +970,18 @@ impl Reactor {
     fn drive_client(&mut self, idx: usize, c: &mut ClientConn) -> bool {
         c.last_activity = Instant::now();
         loop {
-            match c.read_into_parser() {
-                Ok(true) => {
-                    if self.process_available(idx, c).is_err() {
-                        // Parse error: stop reading, serve what is already
-                        // pipelined, then close.
-                        c.eof = true;
-                        c.close_after_drain = true;
-                        break;
-                    }
-                    // Keep reading until WouldBlock/EOF/backpressure.
-                }
-                Ok(false) => break,
-                Err(_) => return false, // connection reset
+            let Ok(more) = c.read_into_parser(&mut self.scratch) else {
+                return false; // connection reset
+            };
+            if self.process_available(idx, c).is_err() {
+                // Parse error: stop reading, serve what is already
+                // pipelined, then close.
+                c.eof = true;
+                c.close_after_drain = true;
+                break;
+            }
+            if !more {
+                break; // drained: another read would only buy an EAGAIN
             }
         }
         self.advance_client(idx, c)
@@ -1154,7 +1157,12 @@ impl Reactor {
         // parking is still correct — same bytes, one timer later.
         if self.coalesce {
             if let Some(flight) = self.disks[node_idx].find_mut(target) {
-                flight.waiters.push(Waiter { conn, seq, version });
+                flight.waiters.push(Waiter {
+                    conn,
+                    seq,
+                    version,
+                    arrival: Instant::now(),
+                });
                 self.fe.nodes()[node_idx].note_coalesced_serve(target);
                 return EntryState::Disk;
             }
@@ -1307,16 +1315,14 @@ impl Reactor {
         self.schedule(at, Timer::DiskDone(node_idx));
     }
 
-    fn disk_done(&mut self, node_idx: usize) {
-        let Some(job) = self.disks[node_idx].busy.take() else {
+    /// Node `node_idx`'s busy read reached its spindle `deadline`.
+    fn disk_done(&mut self, node_idx: usize, deadline: Instant) {
+        // Leader and waiters all serve clones of the slice that was
+        // just admitted to the cache — one allocation for the flight.
+        let node = &self.fe.nodes()[node_idx];
+        let Some((job, body)) = self.disks[node_idx].finish(node, deadline) else {
             return;
         };
-        // One cache insert for the whole flight; the cost sample scales
-        // with the waiters this single read unblocked. Leader and
-        // waiters all serve clones of the slice that was just admitted
-        // to the cache — one allocation for the entire flight.
-        let body =
-            self.fe.nodes()[node_idx].finish_disk_read_shared(job.target, job.waiters.len() as u64);
         self.deliver(
             job.conn,
             job.seq,
@@ -1509,16 +1515,15 @@ impl Reactor {
         if self.flush_peer(idx, p).is_err() {
             return false;
         }
-        let mut buf = [0u8; 16 * 1024];
         loop {
             match self.pump_peer(idx, p) {
                 Pump::Dead => return false,
                 Pump::Paused => return self.pause_peer(idx, p),
                 Pump::More => {}
             }
-            match p.stream.read(&mut buf) {
+            match p.stream.read(&mut self.scratch) {
                 Ok(0) => return false, // peer closed (idle timeout or death)
-                Ok(n) => p.parser.feed(&buf[..n]),
+                Ok(n) => p.parser.feed(&self.scratch[..n]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return false,
@@ -1842,7 +1847,7 @@ impl Reactor {
             }
             let entry = self.timers.pop().expect("peeked above");
             match entry.kind {
-                Timer::DiskDone(n) => self.disk_done(n),
+                Timer::DiskDone(n) => self.disk_done(n, entry.at),
                 Timer::MigrateDone {
                     conn,
                     seq,

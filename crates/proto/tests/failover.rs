@@ -53,7 +53,9 @@ fn config(io_model: IoModel) -> ProtoConfig {
         read_timeout: Duration::from_secs(5),
         io_model,
         reactor_shards: reactor_shards(io_model),
-        coalesce_misses: std::env::var("PHTTP_COALESCE").as_deref() == Ok("1"),
+        // Single-flight like `ProtoConfig::default`; `PHTTP_COALESCE=0`
+        // runs the one-fetch-per-miss arm until ROADMAP item C deletes it.
+        coalesce_misses: std::env::var("PHTTP_COALESCE").as_deref() != Ok("0"),
         ..ProtoConfig::default()
     }
 }

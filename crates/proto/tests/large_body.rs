@@ -270,6 +270,8 @@ fn matrix(coalesce: bool) {
     }
 }
 
+/// The one-fetch-per-miss arm (`coalesce_misses: false`), kept until
+/// ROADMAP item C deletes it; the default is the matrix below.
 #[test]
 fn large_body_matrix_matches_threads_oracle() {
     matrix(false);
@@ -286,10 +288,10 @@ fn large_body_matrix_matches_threads_oracle_with_coalescing() {
 /// bench has an honest same-harness comparison.
 #[test]
 fn copying_baseline_is_invisible_on_the_wire() {
-    let (oracle, _) = run_cell(config(IoModel::Threads, 1, 1, false), "zc oracle");
+    let (oracle, _) = run_cell(config(IoModel::Threads, 1, 1, true), "zc oracle");
     for io_model in [IoModel::Threads, IoModel::Reactor] {
         let shards = if io_model == IoModel::Reactor { 2 } else { 1 };
-        let mut cfg = config(io_model, shards, 1, false);
+        let mut cfg = config(io_model, shards, 1, true);
         cfg.zero_copy = false;
         let (transcript, _) = run_cell(cfg, &format!("copying/{io_model:?}"));
         assert_eq!(

@@ -47,6 +47,10 @@ fn config_coalesced(mechanism: Mechanism, io_model: IoModel, shards: usize) -> P
 
 fn config(mechanism: Mechanism, io_model: IoModel, shards: usize) -> ProtoConfig {
     ProtoConfig {
+        // The one-fetch-per-miss arm, pinned now that single-flight is
+        // the default: these matrices stay its byte oracle until ROADMAP
+        // item C deletes it (`config_coalesced` covers the default).
+        coalesce_misses: false,
         nodes: 3,
         policy: PolicyKind::ExtLard,
         mechanism,
