@@ -5,7 +5,7 @@
 //! phttp trace stats [FILE]   (reads CLF; without FILE, uses the built-in synthetic trace)
 //! phttp sim         [--config LABEL] [--nodes N] [--flash] [--cache-mb M] [--lru] [FILE]
 //! phttp sweep       [--flash] [--quick] [FILE]
-//! phttp demo        [--nodes N] [--policy wrr|lard|extlard] [--views N]
+//! phttp demo        [--nodes N] [--policy wrr|lard|extlard] [--views N] [--front-ends M]
 //! ```
 
 mod args;
@@ -36,14 +36,16 @@ commands:
   sweep        [--flash] [--quick] [FILE]
                the full Figure 7/8 sweep over cluster sizes and configs
   demo         [--nodes N] [--policy wrr|lard|extlard] [--views N] [--reactor]
-               [--shards N] [--lru]
+               [--shards N] [--lru] [--front-ends M]
                boot the live loopback cluster and drive it with real HTTP
                (--reactor serves it from epoll event loops instead of the
                worker-thread pool; --shards N spreads the reactor over N
                loops with SO_REUSEPORT accept distribution; concurrent
                misses per target are single-flighted and reported as
                delayed hits; --lru evicts strictly least-recently-used
-               instead of GreedyDual-Size costed by measured miss delay)
+               instead of GreedyDual-Size costed by measured miss delay;
+               --front-ends M puts M front-ends behind one VIP and reports
+               their handoffs and what their gossip cost)
 ";
 
 fn main() {
@@ -273,6 +275,7 @@ fn demo(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             },
             reactor_shards: args.get_or("shards", 1)?,
             cache_policy: cache_policy(args),
+            front_ends: args.get_or("front-ends", 1)?,
             ..ProtoConfig::default()
         },
         &trace,
@@ -300,6 +303,17 @@ fn demo(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         report.throughput_rps(),
         report.errors
     );
+    if let Some(vip) = cluster.vip() {
+        let rounds: u64 = (0..vip.front_ends()).map(|f| vip.gossip_seq(f)).sum();
+        println!(
+            "  tier: {} front-ends, {} handoffs, {} gossip rounds, {} gossip bytes ({:.0} per round)",
+            vip.front_ends(),
+            vip.handoffs(),
+            rounds,
+            vip.gossip_bytes(),
+            vip.gossip_bytes() as f64 / rounds.max(1) as f64
+        );
+    }
     for (i, s) in cluster.node_stats().iter().enumerate() {
         println!(
             "  be{i}: served={:<6} hit={:>5.1}% lateral={}/{} migrations={} reads={} delayed={}",

@@ -49,15 +49,13 @@ use std::sync::atomic::Ordering;
 
 use phttp_trace::TargetId;
 
-use std::collections::HashMap;
-
 use crate::cost::LardParams;
 use crate::feedback::{CacheEvent, CacheMirror, CoherenceSnapshot, CoherenceStats};
 use crate::health::{HealthConfig, HealthGate};
 use crate::load::{LoadTracker, LOAD_UNIT};
 use crate::policy::{ForwardSemantics, MapEffect, Policy, PolicyKind};
 use crate::shard::{ConnState, ConnTable, ShardedMappingTable};
-use crate::tier::{DispatcherSnapshot, MergeOutcome};
+use crate::tier::{FeId, MergeOutcome, Ring, StateDelta};
 use crate::types::{Assignment, ConnId, NodeId};
 
 /// Largest pipelined batch [`ConcurrentDispatcher::assign_batch`] will
@@ -377,21 +375,36 @@ impl ConcurrentDispatcher {
         installed
     }
 
-    /// Exports this dispatcher's tier-relevant state: **locally
-    /// charged** fixed-point loads (remote bias excluded, so exporting
-    /// and re-importing cannot double-count) and the full believed
-    /// mapping, targets ascending. Shard read locks only; the snapshot
-    /// is a consistent-enough gossip payload, not a transaction.
-    pub fn snapshot(&self) -> DispatcherSnapshot {
+    /// This dispatcher's next gossip delta as front-end `origin`,
+    /// stamped `seq`: its **locally charged** fixed-point loads (remote
+    /// bias excluded, so exporting and re-importing cannot double-count)
+    /// and, for the targets `origin` owns on `ring`, either every
+    /// believed mapping (`full`) or only those whose belief changed
+    /// since the previous call (see
+    /// [`ShardedMappingTable::drain_changes`]). The first call must be
+    /// `full`: it is what switches the change journal on, and until then
+    /// nothing is recorded. Changed targets owned by a peer are dropped
+    /// here — their owner is the authority that publishes them, and a
+    /// ring change is answered with a full delta. Shard write locks one
+    /// at a time; a consistent-enough gossip payload, not a transaction.
+    pub fn gossip_delta(&self, origin: FeId, seq: u64, full: bool, ring: &Ring) -> StateDelta {
         let loads = (0..self.num_nodes())
             .map(|i| self.loads.local_fixed(NodeId(i)))
             .collect();
-        let mut grouped: HashMap<phttp_trace::TargetId, Vec<NodeId>> = HashMap::new();
-        self.mapping
-            .for_each_pair(|t, n| grouped.entry(t).or_default().push(n));
-        let mut mapping: Vec<_> = grouped.into_iter().collect();
+        let mut mapping = Vec::new();
+        self.mapping.drain_changes(full, |t, nodes| {
+            if ring.owner(t) == origin {
+                mapping.push((t, nodes.to_vec()));
+            }
+        });
         mapping.sort_by_key(|(t, _)| t.0);
-        DispatcherSnapshot { loads, mapping }
+        StateDelta {
+            origin,
+            seq,
+            full,
+            loads,
+            mapping,
+        }
     }
 
     /// Materializes a peer's merged share into the local tables: each
@@ -994,18 +1007,37 @@ mod tests {
 
     #[test]
     fn snapshot_and_adopt_roundtrip() {
+        let ring = Ring::new(1);
         let d = ext(2);
         d.open_connection(ConnId(0), t(0));
         d.mapping().write(t(7), |m| m.add_replica(t(7), NodeId(1)));
-        let snap = d.snapshot();
-        assert_eq!(snap.loads.iter().sum::<i64>(), LOAD_UNIT);
-        assert!(snap.mapping.iter().any(|(x, _)| *x == t(7)));
+        let full = d.gossip_delta(FeId(0), 1, true, &ring);
+        assert!(full.full);
+        assert_eq!(full.loads.iter().sum::<i64>(), LOAD_UNIT);
+        assert!(full.mapping.contains(&(t(7), vec![NodeId(1)])));
+        // Nothing changed since: the next delta carries loads only.
+        let quiet = d.gossip_delta(FeId(0), 2, false, &ring);
+        assert!(!quiet.full && quiet.mapping.is_empty());
+        assert_eq!(quiet.loads, full.loads);
+        d.mapping().write(t(7), |m| m.set_nodes(t(7), &[]));
+        d.mapping().write(t(8), |m| m.add_replica(t(8), NodeId(0)));
+        let changed = d.gossip_delta(FeId(0), 3, false, &ring);
+        assert_eq!(
+            changed.mapping,
+            vec![(t(7), vec![]), (t(8), vec![NodeId(0)])]
+        );
+        // A target another front-end owns is its owner's to publish.
+        let ring2 = Ring::new(2);
+        let theirs = (0..).map(t).find(|&x| ring2.owner(x) == FeId(1)).unwrap();
+        d.mapping()
+            .write(theirs, |m| m.add_replica(theirs, NodeId(0)));
+        assert!(d.gossip_delta(FeId(0), 4, false, &ring2).mapping.is_empty());
 
-        // A peer adopting the snapshot's share materializes it verbatim.
+        // A peer adopting the share materializes it verbatim.
         let peer = ext(2);
         let outcome = MergeOutcome {
             applied: true,
-            upserts: snap.mapping.clone(),
+            upserts: full.mapping.clone(),
             removals: vec![],
         };
         peer.adopt_merge(&outcome);
@@ -1018,9 +1050,10 @@ mod tests {
         assert!(!peer.mapping().read(t(7), |m| m.is_known(t(7))));
 
         // Remote bias is visible to reads but not exported back out.
-        peer.set_remote_loads(&snap.loads);
+        peer.set_remote_loads(&full.loads);
         assert!(peer.loads().iter().sum::<f64>() > 0.9);
-        assert!(peer.snapshot().loads.iter().all(|&l| l == 0));
+        let exported = peer.gossip_delta(FeId(0), 1, true, &ring).loads;
+        assert!(exported.iter().all(|&l| l == 0));
         d.close_connection(ConnId(0));
     }
 

@@ -179,11 +179,17 @@ impl Dispatcher {
         self.inner.health()
     }
 
-    /// Exports this dispatcher's tier-relevant state (locally charged
-    /// loads + believed mapping) for gossip. See
-    /// [`ConcurrentDispatcher::snapshot`].
-    pub fn snapshot(&self) -> crate::tier::DispatcherSnapshot {
-        self.inner.snapshot()
+    /// This dispatcher's next gossip delta (locally charged loads + the
+    /// owned share, whole or only what changed). See
+    /// [`ConcurrentDispatcher::gossip_delta`].
+    pub fn gossip_delta(
+        &mut self,
+        origin: crate::tier::FeId,
+        seq: u64,
+        full: bool,
+        ring: &crate::tier::Ring,
+    ) -> crate::tier::StateDelta {
+        self.inner.gossip_delta(origin, seq, full, ring)
     }
 
     /// Materializes a peer's merged share into the local tables. See

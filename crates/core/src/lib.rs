@@ -36,8 +36,8 @@
 //! * the **tier layer** ([`tier`]): the consistent-hash [`Ring`]
 //!   partitioning target ownership across multiple front-ends, and the
 //!   serializable, commutatively mergeable dispatcher state
-//!   ([`DispatcherSnapshot`], [`StateDelta`], [`TierView`]) those
-//!   front-ends gossip on the control plane.
+//!   ([`StateDelta`], [`TierView`]) those front-ends gossip on the
+//!   control plane — each round only what changed.
 //!
 //! See `ARCHITECTURE.md` at the repo root for the layering rationale and
 //! which façade each crate consumes. Every public item in this crate is
@@ -128,5 +128,5 @@ pub use mapping::MappingTable;
 pub use mechanism::Mechanism;
 pub use policy::{ForwardSemantics, MapEffect, Policy, PolicyKind};
 pub use shard::{ShardSetMut, ShardedMappingTable};
-pub use tier::{DispatcherSnapshot, FeId, MergeOutcome, Ring, StateDelta, TierView};
+pub use tier::{FeId, MergeOutcome, Ring, StateDelta, TierView};
 pub use types::{Assignment, ConnId, NodeId};

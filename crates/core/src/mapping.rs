@@ -11,8 +11,15 @@
 //! lightly-loaded connection-handling node adds that node to the target's
 //! set (the paper's point 3 trade-off: replication reduces forwarding but
 //! shrinks the aggregate effective cache).
+//!
+//! A table can also keep a **change journal**: the set of targets whose
+//! node set changed since it was last drained. A front-end tier gossips
+//! from it, so a round carries what changed rather than the whole share
+//! (see [`drain_changes`](MappingTable::drain_changes)). The journal is
+//! off until the first drain, so a table nobody gossips pays one branch
+//! per change and nothing more.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use phttp_trace::TargetId;
 
@@ -22,6 +29,8 @@ use crate::types::NodeId;
 #[derive(Debug, Clone, Default)]
 pub struct MappingTable {
     map: HashMap<TargetId, Vec<NodeId>>,
+    /// Targets changed since the last drain; `None` until the first.
+    journal: Option<HashSet<TargetId>>,
 }
 
 impl MappingTable {
@@ -51,8 +60,11 @@ impl MappingTable {
     /// the working-set partition assigns each target to one node).
     pub fn assign_exclusive(&mut self, target: TargetId, node: NodeId) {
         let entry = self.map.entry(target).or_default();
-        entry.clear();
-        entry.push(node);
+        if entry.as_slice() != [node] {
+            entry.clear();
+            entry.push(node);
+            Self::touch(&mut self.journal, target);
+        }
     }
 
     /// Adds `node` to the target's set if absent (extended-LARD replication).
@@ -60,6 +72,7 @@ impl MappingTable {
         let entry = self.map.entry(target).or_default();
         if !entry.contains(&node) {
             entry.push(node);
+            Self::touch(&mut self.journal, target);
         }
     }
 
@@ -69,23 +82,31 @@ impl MappingTable {
     /// peer's gossiped share installs the owner's belief verbatim
     /// rather than patching its own.
     pub fn set_nodes(&mut self, target: TargetId, nodes: &[NodeId]) {
-        if nodes.is_empty() {
-            self.map.remove(&target);
+        let mut want = Vec::with_capacity(nodes.len());
+        for &n in nodes {
+            if !want.contains(&n) {
+                want.push(n);
+            }
+        }
+        if self.nodes(target) == want.as_slice() {
             return;
         }
-        let entry = self.map.entry(target).or_default();
-        entry.clear();
-        for &n in nodes {
-            if !entry.contains(&n) {
-                entry.push(n);
-            }
+        Self::touch(&mut self.journal, target);
+        if want.is_empty() {
+            self.map.remove(&target);
+        } else {
+            self.map.insert(target, want);
         }
     }
 
     /// Removes `node` from the target's set (e.g. on node failure).
     pub fn remove_replica(&mut self, target: TargetId, node: NodeId) {
         if let Some(entry) = self.map.get_mut(&target) {
+            let before = entry.len();
             entry.retain(|&n| n != node);
+            if entry.len() != before {
+                Self::touch(&mut self.journal, target);
+            }
             if entry.is_empty() {
                 self.map.remove(&target);
             }
@@ -104,10 +125,47 @@ impl MappingTable {
 
     /// Drops every mapping that references `node` (node decommissioning).
     pub fn evict_node(&mut self, node: NodeId) {
-        self.map.retain(|_, nodes| {
+        let journal = &mut self.journal;
+        self.map.retain(|&target, nodes| {
+            let before = nodes.len();
             nodes.retain(|&n| n != node);
+            if nodes.len() != before {
+                Self::touch(journal, target);
+            }
             !nodes.is_empty()
         });
+    }
+
+    /// Records `target` in the change journal, if one is kept.
+    fn touch(journal: &mut Option<HashSet<TargetId>>, target: TargetId) {
+        if let Some(changed) = journal {
+            changed.insert(target);
+        }
+    }
+
+    /// Whether the change journal holds anything to drain.
+    pub fn has_changes(&self) -> bool {
+        self.journal.as_ref().is_some_and(|c| !c.is_empty())
+    }
+
+    /// Visits `(target, nodes)` for every mapped target (`all`) or only
+    /// for the targets changed since the previous drain — an empty
+    /// `nodes` meaning no longer mapped — and empties the journal,
+    /// switching it on if this is the first drain. Visiting and emptying
+    /// happen under one borrow, so a change is reported by exactly one
+    /// drain.
+    pub fn drain_changes(&mut self, all: bool, mut f: impl FnMut(TargetId, &[NodeId])) {
+        let changed = self.journal.get_or_insert_with(HashSet::new);
+        if all {
+            changed.clear();
+            for (&target, nodes) in &self.map {
+                f(target, nodes);
+            }
+        } else {
+            for target in changed.drain() {
+                f(target, self.map.get(&target).map_or(&[], Vec::as_slice));
+            }
+        }
     }
 
     /// Number of targets with at least one mapping.
@@ -192,6 +250,40 @@ mod tests {
         m.evict_node(NodeId(0));
         assert_eq!(m.nodes(t(1)), &[NodeId(1)]);
         assert!(!m.is_known(t(2)));
+    }
+
+    #[test]
+    fn journal_records_real_changes_once_drained() {
+        let drain = |m: &mut MappingTable, all: bool| {
+            let mut out = Vec::new();
+            m.drain_changes(all, |t, n| out.push((t.0, n.to_vec())));
+            out.sort();
+            out
+        };
+        let mut m = MappingTable::new();
+        m.add_replica(t(1), NodeId(0));
+        // Off until the first drain, which reports the whole table.
+        assert_eq!(drain(&mut m, true), vec![(1, vec![NodeId(0)])]);
+        assert!(drain(&mut m, false).is_empty());
+        // No-op writes are not changes.
+        m.add_replica(t(1), NodeId(0));
+        m.assign_exclusive(t(1), NodeId(0));
+        m.set_nodes(t(1), &[NodeId(0), NodeId(0)]);
+        m.remove_replica(t(1), NodeId(3));
+        m.evict_node(NodeId(3));
+        assert!(drain(&mut m, false).is_empty());
+        // Real ones are reported once, with the state at drain time.
+        m.add_replica(t(1), NodeId(1));
+        m.assign_exclusive(t(2), NodeId(1));
+        m.set_nodes(t(3), &[NodeId(2)]);
+        m.evict_node(NodeId(1));
+        assert_eq!(
+            drain(&mut m, false),
+            vec![(1, vec![NodeId(0)]), (2, vec![]), (3, vec![NodeId(2)])]
+        );
+        assert!(drain(&mut m, false).is_empty());
+        m.remove_replica(t(3), NodeId(2));
+        assert_eq!(drain(&mut m, false), vec![(3, vec![])]);
     }
 
     #[test]

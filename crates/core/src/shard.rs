@@ -115,6 +115,19 @@ impl ShardedMappingTable {
         }
     }
 
+    /// [`MappingTable::drain_changes`] over every shard, one write lock
+    /// at a time: a change made while the drain runs is either reported
+    /// by it or left for the next, never lost between the two. A shard
+    /// with nothing to report costs only a read lock, so a quiet round
+    /// never makes the dispatch path wait.
+    pub fn drain_changes(&self, all: bool, mut f: impl FnMut(TargetId, &[NodeId])) {
+        for shard in self.shards.iter() {
+            if all || shard.read().has_changes() {
+                shard.write().drain_changes(all, &mut f);
+            }
+        }
+    }
+
     /// Removes the believed mappings `(target, node)` for every target in
     /// `stale`, taking each distinct covering shard's write lock exactly
     /// once in ascending index order (the [`write_set`](Self::write_set)

@@ -17,17 +17,18 @@
 //!   layer: policies still decide which **back-end node** serves a
 //!   request; the ring only decides which **front-end** owns the
 //!   belief state consulted by that decision.
-//! * [`DispatcherSnapshot`] / [`StateDelta`] / [`TierView`]: a
-//!   serializable export of one dispatcher's state, the per-origin
-//!   delta front-ends gossip on the control plane, and the receiving
-//!   side's merged view. The merge is **commutative and idempotent**:
-//!   each delta carries its origin's full owned share stamped with a
-//!   per-origin sequence number, and the view keeps the highest
-//!   sequence per origin (last-writer-wins per origin). Any delivery
-//!   order, including duplicates, converges to the same view — the
-//!   property that lets front-ends exchange state peer-to-peer with no
-//!   coordinator, and lets a non-owner decide locally from a possibly
-//!   stale view.
+//! * [`StateDelta`] / [`TierView`]: the per-origin delta front-ends
+//!   gossip on the control plane and the receiving side's merged view.
+//!   A delta carries its origin's loads and either its whole owned
+//!   share or only the targets that changed since its previous delta,
+//!   stamped with a per-origin sequence number. The merge is
+//!   **commutative and idempotent**: every target is a last-writer-wins
+//!   register keyed by that sequence (a whole share writes every
+//!   target), so any delivery order, including duplicates, converges to
+//!   the same view — the property that lets front-ends exchange state
+//!   peer-to-peer with no coordinator, and lets a non-owner decide
+//!   locally from a possibly stale view. What a round costs is what
+//!   changed, not the size of the share.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -173,55 +174,25 @@ impl Ring {
     }
 }
 
-/// A full export of one dispatcher's tier-relevant state: fixed-point
-/// local loads per back-end node and the complete believed mapping.
-///
-/// Snapshots are taken by the owner-side host (see
-/// `ConcurrentDispatcher::snapshot`) and projected into per-share
-/// [`StateDelta`]s for gossip.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DispatcherSnapshot {
-    /// Fixed-point ([`LOAD_UNIT`](crate::LOAD_UNIT)) local load per node.
-    pub loads: Vec<i64>,
-    /// Every believed `(target, nodes)` mapping.
-    pub mapping: Vec<(TargetId, Vec<NodeId>)>,
-}
-
-impl DispatcherSnapshot {
-    /// Projects the share of this snapshot that `origin` owns under
-    /// `ring` into a gossip delta stamped `seq`. Loads are carried
-    /// whole (load is per-node, not per-target); mappings are filtered
-    /// to the origin's partition.
-    pub fn delta_for(&self, origin: FeId, seq: u64, ring: &Ring) -> StateDelta {
-        let mapping = self
-            .mapping
-            .iter()
-            .filter(|(t, _)| ring.owner(*t) == origin)
-            .cloned()
-            .collect();
-        StateDelta {
-            origin,
-            seq,
-            loads: self.loads.clone(),
-            mapping,
-        }
-    }
-}
-
-/// One front-end's gossiped state: its **full current owned share**,
-/// replacing (not patching) whatever the receiver previously held for
-/// this origin. Full-state-per-origin plus last-writer-wins by `seq`
-/// is what makes [`TierView::merge`] commutative — there is no
-/// patch-ordering to get wrong.
+/// One front-end's gossiped state, stamped with a per-origin sequence
+/// number: its loads, plus its owned mapping share either **whole**
+/// (`full`: every owned target it does not list is unmapped) or as the
+/// targets whose belief changed since its previous delta (an empty node
+/// set: no longer mapped). Publishers build these with
+/// [`ConcurrentDispatcher::gossip_delta`](crate::ConcurrentDispatcher::gossip_delta):
+/// full on an origin's first round and after a ring change, changes
+/// otherwise.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateDelta {
     /// The front-end this state describes.
     pub origin: FeId,
     /// Monotonic per-origin sequence number; higher wins.
     pub seq: u64,
+    /// Whether `mapping` is the whole owned share or only its changes.
+    pub full: bool,
     /// The origin's fixed-point local load estimate per back-end node.
     pub loads: Vec<i64>,
-    /// The origin's owned mapping share, in full.
+    /// The origin's owned mapping share, whole or changed entries.
     pub mapping: Vec<(TargetId, Vec<NodeId>)>,
 }
 
@@ -249,9 +220,10 @@ impl StateDelta {
     /// Serializes the delta (little-endian, length-free: the control
     /// plane's framing supplies the length).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.loads.len() * 8 + self.mapping.len() * 8);
+        let mut out = Vec::with_capacity(19 + self.loads.len() * 8 + self.mapping.len() * 8);
         out.extend_from_slice(&(self.origin.0 as u32).to_le_bytes());
         out.extend_from_slice(&self.seq.to_le_bytes());
+        out.push(self.full as u8);
         out.extend_from_slice(&(self.loads.len() as u16).to_le_bytes());
         for l in &self.loads {
             out.extend_from_slice(&l.to_le_bytes());
@@ -283,6 +255,11 @@ impl StateDelta {
         let mut cur = Cur(buf);
         let origin = FeId(u32::from_le_bytes(cur.take()?) as usize);
         let seq = u64::from_le_bytes(cur.take()?);
+        let full = match cur.take::<1>()?[0] {
+            0 => false,
+            1 => true,
+            _ => return Err(DeltaError::Malformed),
+        };
         let n_nodes = u16::from_le_bytes(cur.take()?) as usize;
         let mut loads = Vec::with_capacity(n_nodes);
         for _ in 0..n_nodes {
@@ -309,6 +286,7 @@ impl StateDelta {
         Ok(StateDelta {
             origin,
             seq,
+            full,
             loads,
             mapping,
         })
@@ -328,20 +306,56 @@ pub struct MergeOutcome {
     pub removals: Vec<TargetId>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct OriginState {
+    /// Highest sequence merged; the loads are that delta's.
     seq: u64,
     loads: Vec<i64>,
-    mapping: HashMap<TargetId, Vec<NodeId>>,
+    /// Sequence of the newest full share merged: a target without an
+    /// entry is unmapped as of it.
+    floor: u64,
+    /// Per target, the sequence of the delta that last set it and its
+    /// node set. An empty set above `floor` is a tombstone: it stops an
+    /// older delta, delivered late, from resurrecting the target.
+    mapping: HashMap<TargetId, (u64, Vec<NodeId>)>,
 }
 
-/// One front-end's merged view of its peers: per-origin
-/// last-writer-wins state, independent of delivery order.
+impl OriginState {
+    /// Sets `target` to `nodes` as of `seq`, recording any change in the
+    /// adopted (non-empty) mapping as an instruction in `out`.
+    fn set(&mut self, target: TargetId, seq: u64, nodes: &[NodeId], out: &mut MergeOutcome) {
+        let old = self.mapping.insert(target, (seq, nodes.to_vec()));
+        let was = old.as_ref().map_or(&[][..], |(_, n)| n.as_slice());
+        if was != nodes {
+            if nodes.is_empty() {
+                out.removals.push(target);
+            } else {
+                out.upserts.push((target, nodes.to_vec()));
+            }
+        }
+    }
+}
+
+/// One front-end's merged view of its peers: per-origin state that is a
+/// function of the *set* of deltas delivered, not their order.
+///
+/// Each target of an origin's share is a last-writer-wins register: its
+/// value is the one carried by the highest-sequence delta that speaks
+/// for it, where a change delta speaks for the targets it lists and a
+/// full delta for every target (unlisted: unmapped). Loads follow the
+/// highest sequence overall. Both rules are commutative, associative
+/// and idempotent, so any delivery order, with any duplicates,
+/// converges — and when every delta of an origin's stream has been
+/// delivered, the view holds exactly that origin's share as of its last
+/// delta.
 #[derive(Debug)]
 pub struct TierView {
     self_fe: FeId,
     num_nodes: usize,
     origins: HashMap<FeId, OriginState>,
+    /// Origins dropped with [`drop_origin`](Self::drop_origin): a delta
+    /// from one still on the wire must not bring it back.
+    retired: Vec<FeId>,
 }
 
 impl TierView {
@@ -351,69 +365,86 @@ impl TierView {
             self_fe,
             num_nodes,
             origins: HashMap::new(),
+            retired: Vec::new(),
         }
     }
 
-    /// Merges one gossiped delta. Deltas from `self` (echoes) and
-    /// deltas whose sequence does not advance the stored one are
-    /// ignored (`applied == false`, no instructions); node-count
-    /// mismatches are treated the same way rather than corrupting the
-    /// view. Otherwise the origin's stored state is replaced wholesale
-    /// and the outcome lists the mapping difference for the host to
-    /// adopt.
+    /// Merges one gossiped delta and returns the mapping difference for
+    /// the host to adopt. Echoes of `self`, deltas from a retired origin
+    /// and node-count mismatches are ignored rather than corrupting the
+    /// view; a delta that changes nothing — stale, duplicate, or
+    /// overtaken by newer ones — reports `applied == false`.
     pub fn merge(&mut self, delta: &StateDelta) -> MergeOutcome {
+        let mut out = MergeOutcome::default();
         if delta.origin == self.self_fe
             || delta.loads.len() != self.num_nodes
-            || self
-                .origins
-                .get(&delta.origin)
-                .is_some_and(|s| s.seq >= delta.seq)
+            || self.retired.contains(&delta.origin)
         {
-            return MergeOutcome::default();
+            return out;
         }
-        let new_map: HashMap<TargetId, Vec<NodeId>> = delta
-            .mapping
-            .iter()
-            .filter(|(_, nodes)| !nodes.is_empty())
-            .cloned()
-            .collect();
-        let old = self.origins.insert(
-            delta.origin,
-            OriginState {
-                seq: delta.seq,
-                loads: delta.loads.clone(),
-                mapping: new_map.clone(),
-            },
-        );
-        let old_map = old.map(|s| s.mapping).unwrap_or_default();
-        let mut upserts: Vec<(TargetId, Vec<NodeId>)> = new_map
-            .iter()
-            .filter(|(t, nodes)| old_map.get(t) != Some(nodes))
-            .map(|(&t, nodes)| (t, nodes.clone()))
-            .collect();
-        let mut removals: Vec<TargetId> = old_map
-            .keys()
-            .filter(|t| !new_map.contains_key(t))
-            .copied()
-            .collect();
+        let st = self.origins.entry(delta.origin).or_default();
+        let seq = delta.seq;
+        if seq > st.seq {
+            st.seq = seq;
+            st.loads.clone_from(&delta.loads);
+            out.applied = true;
+        }
+        if delta.full && seq > st.floor {
+            // Everything this share speaks for and nothing newer has
+            // set: listed targets take its value, the rest are unmapped
+            // (and need no entry once the floor covers them).
+            let listed: HashMap<TargetId, &[NodeId]> = delta
+                .mapping
+                .iter()
+                .map(|(t, nodes)| (*t, nodes.as_slice()))
+                .collect();
+            let older: Vec<TargetId> = st
+                .mapping
+                .iter()
+                .filter(|(t, (s, _))| *s < seq && !listed.contains_key(*t))
+                .map(|(&t, _)| t)
+                .collect();
+            for t in older {
+                if st.mapping.remove(&t).is_some_and(|(_, n)| !n.is_empty()) {
+                    out.removals.push(t);
+                }
+            }
+            for (&t, nodes) in &listed {
+                if st.mapping.get(&t).is_none_or(|(s, _)| *s < seq) {
+                    st.set(t, seq, nodes, &mut out);
+                }
+            }
+            st.floor = seq;
+        } else if !delta.full {
+            for (t, nodes) in &delta.mapping {
+                if seq > st.mapping.get(t).map_or(st.floor, |(s, _)| *s) {
+                    st.set(*t, seq, nodes, &mut out);
+                }
+            }
+        }
         // Deterministic instruction order (HashMap iteration is not).
-        upserts.sort_by_key(|(t, _)| t.0);
-        removals.sort_by_key(|t| t.0);
-        MergeOutcome {
-            applied: true,
-            upserts,
-            removals,
-        }
+        out.upserts.sort_by_key(|(t, _)| t.0);
+        out.removals.sort_by_key(|t| t.0);
+        out.applied |= !out.upserts.is_empty() || !out.removals.is_empty();
+        out
     }
 
-    /// Forgets a decommissioned origin entirely; the outcome's
-    /// removals are its whole adopted share (the ring's new owner will
-    /// re-assert whatever is still live).
+    /// Forgets a decommissioned origin for good; the outcome's removals
+    /// are its whole adopted share (the ring's new owner will re-assert
+    /// whatever is still live), and later deltas from it are ignored.
     pub fn drop_origin(&mut self, fe: FeId) -> MergeOutcome {
+        if !self.retired.contains(&fe) {
+            self.retired.push(fe);
+        }
         match self.origins.remove(&fe) {
             None => MergeOutcome::default(),
             Some(state) => {
-                let mut removals: Vec<TargetId> = state.mapping.into_keys().collect();
+                let mut removals: Vec<TargetId> = state
+                    .mapping
+                    .into_iter()
+                    .filter(|(_, (_, nodes))| !nodes.is_empty())
+                    .map(|(t, _)| t)
+                    .collect();
                 removals.sort_by_key(|t| t.0);
                 MergeOutcome {
                     applied: true,
@@ -449,7 +480,12 @@ impl TierView {
     /// stronger than the load/seq spot-checks.
     pub fn origin_mapping(&self, fe: FeId) -> Option<Vec<(TargetId, Vec<NodeId>)>> {
         self.origins.get(&fe).map(|s| {
-            let mut v: Vec<_> = s.mapping.iter().map(|(&t, n)| (t, n.clone())).collect();
+            let mut v: Vec<_> = s
+                .mapping
+                .iter()
+                .filter(|(_, (_, n))| !n.is_empty())
+                .map(|(&t, (_, n))| (t, n.clone()))
+                .collect();
             v.sort_by_key(|(t, _)| t.0);
             v
         })
@@ -535,30 +571,45 @@ mod tests {
         ring.remove_fe(FeId(0));
     }
 
+    /// A delta from `origin` at `seq`, whole share or changes.
+    fn delta(origin: usize, seq: u64, full: bool, mapping: &[(u32, &[usize])]) -> StateDelta {
+        StateDelta {
+            origin: FeId(origin),
+            seq,
+            full,
+            loads: vec![seq as i64, 0],
+            mapping: mapping
+                .iter()
+                .map(|&(x, nodes)| (t(x), nodes.iter().map(|&n| NodeId(n)).collect()))
+                .collect(),
+        }
+    }
+
     #[test]
     fn delta_roundtrips() {
-        let d = StateDelta {
-            origin: FeId(2),
-            seq: 99,
-            loads: vec![1 << 20, -3, 0],
-            mapping: vec![(t(5), vec![NodeId(0), NodeId(2)]), (t(9), vec![NodeId(1)])],
-        };
-        let bytes = d.encode();
-        assert_eq!(StateDelta::decode(&bytes).unwrap(), d);
-        assert_eq!(StateDelta::decode(&bytes[..4]), Err(DeltaError::Truncated));
-        let mut extra = bytes.clone();
-        extra.push(0);
-        assert_eq!(StateDelta::decode(&extra), Err(DeltaError::Malformed));
+        for full in [true, false] {
+            let d = StateDelta {
+                origin: FeId(2),
+                seq: 99,
+                full,
+                loads: vec![1 << 20, -3, 0],
+                mapping: vec![(t(5), vec![NodeId(0), NodeId(2)]), (t(9), vec![])],
+            };
+            let bytes = d.encode();
+            assert_eq!(StateDelta::decode(&bytes).unwrap(), d);
+            assert_eq!(StateDelta::decode(&bytes[..4]), Err(DeltaError::Truncated));
+            let mut extra = bytes.clone();
+            extra.push(0);
+            assert_eq!(StateDelta::decode(&extra), Err(DeltaError::Malformed));
+            let mut flag = bytes.clone();
+            flag[12] = 2; // the byte after origin and seq
+            assert_eq!(StateDelta::decode(&flag), Err(DeltaError::Malformed));
+        }
     }
 
     #[test]
     fn decode_rejects_out_of_range_node() {
-        let d = StateDelta {
-            origin: FeId(0),
-            seq: 1,
-            loads: vec![0, 0],
-            mapping: vec![(t(1), vec![NodeId(1)])],
-        };
+        let d = delta(0, 1, true, &[(1, &[1])]);
         let mut bytes = d.encode();
         // Patch the node index (last two bytes) past num_nodes.
         let n = bytes.len();
@@ -569,12 +620,7 @@ mod tests {
     #[test]
     fn merge_is_lww_per_origin_and_reports_diffs() {
         let mut view = TierView::new(FeId(0), 2);
-        let d1 = StateDelta {
-            origin: FeId(1),
-            seq: 1,
-            loads: vec![5, 0],
-            mapping: vec![(t(1), vec![NodeId(0)]), (t(2), vec![NodeId(1)])],
-        };
+        let d1 = delta(1, 1, true, &[(1, &[0]), (2, &[1])]);
         let out = view.merge(&d1);
         assert!(out.applied);
         assert_eq!(out.upserts.len(), 2);
@@ -583,17 +629,12 @@ mod tests {
         // Stale and duplicate deltas are ignored.
         assert!(!view.merge(&d1).applied);
 
-        let d2 = StateDelta {
-            origin: FeId(1),
-            seq: 2,
-            loads: vec![0, 7],
-            mapping: vec![(t(1), vec![NodeId(0), NodeId(1)])],
-        };
+        let d2 = delta(1, 2, true, &[(1, &[0, 1])]);
         let out = view.merge(&d2);
         assert!(out.applied);
         assert_eq!(out.upserts, vec![(t(1), vec![NodeId(0), NodeId(1)])]);
         assert_eq!(out.removals, vec![t(2)]);
-        assert_eq!(view.remote_load_fixed(), vec![0, 7]);
+        assert_eq!(view.remote_load_fixed(), vec![2, 0]);
 
         // Out-of-order redelivery of the older delta changes nothing.
         assert!(!view.merge(&d1).applied);
@@ -601,21 +642,63 @@ mod tests {
     }
 
     #[test]
+    fn changes_patch_the_share_they_follow() {
+        let mut view = TierView::new(FeId(0), 2);
+        view.merge(&delta(1, 1, true, &[(1, &[0]), (2, &[1])]));
+        // A change delta touches only what it lists.
+        let out = view.merge(&delta(1, 2, false, &[(2, &[]), (3, &[0])]));
+        assert_eq!(out.upserts, vec![(t(3), vec![NodeId(0)])]);
+        assert_eq!(out.removals, vec![t(2)]);
+        assert_eq!(
+            view.origin_mapping(FeId(1)).unwrap(),
+            vec![(t(1), vec![NodeId(0)]), (t(3), vec![NodeId(0)])]
+        );
+        // A round with nothing changed still refreshes the loads.
+        let out = view.merge(&delta(1, 3, false, &[]));
+        assert!(out.applied && out.upserts.is_empty() && out.removals.is_empty());
+        assert_eq!(view.origin_loads(FeId(1)), Some(&[3, 0][..]));
+        assert!(!view.merge(&delta(1, 3, false, &[])).applied);
+    }
+
+    #[test]
+    fn late_deltas_cannot_undo_newer_ones() {
+        let mut view = TierView::new(FeId(0), 2);
+        // Seq 3 unmaps target 1 and arrives before seq 2, which mapped
+        // it: the tombstone keeps it unmapped.
+        view.merge(&delta(1, 1, true, &[(1, &[0])]));
+        view.merge(&delta(1, 3, false, &[(1, &[])]));
+        let out = view.merge(&delta(1, 2, false, &[(1, &[1]), (4, &[1])]));
+        assert_eq!(out.upserts, vec![(t(4), vec![NodeId(1)])]);
+        assert!(out.removals.is_empty());
+        // A whole share older than a change keeps the change.
+        let out = view.merge(&delta(1, 5, false, &[(7, &[0])]));
+        assert_eq!(out.upserts, vec![(t(7), vec![NodeId(0)])]);
+        let out = view.merge(&delta(1, 4, true, &[(4, &[0])]));
+        assert_eq!(out.upserts, vec![(t(4), vec![NodeId(0)])]);
+        assert!(out.removals.is_empty(), "{out:?}");
+        assert_eq!(
+            view.origin_mapping(FeId(1)).unwrap(),
+            vec![(t(4), vec![NodeId(0)]), (t(7), vec![NodeId(0)])]
+        );
+        assert_eq!(view.origin_seq(FeId(1)), Some(5));
+        assert_eq!(view.origin_loads(FeId(1)), Some(&[5, 0][..]));
+        // A whole share newer than everything replaces everything.
+        let out = view.merge(&delta(1, 6, true, &[(9, &[1])]));
+        assert_eq!(out.upserts, vec![(t(9), vec![NodeId(1)])]);
+        assert_eq!(out.removals, vec![t(4), t(7)]);
+        assert_eq!(
+            view.origins[&FeId(1)].mapping.len(),
+            1,
+            "stale entries kept"
+        );
+    }
+
+    #[test]
     fn merge_ignores_self_and_mismatched_node_counts() {
         let mut view = TierView::new(FeId(0), 2);
-        let echo = StateDelta {
-            origin: FeId(0),
-            seq: 5,
-            loads: vec![0, 0],
-            mapping: Vec::new(),
-        };
-        assert!(!view.merge(&echo).applied);
-        let bad = StateDelta {
-            origin: FeId(1),
-            seq: 1,
-            loads: vec![0; 3],
-            mapping: Vec::new(),
-        };
+        assert!(!view.merge(&delta(0, 5, true, &[])).applied);
+        let mut bad = delta(1, 1, true, &[]);
+        bad.loads = vec![0; 3];
         assert!(!view.merge(&bad).applied);
         assert_eq!(view.num_origins(), 0);
     }
@@ -623,31 +706,35 @@ mod tests {
     #[test]
     fn drop_origin_removes_its_whole_share() {
         let mut view = TierView::new(FeId(0), 2);
-        view.merge(&StateDelta {
-            origin: FeId(1),
-            seq: 1,
-            loads: vec![9, 9],
-            mapping: vec![(t(3), vec![NodeId(0)]), (t(4), vec![NodeId(1)])],
-        });
+        view.merge(&delta(1, 1, true, &[(3, &[0]), (4, &[1])]));
+        view.merge(&delta(1, 2, false, &[(5, &[])]));
         let out = view.drop_origin(FeId(1));
         assert!(out.applied);
         assert_eq!(out.removals, vec![t(3), t(4)]);
         assert_eq!(view.remote_load_fixed(), vec![0, 0]);
         assert!(!view.drop_origin(FeId(1)).applied);
+        // A delta it sent before it was dropped is still on the wire.
+        assert!(!view.merge(&delta(1, 3, false, &[(6, &[0])])).applied);
+        assert_eq!(view.num_origins(), 0);
     }
 
     #[test]
     fn snapshot_projection_filters_by_ownership() {
         let ring = Ring::new(2);
-        let snap = DispatcherSnapshot {
-            loads: vec![1, 2],
-            mapping: (0..200).map(|i| (t(i), vec![NodeId(0)])).collect(),
-        };
-        let d0 = snap.delta_for(FeId(0), 1, &ring);
-        let d1 = snap.delta_for(FeId(1), 1, &ring);
+        let d = crate::ConcurrentDispatcher::new(
+            crate::PolicyKind::ExtLard,
+            crate::ForwardSemantics::LateralFetch,
+            2,
+            crate::LardParams::default(),
+        );
+        for i in 0..200 {
+            d.mapping().write(t(i), |m| m.add_replica(t(i), NodeId(0)));
+        }
+        let d0 = d.gossip_delta(FeId(0), 1, true, &ring);
+        let d1 = d.gossip_delta(FeId(1), 1, true, &ring);
         assert_eq!(d0.mapping.len() + d1.mapping.len(), 200);
         assert!(d0.mapping.iter().all(|(x, _)| ring.owner(*x) == FeId(0)));
         assert!(d1.mapping.iter().all(|(x, _)| ring.owner(*x) == FeId(1)));
-        assert_eq!(d0.loads, vec![1, 2]);
+        assert_eq!(d0.loads, vec![0, 0]);
     }
 }

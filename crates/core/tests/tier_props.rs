@@ -1,13 +1,31 @@
 //! Property tests for the front-end tier layer: consistent-hash ring
-//! rebalancing bounds and commutativity of the state merge.
+//! rebalancing bounds, commutativity of the state merge, and that
+//! gossiping only what changed converges to exactly the owner's share.
 
 use phttp_core::tier::{Ring, StateDelta, TierView};
-use phttp_core::{FeId, NodeId};
+use phttp_core::{ConcurrentDispatcher, FeId, ForwardSemantics, LardParams, NodeId, PolicyKind};
 use phttp_trace::TargetId;
 use proptest::prelude::*;
 
 fn owners(ring: &Ring, targets: u32) -> Vec<FeId> {
     (0..targets).map(|i| ring.owner(TargetId(i))).collect()
+}
+
+/// A Fisher–Yates permutation of `0..n` driven by `seed` (splitmix64).
+fn shuffled(n: usize, seed: u64) -> Vec<usize> {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut x = state;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    };
+    let mut order: Vec<usize> = (0..n).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    order
 }
 
 proptest! {
@@ -82,12 +100,13 @@ proptest! {
 
     /// The tier merge converges to the same *whole view* regardless of
     /// delivery order, duplication, or re-delivery of stale deltas from
-    /// any mix of origins (commutative + idempotent LWW per origin).
-    /// Equality is asserted on the canonical per-origin mapping dumps,
-    /// loads, and sequences — not just summary gauges.
+    /// any mix of origins and any mix of whole shares and changes
+    /// (commutative + idempotent LWW per target). Equality is asserted
+    /// on the canonical per-origin mapping dumps, loads, and sequences —
+    /// not just summary gauges.
     #[test]
     fn merge_is_order_independent(
-        seqs in proptest::collection::vec((1usize..5, 1u64..6), 1..24),
+        seqs in proptest::collection::vec((1usize..5, 1u64..8), 1..24),
         shuffle_seed in proptest::strategy::any::<u64>(),
         dups in proptest::collection::vec(0usize..24, 0..12),
     ) {
@@ -96,8 +115,8 @@ proptest! {
         // different states under one sequence number, which is exactly
         // the per-origin monotonicity the gossip protocol guarantees.
         // Payloads vary in size, overlap across sequences (so LWW must
-        // actually replace), and include an empty node set (which the
-        // merge filters out) to exercise the removal path.
+        // actually replace), mix whole shares with changes, and include
+        // an empty node set (unmapped) to exercise the removal path.
         let deltas: Vec<StateDelta> = seqs
             .iter()
             .map(|&(origin, seq)| {
@@ -108,11 +127,12 @@ proptest! {
                 ];
                 if seq % 2 == 0 {
                     mapping.push((TargetId(base + 1), vec![NodeId(1)]));
-                    mapping.push((TargetId(base + 2), vec![])); // filtered on merge
+                    mapping.push((TargetId(base - 1), vec![]));
                 }
                 StateDelta {
                     origin: FeId(origin),
                     seq,
+                    full: seq % 3 == 1,
                     loads: vec![seq as i64, origin as i64],
                     mapping,
                 }
@@ -124,22 +144,10 @@ proptest! {
             a.merge(d);
         }
 
-        // Fisher–Yates permutation from the proptest-chosen seed, plus
-        // arbitrary re-deliveries sprinkled in afterwards.
-        let mut state = shuffle_seed;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut x = state;
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^ (x >> 31)
-        };
-        let mut order: Vec<usize> = (0..deltas.len()).collect();
-        for i in (1..order.len()).rev() {
-            order.swap(i, (next() % (i as u64 + 1)) as usize);
-        }
+        // A permutation from the proptest-chosen seed, plus arbitrary
+        // re-deliveries sprinkled in afterwards.
         let mut b = TierView::new(FeId(0), 2);
-        for &i in &order {
+        for i in shuffled(deltas.len(), shuffle_seed) {
             b.merge(&deltas[i]);
         }
         for &d in &dups {
@@ -158,5 +166,72 @@ proptest! {
                 "adopted mapping diverges at {}", fe
             );
         }
+    }
+
+    /// Gossip from the change journal loses nothing: a dispatcher whose
+    /// mapping churns arbitrarily publishes a whole share, then only
+    /// changes (with an occasional whole share again), and a peer that
+    /// receives those deltas in any order, with duplicates, ends up
+    /// holding exactly the publisher's owned share — what a whole share
+    /// every round would have told it, at the cost of the changes.
+    #[test]
+    fn journal_gossip_converges_to_the_owners_share(
+        ops in proptest::collection::vec((0u8..6, 0u32..24, 0usize..3), 1..60),
+        publish_every in 1usize..6,
+        shuffle_seed in proptest::strategy::any::<u64>(),
+        dups in proptest::collection::vec(0usize..64, 0..8),
+    ) {
+        let ring = Ring::new(2);
+        let origin = FeId(0);
+        let d = ConcurrentDispatcher::new(
+            PolicyKind::ExtLard,
+            ForwardSemantics::LateralFetch,
+            3,
+            LardParams::default(),
+        );
+        let mut deltas = vec![d.gossip_delta(origin, 1, true, &ring)];
+        for (i, &(kind, target, node)) in ops.iter().enumerate() {
+            let (t, n) = (TargetId(target), NodeId(node));
+            match kind {
+                0 => d.mapping().write(t, |m| m.add_replica(t, n)),
+                1 => d.mapping().write(t, |m| m.assign_exclusive(t, n)),
+                2 => d.mapping().write(t, |m| m.remove_replica(t, n)),
+                3 => d.mapping().write(t, |m| m.set_nodes(t, &[n, NodeId(0)])),
+                4 => d.mapping().write(t, |m| m.set_nodes(t, &[])),
+                _ => d.mapping().evict_node(n),
+            }
+            if i % publish_every == 0 {
+                let seq = deltas.len() as u64 + 1;
+                // Every seventh round is a whole share again (a resync).
+                deltas.push(d.gossip_delta(origin, seq, seq.is_multiple_of(7), &ring));
+            }
+        }
+        let seq = deltas.len() as u64 + 1;
+        deltas.push(d.gossip_delta(origin, seq, false, &ring));
+
+        let mut truth: Vec<(TargetId, Vec<NodeId>)> = Vec::new();
+        for x in 0..24 {
+            let t = TargetId(x);
+            let nodes = d.mapping().nodes(t);
+            if ring.owner(t) == origin && !nodes.is_empty() {
+                truth.push((t, nodes));
+            }
+        }
+
+        let mut in_order = TierView::new(FeId(1), 3);
+        for delta in &deltas {
+            in_order.merge(delta);
+        }
+        let mut shuffled_view = TierView::new(FeId(1), 3);
+        for i in shuffled(deltas.len(), shuffle_seed) {
+            shuffled_view.merge(&deltas[i]);
+        }
+        for &i in &dups {
+            shuffled_view.merge(&deltas[i % deltas.len()]);
+        }
+        prop_assert_eq!(in_order.origin_mapping(origin), Some(truth.clone()));
+        prop_assert_eq!(shuffled_view.origin_mapping(origin), Some(truth));
+        prop_assert_eq!(in_order.origin_seq(origin), Some(seq));
+        prop_assert_eq!(shuffled_view.origin_seq(origin), Some(seq));
     }
 }

@@ -288,7 +288,7 @@ pub const DECLARED_ORDER: &[(LockGroup, LockGroup)] = &[
     (LockGroup::MappingShard, LockGroup::Health),
     (LockGroup::MappingShard, LockGroup::Mirror),
     // Gossip publish serializes, then reads ring ownership, then
-    // snapshots the mapping under shard read locks.
+    // drains the mapping's change journal shard by shard.
     (LockGroup::GossipPublish, LockGroup::Ring),
     (LockGroup::Ring, LockGroup::MappingShard),
     // Node data path: feedback events are appended (and the join

@@ -384,6 +384,7 @@ mod tests {
         let delta = ControlMsg::StateDelta(StateDelta {
             origin: FeId(1),
             seq: 7,
+            full: false,
             loads: vec![3, -1],
             mapping: vec![(t(9), vec![NodeId(0), NodeId(1)])],
         });

@@ -328,11 +328,18 @@ impl FrontEnd {
         }
     }
 
-    /// Serializable projection of this front-end's dispatcher state —
-    /// what it gossips to tier peers (its own loads, its full believed
-    /// mapping).
-    pub fn snapshot(&self) -> phttp_core::DispatcherSnapshot {
-        self.dispatcher.snapshot()
+    /// This front-end's next gossip delta as tier member `origin`: its
+    /// own loads plus its `ring`-owned mapping share, whole (`full`) or
+    /// only what changed since the previous delta (see
+    /// [`phttp_core::ConcurrentDispatcher::gossip_delta`]).
+    pub fn gossip_delta(
+        &self,
+        origin: phttp_core::FeId,
+        seq: u64,
+        full: bool,
+        ring: &phttp_core::Ring,
+    ) -> phttp_core::StateDelta {
+        self.dispatcher.gossip_delta(origin, seq, full, ring)
     }
 
     /// Folds a merged peer-state diff ([`phttp_core::TierView::merge`])

@@ -30,13 +30,15 @@
 //! * **Gossip** — front-ends exchange dispatcher state peer-to-peer:
 //!   every gossip tick each front-end publishes a
 //!   [`phttp_core::StateDelta`] (its own loads plus the believed
-//!   mapping for the targets it *owns*) as [`ControlMsg::StateDelta`]
-//!   frames on pairwise loopback sessions. Receivers fold deltas into
-//!   a per-front-end [`TierView`] (last-writer-wins per origin — the
-//!   merge is commutative and idempotent, so delivery order and
-//!   duplication cannot diverge the views) and adopt the diff into
-//!   their own dispatcher: mapping upserts via
-//!   [`FrontEnd::adopt_merge`], aggregate peer load via
+//!   mapping for the targets it *owns* — the whole share on its first
+//!   round and after a ring change, otherwise only the targets whose
+//!   belief changed since its previous round) as
+//!   [`ControlMsg::StateDelta`] frames on pairwise loopback sessions.
+//!   Receivers fold deltas into a per-front-end [`TierView`]
+//!   (last-writer-wins per target — the merge is commutative and
+//!   idempotent, so delivery order and duplication cannot diverge the
+//!   views) and adopt the diff into their own dispatcher: mapping
+//!   upserts via [`FrontEnd::adopt_merge`], aggregate peer load via
 //!   [`FrontEnd::set_remote_loads`]. A non-owner front-end thus
 //!   decides from its possibly-stale merged view; the owner is the
 //!   authority that republishes.
@@ -444,10 +446,14 @@ pub(crate) struct Cursor {
 struct FeTier {
     view: Mutex<TierView>,
     seq: AtomicU64,
-    /// Held across (seq bump, snapshot, deliver) so two concurrent
+    /// Held across (seq bump, journal drain, deliver) so two concurrent
     /// publishes for one origin cannot emit reordered payloads under
     /// ordered sequence numbers.
     publish: Mutex<()>,
+    /// The next delta must carry the whole owned share: set at start
+    /// (peers know nothing yet) and when the ring hands this front-end
+    /// targets whose earlier changes it never journaled as its own.
+    resync: AtomicBool,
     /// Connections admitted to this front-end (lifetime counter).
     admitted: AtomicU64,
 }
@@ -468,6 +474,8 @@ pub struct Vip {
     /// Gossip write halves: `gossip_tx[f][g]` carries `f`'s deltas to
     /// `g` (`None` on the diagonal).
     gossip_tx: Vec<Vec<Option<Mutex<TcpStream>>>>,
+    /// Bytes written to gossip sessions (lifetime counter).
+    gossip_bytes: AtomicU64,
     rr: AtomicUsize,
     handoffs: AtomicU64,
     fe_kills: AtomicU64,
@@ -550,10 +558,12 @@ impl Vip {
                     ),
                     seq: AtomicU64::new(0),
                     publish: Mutex::new_classed(LockClass::gossip_publish(f as u32), ()),
+                    resync: AtomicBool::new(true),
                     admitted: AtomicU64::new(0),
                 })
                 .collect(),
             gossip_tx,
+            gossip_bytes: AtomicU64::new(0),
             rr: AtomicUsize::new(0),
             handoffs: AtomicU64::new(0),
             fe_kills: AtomicU64::new(0),
@@ -627,6 +637,13 @@ impl Vip {
     /// Gossip rounds published by front-end `f`.
     pub fn gossip_seq(&self, f: usize) -> u64 {
         self.tiers[f].seq.load(Ordering::Relaxed)
+    }
+
+    /// Bytes the tier has written to its gossip sessions so far (frame
+    /// headers included; [`sync_now`](Self::sync_now) bypasses the wire
+    /// and is not counted).
+    pub fn gossip_bytes(&self) -> u64 {
+        self.gossip_bytes.load(Ordering::Relaxed)
     }
 
     /// Routes a new client connection: picks a live front-end round
@@ -764,6 +781,9 @@ impl Vip {
             if g == f || !self.alive[g].load(Ordering::Relaxed) {
                 continue;
             }
+            // Set after the ring write, read before the ring read: a
+            // publish that sees the flag drains under the new ring.
+            self.tiers[g].resync.store(true, Ordering::SeqCst);
             // Drop the dead origin's authority and load bias. Its
             // already-adopted mapping beliefs stay: the caches they
             // describe did not die with the front-end, and the
@@ -789,23 +809,30 @@ impl Vip {
                 continue;
             }
             if let Some(tx) = &self.gossip_tx[f][g] {
-                let _ = tx.lock().write_all(&frame);
+                if tx.lock().write_all(&frame).is_ok() {
+                    self.gossip_bytes
+                        .fetch_add(frame.len() as u64, Ordering::Relaxed);
+                }
             }
         }
     }
 
-    /// Builds `f`'s next encoded [`ControlMsg::StateDelta`] frame
-    /// (`None` once `f` is dead — a killed origin must stop
-    /// publishing, or survivors would resurrect its authority).
+    /// Builds `f`'s next encoded [`ControlMsg::StateDelta`] frame: its
+    /// loads and what changed in its owned share since its previous
+    /// frame, or the whole share when a resync is due (`None` once `f`
+    /// is dead — a killed origin must stop publishing, or survivors
+    /// would resurrect its authority).
     fn make_delta_frame(&self, f: usize) -> Option<Vec<u8>> {
         if !self.alive[f].load(Ordering::Relaxed) {
             return None;
         }
-        let _g = self.tiers[f].publish.lock();
-        let seq = self.tiers[f].seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let tier = &self.tiers[f];
+        let _g = tier.publish.lock();
+        let seq = tier.seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let full = tier.resync.swap(false, Ordering::SeqCst);
         let delta = {
             let ring = self.ring.read();
-            self.fes[f].snapshot().delta_for(FeId(f), seq, &ring)
+            self.fes[f].gossip_delta(FeId(f), seq, full, &ring)
         };
         Some(encode(&ControlMsg::StateDelta(delta)))
     }
@@ -873,6 +900,7 @@ impl Vip {
         }
         let threads = std::mem::take(&mut *self.threads.lock());
         for t in threads {
+            t.thread().unpark(); // the driver parks between rounds
             let _ = t.join();
         }
     }
@@ -892,8 +920,14 @@ impl Vip {
     /// The gossip driver: publishes every live front-end's delta each
     /// interval.
     fn run_driver(&self, interval: Duration) {
-        while !self.stop.load(Ordering::Relaxed) {
-            std::thread::sleep(interval);
+        loop {
+            let due = Instant::now() + interval;
+            while let Some(left) = due.checked_duration_since(Instant::now()) {
+                if self.stop.load(Ordering::Relaxed) {
+                    return;
+                }
+                std::thread::park_timeout(left);
+            }
             if self.stop.load(Ordering::Relaxed) {
                 return;
             }
@@ -946,6 +980,16 @@ pub(crate) mod tests {
     use phttp_core::{LardParams, Mechanism, PolicyKind};
 
     pub(crate) fn tier(m: usize, nodes: usize) -> (Arc<Vip>, Vec<Arc<FrontEnd>>) {
+        tier_gossiping_every(m, nodes, Duration::from_millis(1))
+    }
+
+    /// A tier whose driver publishes every `interval`; with an hour, a
+    /// delta is built only when the test calls `make_delta_frame`.
+    fn tier_gossiping_every(
+        m: usize,
+        nodes: usize,
+        interval: Duration,
+    ) -> (Arc<Vip>, Vec<Arc<FrontEnd>>) {
         let store = Arc::new(ContentStore::from_sizes(vec![1024; 32]));
         let node_states: Vec<Arc<NodeState>> = (0..nodes)
             .map(|i| {
@@ -971,7 +1015,7 @@ pub(crate) mod tests {
                 )
             })
             .collect();
-        (Vip::start(fes.clone(), Duration::from_millis(1)), fes)
+        (Vip::start(fes.clone(), interval), fes)
     }
 
     pub(crate) fn key(port: u16) -> ClientKey {
@@ -1260,6 +1304,142 @@ pub(crate) mod tests {
             vip.release(f, conn);
         }
         assert!(vip.quiesce(Duration::from_secs(2)));
+        vip.shutdown();
+    }
+
+    /// Decodes front-end `f`'s next delta frame.
+    fn next_delta(vip: &Vip, f: usize) -> phttp_core::StateDelta {
+        let mut dec = FrameDecoder::new();
+        dec.feed(&vip.make_delta_frame(f).expect("a live origin publishes"));
+        match dec.next() {
+            Ok(Some(ControlMsg::StateDelta(delta))) => delta,
+            other => panic!("not a state delta: {other:?}"),
+        }
+    }
+
+    /// The mapping share `f` owns on `vip`'s ring, as gossip dumps it.
+    fn owned_share(vip: &Vip, fes: &[Arc<FrontEnd>], f: usize) -> Vec<(TargetId, Vec<NodeId>)> {
+        (0..32)
+            .map(TargetId)
+            .filter(|&t| vip.ring_owner(t) == FeId(f))
+            .map(|t| (t, fes[f].mapping().nodes(t)))
+            .filter(|(_, nodes)| !nodes.is_empty())
+            .collect()
+    }
+
+    /// A round carries the whole owned share first, then only what
+    /// changed in it; a ring change makes the survivors resync.
+    #[test]
+    fn deltas_carry_the_share_once_then_only_changes() {
+        let (vip, fes) = tier_gossiping_every(3, 2, Duration::from_secs(3600));
+        for t in 0..32 {
+            fes[0]
+                .mapping()
+                .write(TargetId(t), |m| m.add_replica(TargetId(t), NodeId(0)));
+        }
+        let first = next_delta(&vip, 0);
+        assert!(first.full);
+        assert_eq!(first.mapping, owned_share(&vip, &fes, 0));
+        assert!(!first.mapping.is_empty());
+        let quiet = next_delta(&vip, 0);
+        assert!(!quiet.full && quiet.mapping.is_empty(), "{quiet:?}");
+        assert_eq!(quiet.seq, first.seq + 1);
+
+        let mine = first.mapping[0].0;
+        let theirs = (0..32)
+            .map(TargetId)
+            .find(|&t| vip.ring_owner(t) != FeId(0))
+            .expect("a peer owns something");
+        for t in [mine, theirs] {
+            fes[0].mapping().write(t, |m| m.add_replica(t, NodeId(1)));
+        }
+        let changed = next_delta(&vip, 0);
+        assert_eq!(changed.mapping, vec![(mine, vec![NodeId(0), NodeId(1)])]);
+
+        // Front-end 0 inherits part of 1's share, whose targets it never
+        // journaled as its own: its next round is whole again.
+        assert!(vip.kill_frontend(1));
+        let resync = next_delta(&vip, 0);
+        assert!(resync.full);
+        assert_eq!(resync.mapping, owned_share(&vip, &fes, 0));
+        assert!(resync.mapping.len() > first.mapping.len());
+        assert!(!next_delta(&vip, 0).full);
+        vip.shutdown();
+    }
+
+    /// Over the wire, with mappings churning on every front-end and one
+    /// of them killed midway, each survivor's view of each live peer
+    /// converges to exactly that peer's owned share.
+    #[test]
+    fn wire_gossip_views_converge_to_owner_shares() {
+        let (vip, fes) = tier(3, 2);
+        let churn = |round: usize| {
+            for (f, fe) in fes.iter().enumerate() {
+                for t in (0..32)
+                    .map(TargetId)
+                    .filter(|t| (t.0 as usize + round) % 3 == f)
+                {
+                    fe.mapping()
+                        .write(t, |m| m.assign_exclusive(t, NodeId((round + f) % 2)));
+                }
+            }
+        };
+        let converged = |live: &[usize]| {
+            live.iter().all(|&g| {
+                live.iter().filter(|&&f| f != g).all(|&f| {
+                    vip.tiers[g].view.lock().origin_mapping(FeId(f))
+                        == Some(owned_share(&vip, &fes, f))
+                })
+            })
+        };
+        let wait = |live: &[usize]| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !converged(live) {
+                assert!(Instant::now() < deadline, "views never converged");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        for round in 0..3 {
+            churn(round);
+            wait(&[0, 1, 2]);
+        }
+        assert!(vip.kill_frontend(2));
+        for round in 3..6 {
+            churn(round);
+            wait(&[0, 1]);
+        }
+        vip.shutdown();
+    }
+
+    /// At steady state a round costs the loads, not the share.
+    #[test]
+    fn steady_state_gossip_costs_loads_not_the_share() {
+        let (vip, fes) = tier(2, 2);
+        for fe in &fes {
+            for t in 0..32 {
+                fe.mapping()
+                    .write(TargetId(t), |m| m.add_replica(TargetId(t), NodeId(0)));
+            }
+        }
+        let rounds = || vip.gossip_seq(0) + vip.gossip_seq(1);
+        let start = rounds();
+        while rounds() < start + 8 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (r0, b0) = (rounds(), vip.gossip_bytes());
+        while rounds() < r0 + 50 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (r1, b1) = (rounds(), vip.gossip_bytes());
+        // Frame header 5, origin 4, seq 8, flag 1, loads 2 + 2 * 8,
+        // mapping count 4: a quiet round to one peer.
+        let quiet_frame = 5 + 4 + 8 + 1 + 2 + 2 * 8 + 4;
+        assert!(
+            b1 - b0 <= (r1 - r0 + 2) * quiet_frame,
+            "{} bytes over {} rounds",
+            b1 - b0,
+            r1 - r0
+        );
         vip.shutdown();
     }
 }

@@ -54,6 +54,7 @@ fn arb_msg() -> impl Strategy<Value = ControlMsg> {
                 ControlMsg::StateDelta(StateDelta {
                     origin: FeId(origin),
                     seq,
+                    full: seq % 2 == 0,
                     loads,
                     mapping: mapping
                         .into_iter()

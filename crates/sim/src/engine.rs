@@ -412,20 +412,19 @@ impl<'w> Run<'w> {
         }
     }
 
-    /// One tier gossip round: every front-end publishes the slice of its
-    /// belief it owns on the ring (plus its locally charged loads), every
-    /// peer merges the delta, adopts the mapping difference, and re-biases
-    /// its load view with the summed peer loads. All-pairs in fixed index
-    /// order, so multi-front-end runs stay deterministic.
+    /// One tier gossip round: every front-end publishes what changed in
+    /// the slice of its belief it owns on the ring (the whole slice on
+    /// its first round) plus its locally charged loads, every peer
+    /// merges the delta, adopts the mapping difference, and re-biases
+    /// its load view with the summed peer loads. All-pairs in fixed
+    /// index order, so multi-front-end runs stay deterministic.
     fn on_gossip(&mut self, now: SimTime) {
         self.gossip_rounds += 1;
         let m = self.cfg.front_ends;
         for f in 0..m {
             self.gossip_seq[f] += 1;
-            let delta =
-                self.dispatchers[f]
-                    .snapshot()
-                    .delta_for(FeId(f), self.gossip_seq[f], &self.ring);
+            let seq = self.gossip_seq[f];
+            let delta = self.dispatchers[f].gossip_delta(FeId(f), seq, seq == 1, &self.ring);
             for g in 0..m {
                 if g == f {
                     continue;
