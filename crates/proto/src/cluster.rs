@@ -134,16 +134,6 @@ pub struct ProtoConfig {
     /// (diagnostics/tests; normally the handoff is auto-selected only
     /// when the group bind fails). No effect under [`IoModel::Threads`].
     pub force_accept_handoff: bool,
-    /// Single-flight miss coalescing (default `true`): concurrent misses
-    /// on the same `(node, target)` share one emulated disk read (and
-    /// concurrent lateral fetches of one target from one handler share
-    /// one peer round-trip) — the extra missers park as *delayed hits*
-    /// instead of issuing redundant fetches. Response bytes are a pure
-    /// function of `(target, HTTP version)`, so transcripts are
-    /// byte-identical either way; only timing and fetch counts change.
-    /// `false` is the one-fetch-per-miss arm whose last A/B
-    /// `BENCH_misslatency.json` records; ROADMAP item C deletes it.
-    pub coalesce_misses: bool,
     /// Per-node cache eviction policy. The default,
     /// [`EvictPolicy::GreedyDual`], is GreedyDual-Size — what the paper's
     /// *simulator* runs (its *prototype* left replacement to FreeBSD's
@@ -190,15 +180,6 @@ pub struct ProtoConfig {
     /// only relax through an explicit [`Cluster::join_node`] handshake
     /// or a test's own [`FrontEnd::health_tick`] calls.
     pub health_tick_interval: Duration,
-    /// Zero-copy response write-out (default `true`): responses go to
-    /// the socket as a serialized head plus the *shared* body slice —
-    /// the cache's own allocation, refcount-bumped, never copied —
-    /// gathered in one vectored write. When `false`, every response is
-    /// flattened into a fresh contiguous wire buffer first (one body
-    /// memcpy per response): the historical behaviour, kept as the
-    /// copying baseline `BENCH_zerocopy.json` quantifies against.
-    /// Response bytes are identical either way, in both I/O models.
-    pub zero_copy: bool,
     /// Number of loopback addresses the front-end listens on
     /// (`127.0.0.1..127.0.0.k`). HTTP/1.0 load opens one TCP connection per
     /// request; on a single loopback address pair the 4-tuple space (and
@@ -229,7 +210,6 @@ impl Default for ProtoConfig {
             reactor_shards: 1,
             peer_pool_cap: 8,
             force_accept_handoff: false,
-            coalesce_misses: true,
             cache_policy: EvictPolicy::GreedyDual,
             front_ends: 1,
             gossip_interval: DEFAULT_GOSSIP_INTERVAL,
@@ -237,7 +217,6 @@ impl Default for ProtoConfig {
             node_weights: Vec::new(),
             health: phttp_core::HealthConfig::default(),
             health_tick_interval: Duration::from_millis(25),
-            zero_copy: true,
             fe_listeners: 4,
         }
     }
@@ -370,7 +349,6 @@ impl Cluster {
                         peer_addrs.clone(),
                     )
                     .with_peer_pool_cap(config.peer_pool_cap)
-                    .with_coalescing(config.coalesce_misses)
                     .with_cache_policy(config.cache_policy)
                     .with_feedback(FeedbackConfig {
                         enabled: config.cache_feedback,
@@ -461,7 +439,6 @@ impl Cluster {
                     let stop = stop.clone();
                     let threads = peer_threads.clone();
                     let timeout = config.read_timeout;
-                    let zero_copy = config.zero_copy;
                     accept_threads.push(std::thread::spawn(move || {
                         for incoming in listener.incoming() {
                             if stop.load(Ordering::Relaxed) {
@@ -470,7 +447,7 @@ impl Cluster {
                             let Ok(stream) = incoming else { break };
                             let node = node.clone();
                             let handle = std::thread::spawn(move || {
-                                let _ = serve_peer_connection(stream, &node, timeout, zero_copy);
+                                let _ = serve_peer_connection(stream, &node, timeout);
                             });
                             threads.lock().push(handle);
                         }
@@ -503,7 +480,6 @@ impl Cluster {
                     let store = store.clone();
                     let timeout = config.read_timeout;
                     let migration_delay = config.migration_delay;
-                    let zero_copy = config.zero_copy;
                     worker_threads.push(std::thread::spawn(move || {
                         while let Ok((stream, fe_idx, ticket)) = rx.recv() {
                             let _ = handle_client_connection(
@@ -512,7 +488,6 @@ impl Cluster {
                                 &store,
                                 timeout,
                                 migration_delay,
-                                zero_copy,
                             );
                             // The connection has fully unwound: tell the
                             // tier so its forwarding route is removed.
@@ -607,8 +582,6 @@ impl Cluster {
                         read_timeout: config.read_timeout,
                         shards,
                         peer_pool_cap: config.peer_pool_cap,
-                        coalesce: config.coalesce_misses,
-                        zero_copy: config.zero_copy,
                     },
                     fes.clone(),
                     vip.clone(),
@@ -1107,16 +1080,11 @@ fn run_control_reader(
     }
 }
 
-/// Writes one response to a blocking socket. With `zero_copy`, the
-/// serialized head and the shared body slice are gathered into a single
-/// `writev` — the body is written straight out of the cache's (or the
-/// store's) allocation, resuming mid-iovec on partial writes. Without
-/// it, the response is flattened into one contiguous buffer first and
-/// written whole — the copying baseline.
-fn write_response(stream: &mut TcpStream, resp: &Response, zero_copy: bool) -> std::io::Result<()> {
-    if !zero_copy {
-        return stream.write_all(&resp.to_bytes());
-    }
+/// Writes one response to a blocking socket: the serialized head and
+/// the shared body slice are gathered into a single `writev` — the body
+/// is written straight out of the cache's (or the store's) allocation,
+/// resuming mid-iovec on partial writes.
+fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
     let head = resp.head_bytes();
     let mut segs: [&[u8]; 2] = [&head, &resp.body];
     let mut idx = 0;
@@ -1183,7 +1151,6 @@ fn handle_client_connection(
     store: &ContentStore,
     timeout: Duration,
     migration_delay: Duration,
-    zero_copy: bool,
 ) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(timeout))?;
@@ -1196,7 +1163,7 @@ fn handle_client_connection(
     }
     let first = first_batch.remove(0);
     let Some(first_target) = store.lookup(&first.uri) else {
-        write_response(&mut stream, &Response::not_found(first.version), zero_copy)?;
+        write_response(&mut stream, &Response::not_found(first.version))?;
         return Ok(());
     };
 
@@ -1206,7 +1173,7 @@ fn handle_client_connection(
     let mut node = fe.nodes()[node_id.0].clone();
 
     // Handoff complete: this thread is now the back-end connection handler.
-    let keep = serve_one(&mut stream, &node, &first, Assignment::Local, zero_copy)?;
+    let keep = serve_one(&mut stream, fe, &node, &first, Assignment::Local)?;
     if !keep {
         return Ok(());
     }
@@ -1243,7 +1210,7 @@ fn handle_client_connection(
         let mut next_assignment = assignments.into_iter();
         for (req, target) in batch.iter().zip(&targets) {
             if target.is_none() {
-                write_response(&mut stream, &Response::not_found(req.version), zero_copy)?;
+                write_response(&mut stream, &Response::not_found(req.version))?;
                 continue;
             }
             let mut assignment = next_assignment.next().expect("one assignment per target");
@@ -1263,7 +1230,7 @@ fn handle_client_connection(
                     assignment = Assignment::Local;
                 }
             }
-            let keep = serve_one(&mut stream, &node, req, assignment, zero_copy)?;
+            let keep = serve_one(&mut stream, fe, &node, req, assignment)?;
             if !keep {
                 return Ok(());
             }
@@ -1276,10 +1243,10 @@ fn handle_client_connection(
 /// assignment; returns whether the connection persists.
 fn serve_one(
     stream: &mut TcpStream,
+    fe: &FrontEnd,
     node: &NodeState,
     req: &Request,
     assignment: Assignment,
-    zero_copy: bool,
 ) -> std::io::Result<bool> {
     let body = match assignment {
         Assignment::Local => {
@@ -1296,7 +1263,7 @@ fn serve_one(
             tagged.tag(&format!("be_{}", k.0));
             let (_seg, rest) = Request::untag(&tagged.uri).expect("just tagged");
             let target = node.store.lookup(rest).expect("caller verified the target");
-            match node.lateral_fetch_coalesced(k, target) {
+            match node.lateral_fetch_coalesced(&fe.nodes()[k.0], target) {
                 Ok(body) => body,
                 // Fall back to local disk if the peer path fails: the
                 // paper's prototype would surface an NFS error; degrading
@@ -1306,8 +1273,8 @@ fn serve_one(
         }
     };
     // `body` is a clone of the cache's slice (or the store's fresh
-    // allocation); the zero-copy write sends it without flattening.
-    write_response(stream, &Response::ok(req.version, body), zero_copy)?;
+    // allocation); the gathered write sends it without flattening.
+    write_response(stream, &Response::ok(req.version, body))?;
     Ok(req.keep_alive())
 }
 
@@ -1316,7 +1283,6 @@ fn serve_peer_connection(
     mut stream: TcpStream,
     node: &NodeState,
     timeout: Duration,
-    zero_copy: bool,
 ) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(timeout))?;
@@ -1351,7 +1317,7 @@ fn serve_peer_connection(
                 }
                 None => Response::not_found(req.version),
             };
-            write_response(&mut stream, &resp, zero_copy)?;
+            write_response(&mut stream, &resp)?;
         }
     }
 }

@@ -211,11 +211,10 @@ pub struct NodeStats {
     /// Response payload bytes produced by this node.
     pub bytes: AtomicU64,
     /// Emulated disk reads actually performed (misses that reached the
-    /// spindle; under coalescing, one per flight rather than per miss).
+    /// spindle: one per flight rather than per miss).
     pub disk_reads: AtomicU64,
     /// Requests that parked on an already-in-flight fetch for their
-    /// target — delayed hits — instead of fetching redundantly. Zero
-    /// when coalescing is off.
+    /// target — delayed hits — instead of fetching redundantly.
     pub coalesced_waits: AtomicU64,
 }
 
@@ -292,10 +291,8 @@ pub struct NodeState {
     /// Node side of the control session (lock order: `cache` may be held
     /// when taking `control`, never the reverse).
     control: Mutex<ControlTx>,
-    /// Single-flight miss coalescing (threads I/O model; the reactor
-    /// keeps its own per-shard flight tables).
-    coalesce: bool,
-    /// In-flight local disk fetches, keyed by target. Lock order:
+    /// In-flight local disk fetches, keyed by target (threads I/O model;
+    /// the reactor keeps its own per-shard flight tables). Lock order:
     /// `cache` may be held when taking this, never the reverse —
     /// registering a waiter under the cache lock closes the race with
     /// the leader's insert-then-remove completion.
@@ -334,7 +331,6 @@ impl NodeState {
             stats: NodeStats::default(),
             feedback,
             control: Mutex::new_classed(LockClass::control(nid), ControlTx::default()),
-            coalesce: true,
             disk_flights: Mutex::new_classed(LockClass::disk_flights(nid), HashMap::new()),
             lateral_flights: Mutex::new_classed(LockClass::lateral_flights(nid), HashMap::new()),
         }
@@ -352,16 +348,6 @@ impl NodeState {
     /// (builder style; `Cluster::start` validates it is non-zero).
     pub fn with_peer_pool_cap(mut self, cap: usize) -> Self {
         self.peer_pool_cap = cap;
-        self
-    }
-
-    /// Enables or disables single-flight miss coalescing (builder style).
-    /// With coalescing on, concurrent misses for the same target share
-    /// one disk read (and concurrent lateral fetches for the same
-    /// (remote, target) share one peer request) instead of queueing
-    /// redundant work.
-    pub fn with_coalescing(mut self, on: bool) -> Self {
-        self.coalesce = on;
         self
     }
 
@@ -642,8 +628,8 @@ impl NodeState {
     /// into the cache afterwards — the OS caches what it reads), body
     /// generation. Returns the response body.
     ///
-    /// With coalescing on, a miss first consults the single-flight table
-    /// (still under the cache lock, so the check cannot race the leader's
+    /// A miss first consults the single-flight table (still under the
+    /// cache lock, so the check cannot race the leader's
     /// insert-then-remove completion): if a fetch for this target is
     /// already in flight the request parks as a *delayed hit* and wakes
     /// when the leader's read completes; otherwise it becomes the flight
@@ -657,8 +643,8 @@ impl NodeState {
         enum Role {
             /// Cached: the body slice cloned out under the cache lock.
             Hit(Option<Bytes>),
-            /// Performs the read; with coalescing on, for its flight.
-            Leader(Option<Arc<Flight>>),
+            /// Performs the read for its flight.
+            Leader(Arc<Flight>),
             Waiter(Arc<Flight>),
         }
         let size = self.store.size(target);
@@ -666,7 +652,7 @@ impl NodeState {
             let mut cache = self.cache.lock();
             if cache.touch(target) {
                 Role::Hit(cache.get(target).cloned())
-            } else if self.coalesce {
+            } else {
                 let mut flights = self.disk_flights.lock();
                 match flights.get(&target) {
                     Some(f) => {
@@ -676,11 +662,9 @@ impl NodeState {
                     None => {
                         let f = Arc::new(Flight::new(arrival));
                         flights.insert(target, f.clone());
-                        Role::Leader(Some(f))
+                        Role::Leader(f)
                     }
                 }
-            } else {
-                Role::Leader(None)
             }
         };
         self.stats.served.fetch_add(1, Ordering::Relaxed);
@@ -698,17 +682,13 @@ impl NodeState {
                 let delay = self.blocking_disk_read(size, arrival);
                 // Cost sample: what this one read stalled — the leader and
                 // every waiter parked so far, each from its own arrival.
-                let stalled_us = flight
-                    .as_ref()
-                    .map_or(delay.as_micros() as u64, |f| f.stalled_us(delay));
+                let stalled_us = flight.stalled_us(delay);
                 let body = self.store.body(target);
                 // Insert BEFORE retiring the flight: a concurrent probe
                 // always finds the target either cached or in flight.
                 self.cache_insert_reporting(target, size, stalled_us, body.clone());
-                if let Some(f) = flight {
-                    self.disk_flights.lock().remove(&target);
-                    f.complete(FlightOutcome::Done);
-                }
+                self.disk_flights.lock().remove(&target);
+                flight.complete(FlightOutcome::Done);
                 body
             }
             Role::Waiter(f) => {
@@ -831,6 +811,19 @@ impl NodeState {
         self.stats.coalesced_waits.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Books `waiters` requests that rode a successful lateral flight
+    /// *from* this node as served here. Only the leader's request reached
+    /// this node's lateral server (which booked it like any serve); the
+    /// waiters' copies are generated by the fetching node, so without
+    /// this they would be served but counted nowhere. A failed flight's
+    /// waiters fail over to local service, which books them itself.
+    pub fn note_lateral_waiters_served(&self, target: TargetId, waiters: u64) {
+        self.stats.served.fetch_add(waiters, Ordering::Relaxed);
+        self.stats
+            .bytes
+            .fetch_add(waiters * self.store.size(target), Ordering::Relaxed);
+    }
+
     /// Emulated read latency for `target` on this node's disk.
     pub fn disk_read_time(&self, target: TargetId) -> Duration {
         self.disk_emu.read_time(self.store.size(target))
@@ -878,25 +871,21 @@ impl NodeState {
         }
     }
 
-    /// [`lateral_fetch`](Self::lateral_fetch) behind the single-flight
-    /// table (threads I/O model): concurrent fetches for the same
-    /// (remote, target) share one peer request. The leader fetches; the
-    /// waiters park and, on success, reproduce the identical body from
-    /// the store (response bytes are a pure function of the target). If
-    /// the leader's fetch fails, *every* waiter gets the error — each
+    /// [`lateral_fetch`](Self::lateral_fetch) from `remote` behind the
+    /// single-flight table (threads I/O model): concurrent fetches for the
+    /// same (remote, target) share one peer request. The leader fetches;
+    /// the waiters park and, on success, reproduce the identical body from
+    /// the store (response bytes are a pure function of the target) and
+    /// are booked as served on `remote`, where the leader's request was.
+    /// If the leader's fetch fails, *every* waiter gets the error — each
     /// caller then runs its own serve-locally failover, where the local
     /// flight table coalesces the resulting disk reads in turn.
-    ///
-    /// With coalescing off this is exactly `lateral_fetch`.
     pub fn lateral_fetch_coalesced(
         &self,
-        remote: NodeId,
+        remote: &NodeState,
         target: TargetId,
     ) -> std::io::Result<Bytes> {
-        if !self.coalesce {
-            return self.lateral_fetch(remote, target);
-        }
-        let key = (remote.0, target);
+        let key = (remote.id.0, target);
         // Unlike the local table there is no cache probe to serialize
         // with, so registration needs no outer lock. A waiter that
         // arrives just after the leader retired the flight simply starts
@@ -914,7 +903,7 @@ impl NodeState {
         };
         match leader {
             Ok(f) => {
-                let res = self.lateral_fetch(remote, target);
+                let res = self.lateral_fetch(remote.id, target);
                 self.lateral_flights.lock().remove(&key);
                 f.complete(if res.is_ok() {
                     FlightOutcome::Done
@@ -926,7 +915,10 @@ impl NodeState {
             Err(f) => {
                 self.stats.coalesced_waits.fetch_add(1, Ordering::Relaxed);
                 match f.wait() {
-                    FlightOutcome::Done => Ok(self.store.body(target)),
+                    FlightOutcome::Done => {
+                        remote.note_lateral_waiters_served(target, 1);
+                        Ok(self.store.body(target))
+                    }
                     _ => Err(std::io::Error::other(
                         "lateral flight leader failed; waiter must fail over",
                     )),
@@ -1155,19 +1147,16 @@ mod tests {
     #[test]
     fn concurrent_misses_share_one_disk_read() {
         let store = Arc::new(ContentStore::from_sizes(vec![1000, 2000]));
-        let n = Arc::new(
-            NodeState::new(
-                NodeId(0),
-                1 << 20,
-                DiskEmu {
-                    seek: Duration::from_millis(50),
-                    bytes_per_sec: 1e9,
-                },
-                store.clone(),
-                Vec::new(),
-            )
-            .with_coalescing(true),
-        );
+        let n = Arc::new(NodeState::new(
+            NodeId(0),
+            1 << 20,
+            DiskEmu {
+                seek: Duration::from_millis(50),
+                bytes_per_sec: 1e9,
+            },
+            store.clone(),
+            Vec::new(),
+        ));
         let threads = 4;
         let barrier = Arc::new(std::sync::Barrier::new(threads));
         let handles: Vec<_> = (0..threads)
@@ -1198,28 +1187,6 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_off_reads_redundantly() {
-        let n = Arc::new(node().with_coalescing(false));
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let handles: Vec<_> = (0..2)
-            .map(|_| {
-                let n = n.clone();
-                let b = barrier.clone();
-                std::thread::spawn(move || {
-                    b.wait();
-                    n.serve_local(TargetId(2))
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let s = n.stats.snapshot();
-        assert_eq!(s.coalesced_waits, 0, "no parking without coalescing");
-        assert_eq!(s.disk_reads + s.hits, 2, "each request read or hit");
-    }
-
-    #[test]
     fn lateral_flight_failure_fails_every_waiter_over() {
         use std::net::TcpListener;
 
@@ -1246,19 +1213,16 @@ mod tests {
             }
         });
 
-        let n = Arc::new(
-            NodeState::new(
-                NodeId(0),
-                1 << 20,
-                DiskEmu {
-                    seek: Duration::from_micros(100),
-                    bytes_per_sec: 1e9,
-                },
-                store.clone(),
-                vec![addr],
-            )
-            .with_coalescing(true),
-        );
+        let n = Arc::new(NodeState::new(
+            NodeId(0),
+            1 << 20,
+            DiskEmu {
+                seek: Duration::from_micros(100),
+                bytes_per_sec: 1e9,
+            },
+            store.clone(),
+            vec![addr],
+        ));
         let threads = 3;
         let barrier = Arc::new(std::sync::Barrier::new(threads));
         let handles: Vec<_> = (0..threads)
@@ -1269,7 +1233,7 @@ mod tests {
                     b.wait();
                     // The failover the cluster's serve path performs:
                     // lateral fetch, then serve locally on error.
-                    match n.lateral_fetch_coalesced(NodeId(0), TargetId(0)) {
+                    match n.lateral_fetch_coalesced(&n, TargetId(0)) {
                         Ok(body) => (body, false),
                         Err(_) => (n.serve_local(TargetId(0)), true),
                     }
@@ -1293,6 +1257,64 @@ mod tests {
         drop(n);
         stop.store(true, Ordering::Relaxed);
         let _ = TcpStream::connect(addr); // unblock the accept loop
+        server.join().unwrap();
+    }
+
+    /// Waiters on a *successful* lateral flight are served too, so they
+    /// are booked as served on the remote beside the leader's request
+    /// (which the remote's lateral server booked): however many requests
+    /// share one fetch, the served counters sum to the request count.
+    #[test]
+    fn lateral_flight_waiters_are_booked_as_served_on_the_remote() {
+        use std::net::TcpListener;
+
+        const N: u64 = 4;
+        let store = Arc::new(ContentStore::from_sizes(vec![1000, 2000]));
+        let disk = DiskEmu {
+            seek: Duration::from_micros(100),
+            bytes_per_sec: 1e9,
+        };
+        let remote = Arc::new(NodeState::new(
+            NodeId(1),
+            1 << 20,
+            disk,
+            store.clone(),
+            Vec::new(),
+        ));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // The remote's lateral server, answering 300 ms late so every
+        // fetcher parks on the leader's flight; it serves through the
+        // remote's own `serve_local`, which books the leader's request.
+        let server = {
+            let remote = remote.clone();
+            std::thread::spawn(move || {
+                let (mut s, _) = listener.accept().unwrap();
+                let mut buf = [0u8; 4096];
+                while s.read(&mut buf).unwrap_or(0) > 0 {
+                    std::thread::sleep(Duration::from_millis(300));
+                    let resp =
+                        phttp_http::Response::ok(Version::Http11, remote.serve_local(TargetId(0)));
+                    s.write_all(&resp.to_bytes()).unwrap();
+                }
+            })
+        };
+        let handler = NodeState::new(NodeId(0), 1 << 20, disk, store.clone(), vec![addr; 2]);
+        let barrier = std::sync::Barrier::new(N as usize);
+        std::thread::scope(|s| {
+            for _ in 0..N {
+                s.spawn(|| {
+                    barrier.wait();
+                    let got = handler.lateral_fetch_coalesced(&remote, TargetId(0));
+                    assert_eq!(got.unwrap(), store.body(TargetId(0)));
+                });
+            }
+        });
+        let (h, r) = (handler.stats.snapshot(), remote.stats.snapshot());
+        assert_eq!((h.lateral_out, h.coalesced_waits), (1, N - 1), "one flight");
+        assert_eq!(h.served + r.served, N, "every request is booked once");
+        assert_eq!(r.bytes, N * 1000);
+        drop(handler); // closes the pooled session: the server sees EOF
         server.join().unwrap();
     }
 

@@ -62,8 +62,7 @@ pub(crate) struct DiskJob {
     pub target: TargetId,
     /// HTTP version for the eventual response.
     pub version: Version,
-    /// Requests coalesced onto this read (single-flight mode only;
-    /// always empty with coalescing off).
+    /// Requests coalesced onto this read (delayed hits).
     pub waiters: Vec<Waiter>,
     /// When the miss reached the disk — the earliest its read may start.
     pub arrival: Instant,

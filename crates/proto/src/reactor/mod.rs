@@ -199,16 +199,6 @@ pub(crate) struct ReactorConfig {
     /// Idle lateral sessions retained per peer, per shard (mirrors the
     /// thread path's per-peer pool cap).
     pub peer_pool_cap: usize,
-    /// Single-flight miss coalescing (`ProtoConfig::coalesce_misses`,
-    /// on by default): concurrent misses on one `(node, target)` park on
-    /// the existing disk flight, and concurrent lateral fetches of one
-    /// `(remote, target)` park on the existing peer round-trip.
-    pub coalesce: bool,
-    /// Zero-copy staging (`ProtoConfig::zero_copy`): responses stage as
-    /// head + shared body slice; `false` flattens each response into a
-    /// contiguous buffer first (the copying baseline). Lateral splices
-    /// are inherently zero-copy and ignore the knob.
-    pub zero_copy: bool,
 }
 
 /// Live gauges of one shard, shared with the cluster for diagnostics.
@@ -457,8 +447,6 @@ pub(crate) fn spawn(
             timers: BinaryHeap::new(),
             next_timer_id: 0,
             disks: (0..nodes).map(|_| DiskSched::default()).collect(),
-            coalesce: cfg.coalesce,
-            zero_copy: cfg.zero_copy,
             lateral_flights: HashMap::new(),
             idle_peers: vec![Vec::new(); nodes],
             pending_pumps: Vec::new(),
@@ -543,10 +531,6 @@ struct Reactor {
     timers: BinaryHeap<TimerEntry>,
     next_timer_id: u64,
     disks: Vec<DiskSched>,
-    /// Single-flight coalescing enabled (`ProtoConfig::coalesce_misses`).
-    coalesce: bool,
-    /// Zero-copy staging enabled (`ProtoConfig::zero_copy`).
-    zero_copy: bool,
     /// In-flight coalesced lateral fetches this shard leads, keyed by
     /// `(remote node, target)`: the parked waiters resolve (or fail
     /// over) together with the flight leader. Flight scope is one
@@ -573,19 +557,12 @@ struct Reactor {
     scratch: Box<[u8]>,
 }
 
-/// A complete `200 OK` staged for write-out. With `zero_copy` (the
-/// default) the entry holds the serialized head plus the *shared* body
-/// slice — the body is never copied into a contiguous wire buffer;
-/// `writev` gathers the pair at send time. Without it the response is
-/// flattened whole first (one body memcpy — the copying baseline the
-/// zerocopy bench quantifies). The wire bytes are identical either way.
-fn ok_state(version: Version, body: Bytes, zero_copy: bool) -> EntryState {
+/// A complete `200 OK` staged for write-out: the serialized head plus
+/// the *shared* body slice — the body is never copied into a contiguous
+/// wire buffer; `writev` gathers the pair at send time.
+fn ok_state(version: Version, body: Bytes) -> EntryState {
     let resp = Response::ok(version, body);
-    if zero_copy {
-        EntryState::Ready(resp.head_bytes(), resp.body)
-    } else {
-        EntryState::Ready(resp.to_bytes(), Bytes::new())
-    }
+    EntryState::Ready(resp.head_bytes(), resp.body)
 }
 
 /// A `404 Not Found` staging pair.
@@ -1155,23 +1132,21 @@ impl Reactor {
         // retires the flight in one handler), and in the cross-path
         // race (another shard or a lateral serve inserted meanwhile)
         // parking is still correct — same bytes, one timer later.
-        if self.coalesce {
-            if let Some(flight) = self.disks[node_idx].find_mut(target) {
-                flight.waiters.push(Waiter {
-                    conn,
-                    seq,
-                    version,
-                    arrival: Instant::now(),
-                });
-                self.fe.nodes()[node_idx].note_coalesced_serve(target);
-                return EntryState::Disk;
-            }
+        if let Some(flight) = self.disks[node_idx].find_mut(target) {
+            flight.waiters.push(Waiter {
+                conn,
+                seq,
+                version,
+                arrival: Instant::now(),
+            });
+            self.fe.nodes()[node_idx].note_coalesced_serve(target);
+            return EntryState::Disk;
         }
         // A hit serves the cache's own slice (a refcount bump, not a
         // copy); the store fallback inside `begin_serve_body` covers
         // the raced-eviction window.
         if let Some(body) = self.fe.nodes()[node_idx].begin_serve_body(target) {
-            ok_state(version, body, self.zero_copy)
+            ok_state(version, body)
         } else {
             self.disk_enqueue(
                 node_idx,
@@ -1323,20 +1298,12 @@ impl Reactor {
         let Some((job, body)) = self.disks[node_idx].finish(node, deadline) else {
             return;
         };
-        self.deliver(
-            job.conn,
-            job.seq,
-            ok_state(job.version, body.clone(), self.zero_copy),
-        );
+        self.deliver(job.conn, job.seq, ok_state(job.version, body.clone()));
         // Waiters whose connection died meanwhile are dropped by
         // `deliver`'s generation check — the flight completes for the
         // survivors either way.
         for w in job.waiters {
-            self.deliver(
-                w.conn,
-                w.seq,
-                ok_state(w.version, body.clone(), self.zero_copy),
-            );
+            self.deliver(w.conn, w.seq, ok_state(w.version, body.clone()));
         }
         if let Some(next) = self.disks[node_idx].queue.pop_front() {
             self.disk_start(node_idx, next);
@@ -1353,12 +1320,10 @@ impl Reactor {
         // remote absorbs the request — it parks with the flight and is
         // resolved (or failed over) with the leader. Only the leader
         // pays `lateral_out` and touches the wire.
-        if self.coalesce {
-            if let Some(waiters) = self.lateral_flights.get_mut(&(remote.0, job.target)) {
-                waiters.push(job);
-                self.fe.nodes()[job.handler].note_coalesced_lateral();
-                return EntryState::Lateral;
-            }
+        if let Some(waiters) = self.lateral_flights.get_mut(&(remote.0, job.target)) {
+            waiters.push(job);
+            self.fe.nodes()[job.handler].note_coalesced_lateral();
+            return EntryState::Lateral;
         }
         self.fe.nodes()[job.handler]
             .stats
@@ -1387,11 +1352,9 @@ impl Reactor {
     }
 
     /// Registers a just-issued lateral fetch as a flight later misses
-    /// can park on (no-op with coalescing off).
+    /// can park on.
     fn open_lateral_flight(&mut self, remote: usize, target: TargetId) -> EntryState {
-        if self.coalesce {
-            self.lateral_flights.insert((remote, target), Vec::new());
-        }
+        self.lateral_flights.insert((remote, target), Vec::new());
         EntryState::Lateral
     }
 
@@ -1738,7 +1701,8 @@ impl Reactor {
     /// resolve any parked waiters. Waiters never saw the stream, but
     /// bodies are pure functions of the target, so their copy is
     /// generated locally — one allocation shared across all of them —
-    /// instead of being accumulated from the wire.
+    /// instead of being accumulated from the wire. They are booked as
+    /// served on `remote`, beside the leader's request.
     fn finish_stream(&mut self, remote: usize, job: LateralJob) {
         let waiters = self
             .lateral_flights
@@ -1747,13 +1711,10 @@ impl Reactor {
         if waiters.is_empty() {
             return;
         }
+        self.fe.nodes()[remote].note_lateral_waiters_served(job.target, waiters.len() as u64);
         let body = self.store.body(job.target);
         for w in waiters {
-            self.deliver(
-                w.conn,
-                w.seq,
-                ok_state(w.version, body.clone(), self.zero_copy),
-            );
+            self.deliver(w.conn, w.seq, ok_state(w.version, body.clone()));
         }
     }
 

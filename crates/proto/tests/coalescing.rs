@@ -1,9 +1,8 @@
 //! Single-flight miss coalescing, end to end over both I/O models.
 //!
 //! N client connections requesting the same cold document concurrently
-//! must cost exactly **one** emulated disk read with coalescing on (and
-//! exactly N with it off) — the ISSUE's headline claim — while every
-//! client still receives the byte-exact response. The teardown
+//! must cost exactly **one** emulated disk read while every client still
+//! receives the byte-exact response. The teardown
 //! regressions ride along: a parked waiter whose connection dies
 //! mid-flight must neither strand the flight nor leak its slot, and a
 //! dead flight *leader* must not take its waiters down with it.
@@ -48,7 +47,7 @@ fn corpus() -> Trace {
 
 /// One node, one shard, a slow spindle: every concurrent miss of one
 /// target is guaranteed to land inside the leader's read window.
-fn config(io_model: IoModel, coalesce: bool, seek: Duration) -> ProtoConfig {
+fn config(io_model: IoModel, seek: Duration) -> ProtoConfig {
     ProtoConfig {
         nodes: 1,
         policy: PolicyKind::ExtLard,
@@ -60,7 +59,6 @@ fn config(io_model: IoModel, coalesce: bool, seek: Duration) -> ProtoConfig {
         read_timeout: Duration::from_secs(10),
         io_model,
         reactor_shards: 1,
-        coalesce_misses: coalesce,
         ..ProtoConfig::default()
     }
 }
@@ -74,6 +72,25 @@ fn send_get(cluster: &Cluster, target: TargetId) -> TcpStream {
     s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
     let req = format!("GET {} HTTP/1.0\r\n\r\n", ContentStore::uri(target));
     s.write_all(req.as_bytes()).expect("write request");
+    s
+}
+
+/// Opens a connection and pipelines HTTP/1.1 GETs for `targets`, the
+/// last one asking the server to close.
+fn send_pipelined(cluster: &Cluster, targets: &[TargetId]) -> TcpStream {
+    let mut s = TcpStream::connect(cluster.frontend_addr()).expect("connect");
+    s.set_nodelay(true).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let mut req = String::new();
+    for (i, &t) in targets.iter().enumerate() {
+        let close = if i + 1 == targets.len() {
+            "Connection: close\r\n"
+        } else {
+            ""
+        };
+        req += &format!("GET {} HTTP/1.1\r\n{close}\r\n", ContentStore::uri(t));
+    }
+    s.write_all(req.as_bytes()).expect("write requests");
     s
 }
 
@@ -105,42 +122,106 @@ fn coalesced_waits(cluster: &Cluster) -> u64 {
 }
 
 /// The headline: N concurrent cold misses on one target cost one disk
-/// read with coalescing on and N with it off, byte-identical either way.
+/// read, every client byte-exact.
 #[test]
 fn concurrent_cold_misses_cost_one_read_coalesced_n_uncoalesced() {
     const N: usize = 6;
     let trace = corpus();
     let target = TargetId(0);
     for io in io_models() {
-        for coalesce in [true, false] {
-            let cluster = Cluster::start(config(io, coalesce, Duration::from_millis(250)), &trace)
-                .expect("start cluster");
-            // All N requests written well inside the 250 ms read window.
-            let streams: Vec<TcpStream> = (0..N).map(|_| send_get(&cluster, target)).collect();
-            for (i, s) in streams.into_iter().enumerate() {
-                assert_full_response(s, &cluster, target, &format!("{io:?} conn {i}"));
-            }
-            assert!(cluster.quiesce(Duration::from_secs(10)), "{io:?}");
-            let reads = disk_reads(&cluster);
-            let waits = coalesced_waits(&cluster);
-            if coalesce {
-                assert_eq!(reads, 1, "{io:?}: coalescing must share one read");
-                assert_eq!(waits, N as u64 - 1, "{io:?}: everyone else parks");
-            } else {
-                assert_eq!(reads, N as u64, "{io:?}: uncoalesced misses each read");
-                assert_eq!(waits, 0, "{io:?}: nothing may park with coalescing off");
-            }
-            // The flight's insert populated the cache: one more request
-            // is a pure hit, no new read.
-            let extra = send_get(&cluster, target);
-            assert_full_response(extra, &cluster, target, &format!("{io:?} post-flight"));
-            assert_eq!(
-                disk_reads(&cluster),
-                reads,
-                "{io:?}: post-flight hit read disk"
-            );
-            cluster.shutdown();
+        let cluster =
+            Cluster::start(config(io, Duration::from_millis(250)), &trace).expect("start cluster");
+        // All N requests written well inside the 250 ms read window.
+        let streams: Vec<TcpStream> = (0..N).map(|_| send_get(&cluster, target)).collect();
+        for (i, s) in streams.into_iter().enumerate() {
+            assert_full_response(s, &cluster, target, &format!("{io:?} conn {i}"));
         }
+        assert!(cluster.quiesce(Duration::from_secs(10)), "{io:?}");
+        assert_eq!(
+            disk_reads(&cluster),
+            1,
+            "{io:?}: misses must share one read"
+        );
+        assert_eq!(
+            coalesced_waits(&cluster),
+            N as u64 - 1,
+            "{io:?}: everyone else parks"
+        );
+        // The flight's insert populated the cache: one more request
+        // is a pure hit, no new read.
+        let extra = send_get(&cluster, target);
+        assert_full_response(extra, &cluster, target, &format!("{io:?} post-flight"));
+        assert_eq!(disk_reads(&cluster), 1, "{io:?}: post-flight hit read disk");
+        cluster.shutdown();
+    }
+}
+
+/// Requests that ride another request's lateral flight are served, so
+/// they are counted: the cluster's summed `served` equals the requests
+/// sent even when N concurrent lateral fetches of one target share one
+/// peer round-trip. Recipe: T0 and T1 are homed on different nodes, the
+/// node believed to cache T1 has its cache wiped (its lateral server
+/// misses on the slow spindle), and extLARD never reads locally
+/// (`disk_queue_low: 0`), so every `GET T0; GET T1` connection lands on
+/// T0's node and fetches T1 laterally while the leader's fetch is out.
+#[test]
+fn lateral_flight_waiters_are_counted_as_served() {
+    const N: usize = 4;
+    let trace = corpus();
+    let (t0, t1) = (TargetId(0), TargetId(1));
+    for io in io_models() {
+        let mut cfg = config(io, Duration::from_millis(300));
+        cfg.nodes = 2;
+        cfg.lard.disk_queue_low = 0;
+        let cluster = Cluster::start(cfg, &trace).expect("start cluster");
+        // Home T0, then T1 while T0's connection still loads its node.
+        let mut hold = TcpStream::connect(cluster.frontend_addr()).expect("connect");
+        hold.set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let req = format!("GET {} HTTP/1.1\r\n\r\n", ContentStore::uri(t0));
+        hold.write_all(req.as_bytes()).expect("write request");
+        hold.read_exact(&mut [0u8; 64]).expect("T0 response");
+        assert_full_response(
+            send_get(&cluster, t1),
+            &cluster,
+            t1,
+            &format!("{io:?} home T1"),
+        );
+        drop(hold);
+        assert!(cluster.quiesce(Duration::from_secs(10)), "{io:?}");
+        let mut home = [usize::MAX; 2];
+        cluster
+            .frontend()
+            .mapping()
+            .for_each_pair(|t, n| home[t.0 as usize] = n.0);
+        assert_ne!(home[0], home[1], "{io:?}: T0 and T1 share a home");
+        cluster.frontend().nodes()[home[1]].reset_cache();
+        let streams: Vec<TcpStream> = (0..N)
+            .map(|_| send_pipelined(&cluster, &[t0, t1]))
+            .collect();
+        for (i, mut s) in streams.into_iter().enumerate() {
+            let mut wire = Vec::new();
+            s.read_to_end(&mut wire).expect("read");
+            assert!(
+                wire.ends_with(&cluster.store().body(t1)),
+                "{io:?} conn {i}: T1 body mismatch"
+            );
+        }
+        assert!(cluster.quiesce(Duration::from_secs(10)), "{io:?}");
+        let stats = cluster.node_stats();
+        let sum = |f: fn(&phttp_proto::NodeStatsSnapshot) -> u64| stats.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|s| s.lateral_out), 1, "{io:?}: one lateral flight");
+        assert_eq!(
+            sum(|s| s.coalesced_waits),
+            N as u64 - 1,
+            "{io:?}: the rest park"
+        );
+        assert_eq!(
+            sum(|s| s.served),
+            2 + 2 * N as u64,
+            "{io:?}: every request counted"
+        );
+        cluster.shutdown();
     }
 }
 
@@ -153,8 +234,8 @@ fn waiter_death_mid_flight_leaks_nothing() {
     let trace = corpus();
     let target = TargetId(1);
     for io in io_models() {
-        let cluster = Cluster::start(config(io, true, Duration::from_millis(400)), &trace)
-            .expect("start cluster");
+        let cluster =
+            Cluster::start(config(io, Duration::from_millis(400)), &trace).expect("start cluster");
         let mut streams: Vec<TcpStream> = (0..N).map(|_| send_get(&cluster, target)).collect();
         // Everyone is registered on the flight (the read takes 400 ms);
         // now one racer dies. Index N-1 wrote last, so with the writes
@@ -186,8 +267,8 @@ fn leader_death_mid_flight_still_serves_waiters() {
     let trace = corpus();
     let target = TargetId(2);
     for io in io_models() {
-        let cluster = Cluster::start(config(io, true, Duration::from_millis(400)), &trace)
-            .expect("start cluster");
+        let cluster =
+            Cluster::start(config(io, Duration::from_millis(400)), &trace).expect("start cluster");
         // The leader is deterministic: its request is in before anyone
         // else connects.
         let leader = send_get(&cluster, target);
@@ -213,11 +294,11 @@ fn leader_death_mid_flight_still_serves_waiters() {
 }
 
 /// GreedyDual is a drop-in eviction policy for the live cluster: under
-/// churn with coalescing on, every response stays byte-exact and the
+/// churn with single-flight misses, every response stays byte-exact and the
 /// cache-feedback mirror still replays the journal exactly (divergence
 /// converges to 0) — victim selection changed, journaling did not.
 #[test]
-fn greedy_dual_with_coalescing_serves_and_stays_coherent() {
+fn greedy_dual_serves_and_stays_coherent() {
     let mut synth = SynthConfig::small();
     synth.num_page_views = 300;
     synth.num_pages = 100;
@@ -234,7 +315,6 @@ fn greedy_dual_with_coalescing_serves_and_stays_coherent() {
             },
             read_timeout: Duration::from_secs(5),
             io_model: io,
-            coalesce_misses: true,
             cache_policy: EvictPolicy::GreedyDual,
             feedback_interval: Duration::from_millis(2),
             ..ProtoConfig::default()

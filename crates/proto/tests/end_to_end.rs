@@ -6,11 +6,7 @@
 //! `PHTTP_IO_MODEL=threads|reactor` restricts the matrix to one model
 //! (CI runs the suite once per model); unset, every test covers both.
 //! `PHTTP_REACTOR_SHARDS=N` sets the reactor's shard count (CI adds a
-//! 2-shard leg; the default is 1). `PHTTP_COALESCE=0` turns off
-//! single-flight miss coalescing (CI keeps one such leg per model until
-//! ROADMAP item C deletes the arm; response bytes must be identical
-//! either way, so the whole suite doubles as its regression net).
-//! `PHTTP_FRONT_ENDS=N` runs every
+//! 2-shard leg; the default is 1). `PHTTP_FRONT_ENDS=N` runs every
 //! cluster as an N-front-end tier behind the VIP (CI adds an `N=2`
 //! leg; responses are a pure function of target and HTTP version, so
 //! bytes must again be identical whichever front-end admits each
@@ -57,13 +53,6 @@ fn reactor_shards(io_model: IoModel) -> usize {
     }
 }
 
-/// Whether this run coalesces misses: yes, matching
-/// `ProtoConfig::default`, unless `PHTTP_COALESCE=0` asks for the
-/// one-fetch-per-miss arm (kept until ROADMAP item C deletes it).
-fn coalesce() -> bool {
-    std::env::var("PHTTP_COALESCE").as_deref() != Ok("0")
-}
-
 /// Front-end tier size for this run (`PHTTP_FRONT_ENDS=N`; CI adds an
 /// `N=2` leg per io model so the whole suite also regresses the VIP
 /// admission, gossip, and per-front-end dispatch paths; the default of
@@ -84,7 +73,6 @@ fn config(policy: PolicyKind, nodes: usize, io_model: IoModel) -> ProtoConfig {
         read_timeout: Duration::from_secs(5),
         io_model,
         reactor_shards: reactor_shards(io_model),
-        coalesce_misses: coalesce(),
         front_ends: front_ends(),
         ..ProtoConfig::default()
     }

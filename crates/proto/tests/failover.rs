@@ -53,9 +53,6 @@ fn config(io_model: IoModel) -> ProtoConfig {
         read_timeout: Duration::from_secs(5),
         io_model,
         reactor_shards: reactor_shards(io_model),
-        // Single-flight like `ProtoConfig::default`; `PHTTP_COALESCE=0`
-        // runs the one-fetch-per-miss arm until ROADMAP item C deletes it.
-        coalesce_misses: std::env::var("PHTTP_COALESCE").as_deref() != Ok("0"),
         ..ProtoConfig::default()
     }
 }
@@ -244,7 +241,6 @@ fn lateral_crash_under_coalescing_fails_over_every_waiter() {
     let workload = reconstruct(&trace, SessionConfig::default());
     for io in io_models() {
         let mut cfg = config(io);
-        cfg.coalesce_misses = true;
         cfg.disk = DiskEmu {
             seek: Duration::from_millis(8),
             bytes_per_sec: 20.0 * 1024.0 * 1024.0,

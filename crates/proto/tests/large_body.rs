@@ -11,8 +11,7 @@
 //! matrix
 //!
 //! ```text
-//! {threads oracle} vs {reactor × shards {1,2,4}} × coalescing {off,on}
-//!                                               × front_ends {1,2}
+//! {threads oracle} vs {reactor × shards {1,2,4}} × front_ends {1,2}
 //! ```
 //!
 //! must produce **byte-identical** transcripts (responses are a pure
@@ -25,10 +24,6 @@
 //! construction — see `config` and `play_capture`), and must unwind to
 //! zero tracked connections, zero residual load, and a fully drained
 //! `pending_body_bytes` gauge.
-//!
-//! A final leg flips `zero_copy` off and replays the matrix corner
-//! cells: the copying baseline the zerocopy bench compares against must
-//! be invisible on the wire.
 
 use std::io::{Read, Write};
 use std::net::SocketAddr;
@@ -95,7 +90,7 @@ fn workload() -> (Trace, ConnectionTrace) {
     (trace, conns)
 }
 
-fn config(io_model: IoModel, shards: usize, front_ends: usize, coalesce: bool) -> ProtoConfig {
+fn config(io_model: IoModel, shards: usize, front_ends: usize) -> ProtoConfig {
     ProtoConfig {
         nodes: 3,
         policy: PolicyKind::ExtLard,
@@ -111,7 +106,6 @@ fn config(io_model: IoModel, shards: usize, front_ends: usize, coalesce: bool) -
             seek: Duration::from_millis(2),
             bytes_per_sec: 100.0 * MIB as f64,
         },
-        coalesce_misses: coalesce,
         // extLARD rule 1b off: with a threshold of 0 no disk queue is
         // ever "low", so a target mapped to another node is never read
         // locally just because this node's disk looked idle at the
@@ -247,56 +241,23 @@ fn run_cell(mut cfg: ProtoConfig, cell: &str) -> (Vec<Vec<Vec<u8>>>, u64) {
     (transcript, lateral)
 }
 
-fn matrix(coalesce: bool) {
-    let (oracle, oracle_lateral) =
-        run_cell(config(IoModel::Threads, 1, 1, coalesce), "threads oracle");
+#[test]
+fn large_body_matrix_matches_threads_oracle() {
+    let (oracle, oracle_lateral) = run_cell(config(IoModel::Threads, 1, 1), "threads oracle");
     assert!(
         oracle_lateral > 0,
         "oracle never forwarded — the recipe exercises no remote path"
     );
     for shards in [1usize, 2, 4] {
         for front_ends in [1usize, 2] {
-            let cell = format!("reactor/shards={shards}/fe={front_ends}/coalesce={coalesce}");
-            let (transcript, lateral) = run_cell(
-                config(IoModel::Reactor, shards, front_ends, coalesce),
-                &cell,
-            );
+            let cell = format!("reactor/shards={shards}/fe={front_ends}");
+            let (transcript, lateral) =
+                run_cell(config(IoModel::Reactor, shards, front_ends), &cell);
             assert!(lateral > 0, "{cell}: no lateral stream ever ran");
             assert_eq!(
                 oracle, transcript,
                 "{cell}: large-body transcripts diverge from the threads oracle"
             );
         }
-    }
-}
-
-/// The one-fetch-per-miss arm (`coalesce_misses: false`), kept until
-/// ROADMAP item C deletes it; the default is the matrix below.
-#[test]
-fn large_body_matrix_matches_threads_oracle() {
-    matrix(false);
-}
-
-#[test]
-fn large_body_matrix_matches_threads_oracle_with_coalescing() {
-    matrix(true);
-}
-
-/// The copying baseline (`zero_copy: false` — responses flattened into
-/// one contiguous buffer before write-out) must be byte-identical to
-/// the zero-copy path in both io models; it exists only so the zerocopy
-/// bench has an honest same-harness comparison.
-#[test]
-fn copying_baseline_is_invisible_on_the_wire() {
-    let (oracle, _) = run_cell(config(IoModel::Threads, 1, 1, true), "zc oracle");
-    for io_model in [IoModel::Threads, IoModel::Reactor] {
-        let shards = if io_model == IoModel::Reactor { 2 } else { 1 };
-        let mut cfg = config(io_model, shards, 1, true);
-        cfg.zero_copy = false;
-        let (transcript, _) = run_cell(cfg, &format!("copying/{io_model:?}"));
-        assert_eq!(
-            oracle, transcript,
-            "{io_model:?}: the zero_copy knob changed response bytes"
-        );
     }
 }

@@ -38,19 +38,8 @@ fn workload() -> (phttp_trace::Trace, ConnectionTrace) {
     (trace, conns)
 }
 
-fn config_coalesced(mechanism: Mechanism, io_model: IoModel, shards: usize) -> ProtoConfig {
-    ProtoConfig {
-        coalesce_misses: true,
-        ..config(mechanism, io_model, shards)
-    }
-}
-
 fn config(mechanism: Mechanism, io_model: IoModel, shards: usize) -> ProtoConfig {
     ProtoConfig {
-        // The one-fetch-per-miss arm, pinned now that single-flight is
-        // the default: these matrices stay its byte oracle until ROADMAP
-        // item C deletes it (`config_coalesced` covers the default).
-        coalesce_misses: false,
         nodes: 3,
         policy: PolicyKind::ExtLard,
         mechanism,
@@ -203,7 +192,8 @@ fn assert_routes(stats: &[phttp_proto::NodeStatsSnapshot], mechanism: Mechanism,
 /// dispatcher under true multi-loop concurrency.
 const SHARD_MATRIX: [usize; 3] = [1, 2, 4];
 
-fn shard_matrix_against_oracle(mechanism: Mechanism) {
+/// Runs the matrix and returns the threads oracle's node stats.
+fn shard_matrix_against_oracle(mechanism: Mechanism) -> Vec<phttp_proto::NodeStatsSnapshot> {
     let (trace, _) = workload();
     let (threads, threads_stats) = run_one(mechanism, IoModel::Threads, 1);
     assert_nonempty(&threads, trace.len());
@@ -216,53 +206,22 @@ fn shard_matrix_against_oracle(mechanism: Mechanism) {
             "transcripts diverge from the threads oracle ({mechanism:?}, {shards} shards)"
         );
     }
-}
-
-#[test]
-fn reactor_shard_matrix_matches_threads_backend_forwarding() {
-    shard_matrix_against_oracle(Mechanism::BackendForwarding);
+    threads_stats
 }
 
 /// Single-flight coalescing must be invisible on the wire: response
-/// bytes are a pure function of `(target, HTTP version)`, so with
-/// `coalesce_misses` on, the reactor at every shard count must still be
-/// byte-identical to the threads oracle *with coalescing on* — only
-/// fetch counts and timing may differ from the uncoalesced runs above.
-/// The coalesced oracle must also actually coalesce (delayed hits
-/// observed), or this leg would silently test nothing new.
+/// bytes are a pure function of `(target, HTTP version)`, so only fetch
+/// counts and timing may differ between the models. The oracle must
+/// also actually coalesce (delayed hits observed), or the matrix would
+/// not exercise the flight tables it compares.
 #[test]
-fn reactor_shard_matrix_matches_threads_with_coalescing() {
-    let mechanism = Mechanism::BackendForwarding;
-    let run = |io_model: IoModel, shards: usize| {
-        let (trace, conns) = workload();
-        let cluster = Cluster::start(config_coalesced(mechanism, io_model, shards), &trace)
-            .expect("start cluster");
-        let transcript = play_capture(cluster.frontend_addrs(), &conns);
-        assert!(
-            cluster.quiesce(Duration::from_secs(10)),
-            "{io_model:?}/{shards}: connections leaked under coalescing"
-        );
-        let stats = cluster.node_stats();
-        cluster.shutdown();
-        (transcript, stats)
-    };
-    let (trace, _) = workload();
-    let (threads, threads_stats) = run(IoModel::Threads, 1);
-    assert_nonempty(&threads, trace.len());
-    assert_routes(&threads_stats, mechanism, IoModel::Threads);
+fn reactor_shard_matrix_matches_threads_backend_forwarding() {
+    let threads_stats = shard_matrix_against_oracle(Mechanism::BackendForwarding);
     let coalesced: u64 = threads_stats.iter().map(|s| s.coalesced_waits).sum();
     assert!(
         coalesced > 0,
         "oracle never coalesced a miss — widen the concurrency recipe"
     );
-    for shards in SHARD_MATRIX {
-        let (reactor, reactor_stats) = run(IoModel::Reactor, shards);
-        assert_routes(&reactor_stats, mechanism, IoModel::Reactor);
-        assert_eq!(
-            threads, reactor,
-            "coalescing changed response bytes ({shards} shards)"
-        );
-    }
 }
 
 #[test]

@@ -55,7 +55,6 @@ fn cached_slices_return_to_refcount_one_after_soak_and_churn() {
                 seek: Duration::from_micros(500),
                 bytes_per_sec: 300.0 * MIB as f64,
             },
-            coalesce_misses: true,
             cache_feedback: true,
             feedback_interval: Duration::from_millis(10),
             health_tick_interval: Duration::from_millis(10),
