@@ -202,9 +202,12 @@ fn play_capture(
 }
 
 /// One matrix cell: serve the workload, capture transcripts, prove the
-/// cluster evicted and unwound clean, and return (transcript, summed
-/// lateral_out).
-fn run_cell(mut cfg: ProtoConfig, cell: &str) -> (Vec<Vec<Vec<u8>>>, u64) {
+/// cluster evicted and unwound clean, and return (transcript, node
+/// stats).
+fn run_cell(
+    mut cfg: ProtoConfig,
+    cell: &str,
+) -> (Vec<Vec<Vec<u8>>>, Vec<phttp_proto::NodeStatsSnapshot>) {
     let (trace, conns) = workload();
     let io_model = cfg.io_model;
     cfg.read_timeout = cfg.read_timeout.max(Duration::from_secs(10));
@@ -234,30 +237,69 @@ fn run_cell(mut cfg: ProtoConfig, cell: &str) -> (Vec<Vec<Vec<u8>>>, u64) {
     }
     let responses: usize = transcript.iter().map(|c| c.len()).sum();
     assert_eq!(responses, trace.len(), "{cell}: lost responses");
-    let lateral: u64 = cluster.node_stats().iter().map(|s| s.lateral_out).sum();
     let evictions: u64 = fe.nodes().iter().map(|n| n.cache.lock().evictions()).sum();
     assert!(evictions > 0, "{cell}: no cached body was ever evicted");
+    let stats = cluster.node_stats();
     cluster.shutdown();
-    (transcript, lateral)
+    (transcript, stats)
 }
 
-#[test]
-fn large_body_matrix_matches_threads_oracle() {
-    let (oracle, oracle_lateral) = run_cell(config(IoModel::Threads, 1, 1), "threads oracle");
+fn lateral_out(stats: &[phttp_proto::NodeStatsSnapshot]) -> u64 {
+    stats.iter().map(|s| s.lateral_out).sum()
+}
+
+/// Runs the whole matrix against the threads oracle and returns every
+/// cell's node stats, labelled, the oracle first.
+fn matrix() -> Vec<(String, Vec<phttp_proto::NodeStatsSnapshot>)> {
+    let (oracle, oracle_stats) = run_cell(config(IoModel::Threads, 1, 1), "threads oracle");
     assert!(
-        oracle_lateral > 0,
+        lateral_out(&oracle_stats) > 0,
         "oracle never forwarded — the recipe exercises no remote path"
     );
+    let mut cells = vec![("threads oracle".to_string(), oracle_stats)];
     for shards in [1usize, 2, 4] {
         for front_ends in [1usize, 2] {
             let cell = format!("reactor/shards={shards}/fe={front_ends}");
-            let (transcript, lateral) =
-                run_cell(config(IoModel::Reactor, shards, front_ends), &cell);
-            assert!(lateral > 0, "{cell}: no lateral stream ever ran");
+            let (transcript, stats) = run_cell(config(IoModel::Reactor, shards, front_ends), &cell);
+            assert!(
+                lateral_out(&stats) > 0,
+                "{cell}: no lateral stream ever ran"
+            );
             assert_eq!(
                 oracle, transcript,
                 "{cell}: large-body transcripts diverge from the threads oracle"
             );
+            cells.push((cell, stats));
         }
+    }
+    cells
+}
+
+#[test]
+fn large_body_matrix_matches_threads_oracle() {
+    matrix();
+}
+
+/// Multi-MiB misses are slow disk reads, so concurrent requests for one
+/// target park on its flight and share the single body it reads. The
+/// oracle must actually coalesce, or the matrix would not exercise
+/// waiters holding a large shared body; and since every waiter is
+/// served, each cell's served counters must sum to the request count.
+#[test]
+fn large_body_matrix_matches_threads_oracle_with_coalescing() {
+    let (trace, _) = workload();
+    let cells = matrix();
+    let coalesced: u64 = cells[0].1.iter().map(|s| s.coalesced_waits).sum();
+    assert!(
+        coalesced > 0,
+        "oracle never coalesced a miss — widen the concurrency recipe"
+    );
+    for (cell, stats) in &cells {
+        let served: u64 = stats.iter().map(|s| s.served).sum();
+        assert_eq!(
+            served,
+            trace.len() as u64,
+            "{cell}: served counters do not sum to the request count"
+        );
     }
 }

@@ -192,12 +192,16 @@ fn assert_routes(stats: &[phttp_proto::NodeStatsSnapshot], mechanism: Mechanism,
 /// dispatcher under true multi-loop concurrency.
 const SHARD_MATRIX: [usize; 3] = [1, 2, 4];
 
-/// Runs the matrix and returns the threads oracle's node stats.
-fn shard_matrix_against_oracle(mechanism: Mechanism) -> Vec<phttp_proto::NodeStatsSnapshot> {
+/// Runs the matrix and returns every run's node stats, labelled, the
+/// threads oracle first.
+fn shard_matrix_against_oracle(
+    mechanism: Mechanism,
+) -> Vec<(String, Vec<phttp_proto::NodeStatsSnapshot>)> {
     let (trace, _) = workload();
     let (threads, threads_stats) = run_one(mechanism, IoModel::Threads, 1);
     assert_nonempty(&threads, trace.len());
     assert_routes(&threads_stats, mechanism, IoModel::Threads);
+    let mut runs = vec![("threads".to_string(), threads_stats)];
     for shards in SHARD_MATRIX {
         let (reactor, reactor_stats) = run_one(mechanism, IoModel::Reactor, shards);
         assert_routes(&reactor_stats, mechanism, IoModel::Reactor);
@@ -205,23 +209,41 @@ fn shard_matrix_against_oracle(mechanism: Mechanism) -> Vec<phttp_proto::NodeSta
             threads, reactor,
             "transcripts diverge from the threads oracle ({mechanism:?}, {shards} shards)"
         );
+        runs.push((format!("reactor/{shards}"), reactor_stats));
     }
-    threads_stats
+    runs
+}
+
+#[test]
+fn reactor_shard_matrix_matches_threads_backend_forwarding() {
+    shard_matrix_against_oracle(Mechanism::BackendForwarding);
 }
 
 /// Single-flight coalescing must be invisible on the wire: response
 /// bytes are a pure function of `(target, HTTP version)`, so only fetch
 /// counts and timing may differ between the models. The oracle must
 /// also actually coalesce (delayed hits observed), or the matrix would
-/// not exercise the flight tables it compares.
+/// not exercise the flight tables it compares. Every parked waiter is
+/// served, so in every model the nodes' served counters must sum to the
+/// request count — a waiter on a lateral flight booked nowhere would
+/// leave the sum short.
 #[test]
-fn reactor_shard_matrix_matches_threads_backend_forwarding() {
-    let threads_stats = shard_matrix_against_oracle(Mechanism::BackendForwarding);
-    let coalesced: u64 = threads_stats.iter().map(|s| s.coalesced_waits).sum();
+fn reactor_shard_matrix_matches_threads_with_coalescing() {
+    let (trace, _) = workload();
+    let runs = shard_matrix_against_oracle(Mechanism::BackendForwarding);
+    let coalesced: u64 = runs[0].1.iter().map(|s| s.coalesced_waits).sum();
     assert!(
         coalesced > 0,
         "oracle never coalesced a miss — widen the concurrency recipe"
     );
+    for (run, stats) in &runs {
+        let served: u64 = stats.iter().map(|s| s.served).sum();
+        assert_eq!(
+            served,
+            trace.len() as u64,
+            "{run}: served counters do not sum to the request count"
+        );
+    }
 }
 
 #[test]
