@@ -320,11 +320,11 @@ pub fn run_sim_figure(title: &str, flash: bool, opts: &FigOpts) {
     check.finish(opts);
 }
 
-/// Host metadata stamped into every `BENCH_*.json`: the logical CPU
-/// count the run had available and the UTC date it ran, as a JSON
+/// Host metadata stamped into every `phttp-load` report: the logical
+/// CPU count the run had available and the UTC date it ran, as a JSON
 /// fragment (two key/value pairs, no braces). Benchmark numbers are
-/// meaningless without at least this much provenance — the container
-/// benches run on one core, a laptop on many.
+/// meaningless without at least this much provenance — a small
+/// container has one or two cores, a laptop many.
 pub fn host_meta_json() -> String {
     let cores = std::thread::available_parallelism()
         .map(|x| x.get())

@@ -169,6 +169,13 @@ fn trace_stats(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 
 fn sim_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let label = args.get("config").unwrap_or("BEforward-extLARD-PHTTP");
+    if !SimConfig::PAPER_LABELS.contains(&label) {
+        return Err(format!(
+            "unknown configuration {label:?} (one of: {})",
+            SimConfig::PAPER_LABELS.join(", ")
+        )
+        .into());
+    }
     let nodes = args.get_or("nodes", 4usize)?;
     let trace = load_trace(args, 1)?;
     let mut cfg = SimConfig::paper_config(label, nodes);
@@ -177,6 +184,7 @@ fn sim_run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
     cfg.cache_bytes = args.get_or("cache-mb", 16u64)? * 1024 * 1024;
     cfg.eviction = cache_policy(args);
+    cfg.validate()?;
     let workload = build_workload(&trace, cfg.protocol, SessionConfig::default());
     let report = Simulator::new(cfg, &trace, &workload).run();
     println!("{}", report.summary());

@@ -1,10 +1,39 @@
-//! The lock-sharded concurrent dispatcher.
+//! The front-end dispatcher.
 //!
-//! [`ConcurrentDispatcher`] composes the three layers —
+//! This is the component the paper implements "in a dispatcher module at
+//! the front-end". [`ConcurrentDispatcher`] composes the three layers —
 //! [`Policy`] (pure decisions),
 //! [`LoadTracker`] (atomic load accounting),
 //! and [`ShardedMappingTable`] —
-//! behind `&self` methods safe to call from any number of threads.
+//! behind `&self` methods safe to call from any number of threads. The
+//! live prototype (`phttp-proto`) calls it from every connection handler
+//! at once; the trace-driven simulator (`phttp-sim`) drives one instance
+//! per front-end from its single event loop.
+//!
+//! ## Decision procedure
+//!
+//! * **New connection** (first request): WRR picks the least-loaded node;
+//!   LARD and extended LARD pick the node minimizing the aggregate cost of
+//!   [`crate::cost`], then update the mapping table.
+//! * **Subsequent request on a persistent connection**:
+//!   * WRR and basic LARD always serve on the connection-handling node —
+//!     their mechanisms distribute at TCP-connection granularity.
+//!   * Extended LARD applies the paper's §4.2 rules: serve locally if the
+//!     target is mapped to the connection node *or* the node's disk
+//!     utilization is low (caching the target in the latter case); otherwise
+//!     evaluate the cost metrics over the connection node plus the nodes
+//!     that cache the target, and forward/migrate to the argmin.
+//!
+//! ## Load accounting
+//!
+//! One load unit per active connection, charged to the connection-handling
+//! node. Under back-end forwarding, a remote node serving a request out of a
+//! pipelined batch of `N` requests is charged `1/N` load for the duration of
+//! the batch — the front-end "assumes that all previous requests have
+//! finished once a new batch of requests arrives on the same connection", so
+//! starting a new batch clears the fractional charges of the previous one.
+//! Under multiple-handoff semantics a remote assignment *migrates* the whole
+//! load unit instead.
 //!
 //! ## Locking discipline
 //!
@@ -67,7 +96,7 @@ use crate::types::{Assignment, ConnId, NodeId};
 /// the batch size used for 1/N load accounting is fixed up front.
 const MAX_BATCH_CHUNK: usize = 64;
 
-/// Construction parameters for both dispatcher façades.
+/// Construction parameters for a [`ConcurrentDispatcher`].
 #[derive(Debug, Clone, Copy)]
 pub struct DispatcherConfig {
     /// Which distribution policy to run.
@@ -119,8 +148,8 @@ impl DispatcherConfig {
     }
 }
 
-/// Thread-safe dispatcher: the same policy semantics as
-/// [`Dispatcher`](crate::dispatcher::Dispatcher), behind `&self`.
+/// The front-end dispatcher, behind `&self`. See the module docs for
+/// semantics and locking.
 pub struct ConcurrentDispatcher {
     policy: Box<dyn Policy>,
     semantics: ForwardSemantics,

@@ -6,7 +6,7 @@
 //! these charges in **fixed point** ([`LOAD_UNIT`] = one connection) in
 //! per-node atomics, so the dispatch hot path reads and writes load
 //! without taking any lock — the whole point of splitting the old
-//! monolithic `Dispatcher`, whose single mutex serialized every policy
+//! monolithic dispatcher, whose single mutex serialized every policy
 //! decision across connection-handler threads.
 //!
 //! Exactness: a fractional batch charge is rounded once when computed

@@ -3,7 +3,7 @@
 //!
 //! The *mechanism* is how a chosen back-end gets to serve a request on a
 //! front-end-established client connection; the *policy*
-//! ([`crate::dispatcher::PolicyKind`]) is how the back-end is chosen. The
+//! ([`crate::policy::PolicyKind`]) is how the back-end is chosen. The
 //! paper evaluates five mechanisms:
 
 use std::fmt;

@@ -5,8 +5,7 @@
 //! *decision* (which node, plus a [`MapEffect`] the caller applies to
 //! the mapping table). Policies mutate neither loads nor mappings —
 //! that separation is what lets the concurrent dispatcher run decisions
-//! under nothing but the one mapping shard lock for the target in hand,
-//! while the single-threaded façade composes the very same objects.
+//! under nothing but the one mapping shard lock for the target in hand.
 //!
 //! The three policies mirror the paper:
 //!

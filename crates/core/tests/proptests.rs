@@ -7,7 +7,9 @@
 
 use proptest::prelude::*;
 
-use phttp_core::{Assignment, ConnId, Dispatcher, ForwardSemantics, LardParams, PolicyKind};
+use phttp_core::{
+    Assignment, ConcurrentDispatcher, ConnId, ForwardSemantics, LardParams, PolicyKind,
+};
 use phttp_trace::TargetId;
 
 /// A scripted workload step.
@@ -49,10 +51,10 @@ proptest! {
     #[test]
     fn ext_lard_equals_lard_on_http10(steps in arb_steps(), nodes in 1usize..8) {
         let params = LardParams::default();
-        let mut lard = Dispatcher::new(
+        let lard = ConcurrentDispatcher::new(
             PolicyKind::Lard, ForwardSemantics::LateralFetch, nodes, params,
         );
-        let mut ext = Dispatcher::new(
+        let ext = ConcurrentDispatcher::new(
             PolicyKind::ExtLard, ForwardSemantics::LateralFetch, nodes, params,
         );
         let mut open: std::collections::VecDeque<ConnId> = Default::default();
@@ -95,7 +97,7 @@ proptest! {
     ) {
         let policy = [PolicyKind::Wrr, PolicyKind::Lard, PolicyKind::ExtLard][policy_idx];
         let semantics = if migrate { ForwardSemantics::Migrate } else { ForwardSemantics::LateralFetch };
-        let mut d = Dispatcher::new(policy, semantics, 4, LardParams::default());
+        let d = ConcurrentDispatcher::new(policy, semantics, 4, LardParams::default());
         if disk_busy {
             for i in 0..4 {
                 d.report_disk_queue(phttp_core::NodeId(i), 99);
@@ -124,7 +126,7 @@ proptest! {
     #[test]
     fn dispatcher_is_deterministic(steps in arb_steps(), nodes in 1usize..6) {
         let run = || {
-            let mut d = Dispatcher::new(
+            let d = ConcurrentDispatcher::new(
                 PolicyKind::ExtLard,
                 ForwardSemantics::LateralFetch,
                 nodes,
@@ -161,7 +163,7 @@ proptest! {
         reqs in proptest::collection::vec((0u32..15, 1usize..4), 1..60),
         depths in proptest::collection::vec(0usize..60, 4),
     ) {
-        let mut d = Dispatcher::new(
+        let d = ConcurrentDispatcher::new(
             PolicyKind::ExtLard,
             ForwardSemantics::LateralFetch,
             4,
@@ -214,7 +216,7 @@ proptest! {
         use phttp_core::{HealthState, NodeId};
         let policy = [PolicyKind::Wrr, PolicyKind::Lard, PolicyKind::ExtLard][policy_idx];
         let nodes = 4usize;
-        let mut d = Dispatcher::new(policy, ForwardSemantics::LateralFetch, nodes, LardParams::default());
+        let d = ConcurrentDispatcher::new(policy, ForwardSemantics::LateralFetch, nodes, LardParams::default());
         if disk_busy {
             for i in 0..nodes {
                 d.report_disk_queue(NodeId(i), 99);
@@ -297,7 +299,7 @@ proptest! {
     /// connections close.
     #[test]
     fn wrr_imbalance_is_bounded(targets in proptest::collection::vec(0u32..50, 1..200), nodes in 1usize..8) {
-        let mut d = Dispatcher::new(
+        let d = ConcurrentDispatcher::new(
             PolicyKind::Wrr, ForwardSemantics::LateralFetch, nodes, LardParams::default(),
         );
         for (i, &t) in targets.iter().enumerate() {

@@ -280,7 +280,7 @@ impl fmt::Display for LockClass {
 /// the `inner` group, never the reverse (transitively). Mirrors the
 /// ARCHITECTURE.md "Concurrency invariants" table; change them together.
 pub const DECLARED_ORDER: &[(LockGroup, LockGroup)] = &[
-    // Dispatcher core: a pipelined batch is decided under its connection
+    // The dispatcher: a pipelined batch is decided under its connection
     // shard with one write acquisition per distinct mapping shard.
     (LockGroup::ConnShard, LockGroup::MappingShard),
     // Health gates and the cache mirror are consulted from inside

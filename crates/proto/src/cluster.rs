@@ -269,15 +269,18 @@ pub struct Cluster {
 impl Cluster {
     /// Builds and starts a cluster serving the trace's corpus.
     ///
-    /// Returns a [`ConfigError`] when the configured mechanism is one the
-    /// prototype does not implement (relaying front-end and the zero-cost
-    /// ideal are simulator-only).
+    /// Returns a [`ConfigError`] when the configuration is invalid — no
+    /// back-ends, say, or a mechanism the prototype does not implement
+    /// (relaying front-end and the zero-cost ideal are simulator-only).
     ///
     /// # Panics
     ///
-    /// Panics if `config.nodes == 0` or sockets cannot be bound on loopback.
+    /// Panics if `config.workers == 0` or sockets cannot be bound on
+    /// loopback.
     pub fn start(config: ProtoConfig, trace: &Trace) -> Result<Cluster, ConfigError> {
-        assert!(config.nodes > 0, "cluster needs at least one back-end");
+        if config.nodes == 0 {
+            return Err(ConfigError::ZeroNodes);
+        }
         assert!(config.workers > 0, "worker pool must not be empty");
         if config.reactor_shards == 0 {
             return Err(ConfigError::ZeroReactorShards);
@@ -1319,5 +1322,27 @@ fn serve_peer_connection(
             };
             write_response(&mut stream, &resp)?;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_nodes_is_a_config_error() {
+        let trace = Trace::new(Vec::new(), vec![100]);
+        let config = ProtoConfig {
+            nodes: 0,
+            ..ProtoConfig::default()
+        };
+        match Cluster::start(config, &trace) {
+            Err(e) => assert_eq!(e, ConfigError::ZeroNodes),
+            Ok(cluster) => {
+                cluster.shutdown();
+                panic!("a cluster without back-ends must be refused");
+            }
+        }
+        assert!(ConfigError::ZeroNodes.to_string().contains("nodes"));
     }
 }

@@ -2,11 +2,11 @@
 //! acceptor and every connection-handler thread.
 //!
 //! This wraps [`phttp_core::ConcurrentDispatcher`] — the same layered
-//! policy engine the simulator runs single-threaded — with **no lock of
-//! its own**. Every handler thread calls straight into the dispatcher,
-//! whose hot path takes only the mapping shard and connection shard for
-//! the request in hand; the old `Mutex<Dispatcher>` that serialized all
-//! policy decisions across handler threads is gone. The front-end also
+//! policy engine the simulator drives from its one event loop — with
+//! **no lock of its own**. Every handler thread calls straight into the
+//! dispatcher, whose hot path takes only the mapping shard and connection
+//! shard for the request in hand, so no policy decision serializes
+//! handler threads behind another. The front-end also
 //! feeds the dispatcher the back-ends' disk-queue depths (the control
 //! session traffic of the paper's §7.1) — throttled to a configurable
 //! reporting interval, mirroring the paper's periodic control-session
@@ -40,6 +40,9 @@ pub enum ConfigError {
         /// The offending document size, bytes.
         size: u64,
     },
+    /// `ProtoConfig::nodes` is zero — the cluster needs at least one
+    /// serving back-end.
+    ZeroNodes,
     /// `ProtoConfig::reactor_shards` is zero — a reactor front-end
     /// needs at least one event loop.
     ZeroReactorShards,
@@ -86,6 +89,7 @@ impl std::fmt::Display for ConfigError {
                 "corpus document of {size} bytes exceeds the {} byte HTTP body limit",
                 phttp_http::MAX_BODY
             ),
+            ConfigError::ZeroNodes => write!(f, "nodes must be at least 1"),
             ConfigError::ZeroReactorShards => {
                 write!(f, "reactor_shards must be at least 1")
             }

@@ -57,7 +57,7 @@ pub use client::{run_load, ClientProtocol, LoadConfig, LoadReport};
 pub use cluster::{Cluster, IoModel, ProtoConfig};
 pub use control::{ControlMsg, FrameDecoder};
 pub use frontend::{ConfigError, FrontEnd, DEFAULT_DISK_REPORT_INTERVAL};
-pub use node::{DiskEmu, FeedbackConfig, NodeState, NodeStatsSnapshot, Spindle};
+pub use node::{DiskEmu, FeedbackConfig, NodeState, NodeStatsSnapshot};
 pub use phttp_simcore::EvictPolicy;
 pub use reactor::ReactorStats;
 pub use store::ContentStore;

@@ -274,7 +274,7 @@ pub(crate) struct ClientConn {
     /// [`node`](Self::node) (the accepting listener's node) and the
     /// dispatcher is never involved (`conn_id` stays `None`).
     pub peer_server: bool,
-    /// Dispatcher connection id; `None` until the first request has
+    /// The dispatcher's connection id; `None` until the first request has
     /// driven the content-based handoff (always `None` for peer-server
     /// connections).
     pub conn_id: Option<ConnId>,

@@ -129,7 +129,7 @@ fn soak(conns: usize) {
         all_done.wait();
     });
 
-    // Phase 3: drain. Dispatcher state unwinds as the shards observe
+    // Phase 3: drain. The dispatcher's state unwinds as the shards observe
     // the EOFs...
     assert!(
         cluster.quiesce(Duration::from_secs(30)),

@@ -137,12 +137,22 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
+    /// The figure-legend names [`paper_config`](Self::paper_config)
+    /// accepts.
+    pub const PAPER_LABELS: [&'static str; 8] = [
+        "WRR",
+        "WRR-PHTTP",
+        "simple-LARD",
+        "simple-LARD-PHTTP",
+        "multiHandoff-extLARD-PHTTP",
+        "BEforward-extLARD-PHTTP",
+        "zeroCost-extLARD-PHTTP",
+        "relay-LARD-PHTTP",
+    ];
+
     /// A named paper configuration on the Apache cost profile.
     ///
-    /// `label` must be one of the figure-legend names:
-    /// `WRR`, `WRR-PHTTP`, `simple-LARD`, `simple-LARD-PHTTP`,
-    /// `multiHandoff-extLARD-PHTTP`, `BEforward-extLARD-PHTTP`,
-    /// `zeroCost-extLARD-PHTTP`, `relay-LARD-PHTTP`.
+    /// `label` must be one of [`PAPER_LABELS`](Self::PAPER_LABELS).
     ///
     /// # Panics
     ///
@@ -321,16 +331,7 @@ mod tests {
 
     #[test]
     fn paper_configs_are_valid() {
-        for label in [
-            "WRR",
-            "WRR-PHTTP",
-            "simple-LARD",
-            "simple-LARD-PHTTP",
-            "multiHandoff-extLARD-PHTTP",
-            "BEforward-extLARD-PHTTP",
-            "zeroCost-extLARD-PHTTP",
-            "relay-LARD-PHTTP",
-        ] {
+        for label in SimConfig::PAPER_LABELS {
             let cfg = SimConfig::paper_config(label, 4);
             cfg.validate().unwrap_or_else(|e| panic!("{label}: {e}"));
             let flash = cfg.with_flash();

@@ -31,8 +31,8 @@
 use std::collections::HashMap;
 
 use phttp_core::{
-    Assignment, CacheEvent, ConnId, Dispatcher, DispatcherConfig, FeId, ForwardSemantics,
-    Mechanism, NodeId, Ring, TierView,
+    Assignment, CacheEvent, ConcurrentDispatcher, ConnId, FeId, ForwardSemantics, Mechanism,
+    NodeId, Ring, TierView,
 };
 use phttp_simcore::{Accumulator, EventQueue, FifoResource, Histogram, SimDuration, SimTime};
 use phttp_trace::{ConnectionTrace, TargetId, Trace};
@@ -233,7 +233,7 @@ struct Run<'w> {
     backends: Vec<Backend>,
     /// One dispatcher per front-end instance: its own mapping belief and
     /// load view, converged only as fast as the gossip carries deltas.
-    dispatchers: Vec<Dispatcher>,
+    dispatchers: Vec<ConcurrentDispatcher>,
     /// Per-front-end merged view of the peers' published state.
     views: Vec<TierView>,
     /// Consistent-hash ring assigning each target its owning front-end
@@ -273,12 +273,8 @@ impl<'w> Run<'w> {
             _ => ForwardSemantics::LateralFetch,
         };
         let is_relay = cfg.mechanism == Mechanism::RelayingFrontend;
-        let dispatchers: Vec<Dispatcher> = (0..cfg.front_ends)
-            .map(|_| {
-                Dispatcher::from_config(DispatcherConfig::new(
-                    cfg.policy, semantics, cfg.nodes, cfg.lard,
-                ))
-            })
+        let dispatchers = (0..cfg.front_ends)
+            .map(|_| ConcurrentDispatcher::new(cfg.policy, semantics, cfg.nodes, cfg.lard))
             .collect();
         let views = (0..cfg.front_ends)
             .map(|f| TierView::new(FeId(f), cfg.nodes))
@@ -378,7 +374,7 @@ impl<'w> Run<'w> {
             // Control sessions fan out to every front-end instance: the
             // queue depth describes the *node*, which every tier member
             // decides against (mirrors the prototype's wiring).
-            for d in &mut self.dispatchers {
+            for d in &self.dispatchers {
                 d.report_disk_queue(NodeId(i), depth);
             }
         }
@@ -402,7 +398,7 @@ impl<'w> Run<'w> {
                 continue; // killed: deltas cannot reach the dispatchers
             }
             let events = std::mem::take(&mut self.backends[i].pending_feedback);
-            for d in &mut self.dispatchers {
+            for d in &self.dispatchers {
                 d.apply_cache_feedback(NodeId(i), &events);
             }
         }
@@ -477,7 +473,7 @@ impl<'w> Run<'w> {
                 let be = &mut self.backends[n];
                 be.session_up = false;
                 be.pending_feedback.clear();
-                for d in &mut self.dispatchers {
+                for d in &self.dispatchers {
                     d.evict_node(NodeId(n));
                 }
             }
@@ -504,7 +500,7 @@ impl<'w> Run<'w> {
         let be = &mut self.backends[n];
         be.session_up = true;
         be.pending_feedback.clear();
-        for d in &mut self.dispatchers {
+        for d in &self.dispatchers {
             d.warm_up(NodeId(n), events);
         }
     }
@@ -866,7 +862,7 @@ impl<'w> Run<'w> {
                     continue; // still killed at run end: nothing reaches anyone
                 }
                 let events = std::mem::take(&mut self.backends[i].pending_feedback);
-                for d in &mut self.dispatchers {
+                for d in &self.dispatchers {
                     d.apply_cache_feedback(NodeId(i), &events);
                 }
             }
@@ -1003,16 +999,7 @@ mod tests {
     #[test]
     fn every_request_completes_exactly_once() {
         let trace = small_trace();
-        for label in [
-            "WRR",
-            "WRR-PHTTP",
-            "simple-LARD",
-            "simple-LARD-PHTTP",
-            "multiHandoff-extLARD-PHTTP",
-            "BEforward-extLARD-PHTTP",
-            "zeroCost-extLARD-PHTTP",
-            "relay-LARD-PHTTP",
-        ] {
+        for label in SimConfig::PAPER_LABELS {
             let report = run_label(label, 3, &trace);
             assert_eq!(
                 report.requests,
@@ -1261,6 +1248,47 @@ mod tests {
         );
     }
 
+    /// A burst of concurrent misses of one cold target: uncoalesced,
+    /// every miss schedules its own read; single-flight collapses the
+    /// burst to one read with every other miss a delayed hit, and the
+    /// aggregate miss delay can only shrink (waiters ride a read that is
+    /// already under way).
+    #[test]
+    fn coalescing_collapses_a_cold_burst_to_one_fetch() {
+        const BURST: u64 = 32;
+        // One client per miss, one microsecond apart: every probe lands
+        // while the first fetch is in flight.
+        let requests = (0..BURST)
+            .map(|i| phttp_trace::Request {
+                time: SimTime::from_micros(i),
+                client: phttp_trace::ClientId(i as u32),
+                target: TargetId(0),
+            })
+            .collect();
+        let trace = Trace::new(requests, vec![64 * 1024]);
+        let run = |coalesce: bool| {
+            let mut cfg = SimConfig::paper_config("WRR-PHTTP", 1);
+            cfg.cache_bytes = 8 * 1024 * 1024; // eviction-free
+            cfg.coalesce_misses = coalesce;
+            // Slow spindle: the node's per-connection CPU staggers the
+            // probes over ~25 ms of simulated time, so the first fetch
+            // must outlive the whole burst for every request to race it.
+            cfg.disk.seek_us = 100_000;
+            let workload = build_workload(&trace, cfg.protocol, SessionConfig::default());
+            Simulator::new(cfg, &trace, &workload).run()
+        };
+        let (off, on) = (run(false), run(true));
+        assert_eq!(off.disk_fetches, BURST, "uncoalesced: every miss fetches");
+        assert_eq!(on.disk_fetches, 1, "coalesced: one fetch for the burst");
+        assert_eq!(on.delayed_hits, BURST - 1);
+        assert!(
+            on.agg_miss_delay_ms <= off.agg_miss_delay_ms + 1e-9,
+            "coalesced aggregate miss delay {} exceeds uncoalesced {}",
+            on.agg_miss_delay_ms,
+            off.agg_miss_delay_ms
+        );
+    }
+
     #[test]
     fn coalescing_runs_stay_deterministic() {
         let trace = small_trace();
@@ -1335,6 +1363,46 @@ mod tests {
             gd.disk_fetches,
             lru.disk_fetches
         );
+    }
+
+    /// One node whose 2 MiB cache is far below a Zipf working set,
+    /// single-flight on, across fetch latencies from a fast disk to a
+    /// loaded spindle: GreedyDual, costing each entry by its measured
+    /// aggregate miss delay, must read the disk strictly less often
+    /// *and* stall strictly less than LRU at every seek.
+    #[test]
+    fn greedy_dual_beats_lru_at_every_seek() {
+        use phttp_simcore::EvictPolicy;
+        let mut synth = SynthConfig::small();
+        synth.num_pages = 300;
+        synth.num_page_views = 2_000;
+        synth.zipf_exponent = 1.0;
+        let trace = phttp_trace::generate(&synth);
+        let run = |seek_us, policy| {
+            let mut cfg = SimConfig::paper_config("WRR-PHTTP", 1)
+                .with_coalescing()
+                .with_eviction(policy);
+            cfg.cache_bytes = 2 * 1024 * 1024;
+            cfg.disk.seek_us = seek_us;
+            let workload = build_workload(&trace, cfg.protocol, SessionConfig::default());
+            Simulator::new(cfg, &trace, &workload).run()
+        };
+        for seek_us in [2_000, 10_000, 40_000] {
+            let lru = run(seek_us, EvictPolicy::Lru);
+            let gd = run(seek_us, EvictPolicy::GreedyDual);
+            assert!(
+                gd.disk_fetches < lru.disk_fetches,
+                "seek {seek_us} us: GreedyDual {} fetches vs LRU {}",
+                gd.disk_fetches,
+                lru.disk_fetches
+            );
+            assert!(
+                gd.agg_miss_delay_ms < lru.agg_miss_delay_ms,
+                "seek {seek_us} us: GreedyDual stalled {:.1} ms vs LRU {:.1} ms",
+                gd.agg_miss_delay_ms,
+                lru.agg_miss_delay_ms
+            );
+        }
     }
 
     #[test]
@@ -1450,19 +1518,10 @@ mod tests {
     fn warm_rejoin_recovers_better_than_cold() {
         use crate::config::{ChurnAction, ChurnEvent};
         let trace = small_trace();
-        let run = |rejoin: ChurnAction| {
+        let run = |churn: Vec<ChurnEvent>| {
             let mut cfg = SimConfig::paper_config("BEforward-extLARD-PHTTP", 3)
                 .with_feedback(SimDuration::from_millis(100))
-                .with_churn(vec![
-                    ChurnEvent {
-                        at: SimDuration::from_millis(300),
-                        action: ChurnAction::Kill(1),
-                    },
-                    ChurnEvent {
-                        at: SimDuration::from_millis(500),
-                        action: rejoin,
-                    },
-                ]);
+                .with_churn(churn);
             // Eviction-free: with capacity pressure the warm/cold gap
             // drowns in second-order eviction churn; without it the
             // wiped cache's re-fetches are the only difference.
@@ -1470,8 +1529,21 @@ mod tests {
             let workload = build_workload(&trace, cfg.protocol, SessionConfig::default());
             Simulator::new(cfg, &trace, &workload).run()
         };
-        let warm = run(ChurnAction::JoinWarm(1));
-        let cold = run(ChurnAction::JoinCold(1));
+        let kill_then = |rejoin: ChurnAction| {
+            vec![
+                ChurnEvent {
+                    at: SimDuration::from_millis(300),
+                    action: ChurnAction::Kill(1),
+                },
+                ChurnEvent {
+                    at: SimDuration::from_millis(500),
+                    action: rejoin,
+                },
+            ]
+        };
+        let baseline = run(Vec::new());
+        let warm = run(kill_then(ChurnAction::JoinWarm(1)));
+        let cold = run(kill_then(ChurnAction::JoinCold(1)));
         assert_eq!(warm.requests, trace.len() as u64);
         assert_eq!(cold.requests, trace.len() as u64);
         // A wiped cache has to re-fetch what the warm rejoin kept.
@@ -1482,6 +1554,13 @@ mod tests {
             warm.disk_fetches
         );
         assert!(cold.cache_hit_rate <= warm.cache_hit_rate + 1e-9);
+        // Churn cannot fetch less than an undisturbed run.
+        assert!(
+            warm.disk_fetches >= baseline.disk_fetches,
+            "warm rejoin fetched {} < static cluster {}",
+            warm.disk_fetches,
+            baseline.disk_fetches
+        );
     }
 
     #[test]

@@ -145,9 +145,11 @@ impl ConnectionTrace {
 /// assert_eq!(conns.connections[0].num_requests(), 2);
 /// ```
 pub fn reconstruct(trace: &Trace, cfg: SessionConfig) -> ConnectionTrace {
-    // Split requests per client, preserving time order.
-    let mut per_client: std::collections::HashMap<ClientId, Vec<&Request>> =
-        std::collections::HashMap::new();
+    // Split requests per client, preserving time order. Clients are
+    // visited in id order so connections that start at the same instant
+    // keep one order from run to run (the sort below is stable).
+    let mut per_client: std::collections::BTreeMap<ClientId, Vec<&Request>> =
+        std::collections::BTreeMap::new();
     for r in trace.requests() {
         per_client.entry(r.client).or_default().push(r);
     }
@@ -238,6 +240,16 @@ mod tests {
     fn trace(reqs: Vec<Request>) -> Trace {
         let max_target = reqs.iter().map(|r| r.target.0).max().unwrap_or(0);
         Trace::new(reqs, vec![1024; (max_target + 1) as usize])
+    }
+
+    #[test]
+    fn connections_opening_together_are_ordered_by_client() {
+        // Every client opens at the same instant: the order must not
+        // depend on how a hash map happened to iterate them.
+        let tr = trace((0..64).rev().map(|c| req(0, c, c)).collect());
+        let ct = reconstruct(&tr, SessionConfig::default());
+        let clients: Vec<u32> = ct.connections.iter().map(|c| c.client.0).collect();
+        assert_eq!(clients, (0..64).collect::<Vec<_>>());
     }
 
     #[test]
