@@ -4,9 +4,10 @@
 //! `WRR-PHTTP`, and `WRR`.
 //!
 //! Unlike Figures 7/8 this drives real TCP connections over loopback
-//! against real threads (wall-clock time!), so the default sweep is
-//! moderate and `--quick` trims it further. Absolute numbers reflect the
-//! host machine; the claims are the paper's shape results. **Run on an
+//! against the cluster's reactor event loops (wall-clock time!), so the
+//! default sweep is moderate and `--quick` trims it further. Absolute
+//! numbers reflect the host machine; the claims are the paper's shape
+//! results. **Run on an
 //! otherwise idle machine** — concurrent builds or tests distort the
 //! throughput cells badly.
 

@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use args::Args;
 use phttp_core::PolicyKind;
-use phttp_proto::{run_load, ClientProtocol, Cluster, IoModel, LoadConfig, ProtoConfig};
+use phttp_proto::{run_load, ClientProtocol, Cluster, LoadConfig, ProtoConfig};
 use phttp_sim::{build_workload, EvictPolicy, SimConfig, Simulator};
 use phttp_trace::{
     clf, generate, generate_specweb, reconstruct, SessionConfig, SpecWebConfig, SynthConfig, Trace,
@@ -35,12 +35,11 @@ commands:
                node caches run GreedyDual-Size, --lru the strict-LRU baseline)
   sweep        [--flash] [--quick] [FILE]
                the full Figure 7/8 sweep over cluster sizes and configs
-  demo         [--nodes N] [--policy wrr|lard|extlard] [--views N] [--reactor]
+  demo         [--nodes N] [--policy wrr|lard|extlard] [--views N]
                [--shards N] [--lru] [--front-ends M]
                boot the live loopback cluster and drive it with real HTTP
-               (--reactor serves it from epoll event loops instead of the
-               worker-thread pool; --shards N spreads the reactor over N
-               loops with SO_REUSEPORT accept distribution; concurrent
+               (served from epoll event loops; --shards N spreads them over
+               N loops with SO_REUSEPORT accept distribution; concurrent
                misses per target are single-flighted and reported as
                delayed hits; --lru evicts strictly least-recently-used
                instead of GreedyDual-Size costed by measured miss delay;
@@ -61,10 +60,7 @@ fn main() {
 }
 
 fn run(argv: Vec<String>) -> Result<(), Box<dyn std::error::Error>> {
-    let args = Args::parse(
-        argv,
-        &["flash", "quick", "specweb", "phttp10", "reactor", "lru"],
-    )?;
+    let args = Args::parse(argv, &["flash", "quick", "specweb", "phttp10", "lru"])?;
     match (args.pos(0), args.pos(1)) {
         (Some("trace"), Some("gen")) => trace_gen(&args),
         (Some("trace"), Some("stats")) => trace_stats(&args),
@@ -276,11 +272,6 @@ fn demo(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         ProtoConfig {
             nodes,
             policy,
-            io_model: if args.flag("reactor") {
-                IoModel::Reactor
-            } else {
-                IoModel::Threads
-            },
             reactor_shards: args.get_or("shards", 1)?,
             cache_policy: cache_policy(args),
             front_ends: args.get_or("front-ends", 1)?,

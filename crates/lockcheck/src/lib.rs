@@ -85,12 +85,6 @@ pub enum LockGroup {
     Cache,
     /// A back-end node's control-session transmit state.
     Control,
-    /// A back-end node's local single-flight table.
-    DiskFlights,
-    /// A back-end node's lateral single-flight table.
-    LateralFlights,
-    /// One in-flight fetch's outcome state (condvar-guarded).
-    Flight,
     /// A back-end node's emulated disk spindle.
     DiskSpindle,
     /// A back-end node's idle lateral-connection pool (per peer).
@@ -120,9 +114,6 @@ impl LockGroup {
             LockGroup::Health => "Health",
             LockGroup::Cache => "Cache",
             LockGroup::Control => "Control",
-            LockGroup::DiskFlights => "DiskFlights",
-            LockGroup::LateralFlights => "LateralFlights",
-            LockGroup::Flight => "Flight",
             LockGroup::DiskSpindle => "DiskSpindle",
             LockGroup::PeerPool => "PeerPool",
             LockGroup::Other(name) => name,
@@ -175,21 +166,6 @@ impl LockClass {
     /// Node `n`'s control-session transmit lock.
     pub const fn control(n: u32) -> Self {
         Self::new(LockGroup::Control, n)
-    }
-
-    /// Node `n`'s local single-flight table.
-    pub const fn disk_flights(n: u32) -> Self {
-        Self::new(LockGroup::DiskFlights, n)
-    }
-
-    /// Node `n`'s lateral single-flight table.
-    pub const fn lateral_flights(n: u32) -> Self {
-        Self::new(LockGroup::LateralFlights, n)
-    }
-
-    /// An in-flight fetch's outcome state.
-    pub const fn flight() -> Self {
-        Self::new(LockGroup::Flight, 0)
     }
 
     /// Node `n`'s emulated disk spindle.
@@ -292,11 +268,8 @@ pub const DECLARED_ORDER: &[(LockGroup, LockGroup)] = &[
     (LockGroup::GossipPublish, LockGroup::Ring),
     (LockGroup::Ring, LockGroup::MappingShard),
     // Node data path: feedback events are appended (and the join
-    // handshake installs its session) under cache→control; flight
-    // waiters register under the cache lock.
+    // handshake installs its session) under cache→control.
     (LockGroup::Cache, LockGroup::Control),
-    (LockGroup::Cache, LockGroup::DiskFlights),
-    (LockGroup::Cache, LockGroup::LateralFlights),
     // Tier admission: a blocking exchange holds its link while the
     // link's two ends step the shared machine.
     (LockGroup::AdmitSession, LockGroup::VipMachine),

@@ -1,59 +1,53 @@
-//! Cluster assembly: peer servers, the front-end acceptor, and the
-//! connection handlers — the runnable analogue of the paper's §7 testbed.
+//! Cluster assembly: back-end nodes, front-ends, and the reactor shards
+//! that serve them — the runnable analogue of the paper's §7 testbed.
 //!
 //! ## Data path
 //!
-//! 1. A client connects to the front-end address; the acceptor spawns a
-//!    handler thread which reads the first request (content-based
-//!    distribution requires it) and asks the policy for a node — the
-//!    *handoff*. From then on the thread acts as that back-end's connection
-//!    handler: client bytes flow to it directly, responses flow back
-//!    directly, and the front-end only sees per-request control traffic —
-//!    the same division of labour as the paper's kernel handoff
-//!    (DESIGN.md §6.2/§6.4).
-//! 2. Subsequent pipelined batches are read off the socket; each request is
-//!    reported to the dispatcher, which answers `Local` or `Remote(k)`. A
-//!    remote assignment is realized by *tagging* the request URI
-//!    (`/be_<k>/t/<id>`, §7.3 verbatim) and fetching laterally from node
-//!    `k`'s peer server over a persistent connection (the NFS stand-in).
-//! 3. Peer servers serve `/t/<id>` from their own cache/disk, so a lateral
-//!    fetch exercises the remote node's cache exactly as NFS reads hit the
-//!    remote buffer cache in the paper.
+//! 1. A client connects to a front-end address; the reactor shard that
+//!    accepts it reads the first request (content-based distribution
+//!    requires it) and asks the policy for a node — the *handoff*. From
+//!    then on the shard serves the connection as that back-end: client
+//!    bytes flow to it directly, responses flow back directly, and the
+//!    front-end only sees per-request control traffic — the same
+//!    division of labour as the paper's kernel handoff (DESIGN.md
+//!    §6.2/§6.4).
+//! 2. Subsequent pipelined batches are parsed off the socket; each
+//!    batch is reported to the dispatcher, which answers `Local` or
+//!    `Remote(k)` per request. A remote assignment is realized by
+//!    *tagging* the request URI (`/be_<k>/t/<id>`, §7.3 verbatim) and
+//!    fetching laterally from node `k`'s peer server over a persistent
+//!    connection (the NFS stand-in).
+//! 3. Peer servers serve `/t/<id>` from their own cache/disk, so a
+//!    lateral fetch exercises the remote node's cache exactly as NFS
+//!    reads hit the remote buffer cache in the paper.
+//!
+//! See the [`crate::reactor`] module docs for how the shards drive
+//! each step without blocking.
 
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{LockClass, Mutex};
-use phttp_core::{Assignment, ConnId, LardParams, Mechanism, NodeId, PolicyKind};
-use phttp_http::{Request, RequestParser, Response};
+use phttp_core::{LardParams, Mechanism, NodeId, PolicyKind};
 use phttp_simcore::EvictPolicy;
-use phttp_trace::{TargetId, Trace};
+use phttp_trace::Trace;
 
 use crate::control::FrameDecoder;
-use crate::frontend::{ConfigError, ConnGuard, FrontEnd, DEFAULT_DISK_REPORT_INTERVAL};
+use crate::frontend::{ConfigError, FrontEnd, DEFAULT_DISK_REPORT_INTERVAL};
 use crate::node::{DiskEmu, FeedbackConfig, NodeState, NodeStatsSnapshot};
 use crate::reactor::{self, ReactorConfig, ReactorHandle, ReactorStats};
 use crate::store::ContentStore;
-use crate::tier::{client_key, Vip, DEFAULT_GOSSIP_INTERVAL};
+use crate::tier::{Vip, DEFAULT_GOSSIP_INTERVAL};
 
-/// Which I/O model the front-end runs client connections on.
-///
-/// Both models share everything above the socket layer — the
-/// [`FrontEnd`], the batched dispatcher path, the content store, the
-/// peer lateral servers — and produce byte-identical responses, so
-/// [`IoModel::Threads`] doubles as a differential-testing oracle for
-/// [`IoModel::Reactor`].
+/// The I/O model the front-end runs client connections on. The reactor
+/// is the only one; the enum (and [`ProtoConfig::io_model`]) stays
+/// only because the benchmark package (`crates/bench/src/bin/phttp-load`)
+/// names it, and goes with the next change to that package.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IoModel {
-    /// A pre-spawned worker pool with one blocking thread per in-flight
-    /// client connection. Simple and the historical default, but
-    /// concurrency is capped by `ProtoConfig::workers` and every idle
-    /// persistent connection pins a thread.
-    #[default]
-    Threads,
     /// [`ProtoConfig::reactor_shards`] event-loop threads drive every
     /// client connection, lateral fetch, lateral **server** connection,
     /// and emulated disk through epoll-style readiness (see the
@@ -61,6 +55,7 @@ pub enum IoModel {
     /// descriptors, not threads — the P-HTTP many-connection regime —
     /// and the cluster runs zero per-client and zero per-peer-connection
     /// threads.
+    #[default]
     Reactor,
 }
 
@@ -102,29 +97,23 @@ pub struct ProtoConfig {
     /// A node flushes a report early once this many events are pending,
     /// bounding report size under heavy eviction churn.
     pub feedback_batch: usize,
-    /// Socket read timeout (bounds handler lifetime after client death).
+    /// Idle timeout of a client or peer connection (bounds a
+    /// connection's lifetime after its client goes silent).
     pub read_timeout: Duration,
-    /// Size of the pre-spawned client-connection worker pool. Must exceed
-    /// the expected number of concurrent client connections; excess
-    /// connections wait in the accept queue. Pre-spawning avoids paying a
-    /// thread spawn per HTTP/1.0 connection, which would otherwise dominate
-    /// the very overhead P-HTTP is being compared against.
-    pub workers: usize,
-    /// Front-end I/O model: blocking worker threads (the oracle) or the
-    /// event-driven reactor. See [`IoModel`].
+    /// Front-end I/O model; it has one value, [`IoModel::Reactor`]. Kept
+    /// only because the benchmark package names it; it goes with the
+    /// next change to that package.
     pub io_model: IoModel,
-    /// Number of reactor event-loop shards under [`IoModel::Reactor`]
-    /// (one per core on a real host). Each shard owns its own poller,
-    /// accept socket(s) (an `SO_REUSEPORT` group per front-end address,
-    /// falling back to a round-robin acceptor handoff where the group
-    /// bind is unavailable), connection slab, timer heap, lateral
-    /// session pools, and its share of the peer listeners and control
-    /// sessions; shards share only the lock-sharded dispatcher. Must be
-    /// 1 (the default) under [`IoModel::Threads`] — requesting shards
-    /// without a reactor is a [`ConfigError`], as is 0.
+    /// Number of reactor event-loop shards (one per core on a real
+    /// host). Each shard owns its own poller, accept socket(s) (an
+    /// `SO_REUSEPORT` group per front-end address, falling back to a
+    /// round-robin acceptor handoff where the group bind is
+    /// unavailable), connection slab, timer heap, lateral session pools,
+    /// and its share of the peer listeners and control sessions; shards
+    /// share only the lock-sharded dispatcher. 0 is a [`ConfigError`].
     pub reactor_shards: usize,
     /// Idle persistent lateral connections retained per peer pool (per
-    /// handler node in the thread model; per shard in the reactor).
+    /// shard, and per node for [`NodeState::lateral_fetch`]).
     /// Zero is a [`ConfigError`]: it would silently turn every lateral
     /// fetch into a fresh dial, defeating the persistent peer sessions
     /// the paper's NFS stand-in depends on.
@@ -132,7 +121,7 @@ pub struct ProtoConfig {
     /// Forces the reactor's round-robin acceptor-handoff accept path
     /// even where `SO_REUSEPORT` listener groups are available
     /// (diagnostics/tests; normally the handoff is auto-selected only
-    /// when the group bind fails). No effect under [`IoModel::Threads`].
+    /// when the group bind fails).
     pub force_accept_handoff: bool,
     /// Per-node cache eviction policy. The default,
     /// [`EvictPolicy::GreedyDual`], is GreedyDual-Size — what the paper's
@@ -205,7 +194,6 @@ impl Default for ProtoConfig {
             feedback_interval: Duration::from_millis(5),
             feedback_batch: 64,
             read_timeout: Duration::from_secs(10),
-            workers: 128,
             io_model: IoModel::default(),
             reactor_shards: 1,
             peer_pool_cap: 8,
@@ -233,24 +221,17 @@ pub struct Cluster {
     vip: Option<Arc<Vip>>,
     store: Arc<ContentStore>,
     stop: Arc<AtomicBool>,
+    /// Blocking acceptors of the acceptor-handoff fallback (none when
+    /// the shards own the listeners).
     accept_threads: Vec<std::thread::JoinHandle<()>>,
-    worker_threads: Vec<std::thread::JoinHandle<()>>,
-    /// Per-node control-session readers ([`IoModel::Threads`] only; the
-    /// reactor drains control streams on its own poller).
-    control_threads: Vec<std::thread::JoinHandle<()>>,
-    /// Feeds accepted client connections (with their admitted front-end
-    /// index and tier ticket) to the worker pool. `None` after shutdown
-    /// begins (or always, under [`IoModel::Reactor`]) so workers see a
-    /// closed channel and exit.
-    work_tx: Option<crossbeam::channel::Sender<(TcpStream, usize, Option<ConnId>)>>,
-    /// The event-loop shards, under [`IoModel::Reactor`].
+    /// The event-loop shards; `None` once shutdown begins.
     reactor: Option<ReactorHandle>,
     /// Live reactor gauges (outlive `reactor` queries during shutdown).
-    reactor_stats: Option<Arc<ReactorStats>>,
-    /// Whether the reactor fell back to acceptor handoff (`None` under
-    /// [`IoModel::Threads`]).
-    accept_handoff: Option<bool>,
-    peer_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    reactor_stats: Arc<ReactorStats>,
+    /// Whether the reactor fell back to acceptor handoff.
+    accept_handoff: bool,
+    /// Addresses whose blocking acceptors need a wake-up connect at
+    /// shutdown.
     listeners: Vec<SocketAddr>,
     /// Whether the control plane exists (`ProtoConfig::cache_feedback`):
     /// with it, joins travel the wire; without, they apply in-process.
@@ -258,8 +239,8 @@ pub struct Cluster {
     /// Resolved per-slot capacity weights (all 1 when homogeneous).
     weights: Vec<u32>,
     /// Control-session readers installed by [`join_node`](Self::join_node)
-    /// after start (both I/O models use a blocking reader thread for
-    /// dynamically joined nodes — see ARCHITECTURE.md), joined at
+    /// after start (a dynamically joined node's session is drained by a
+    /// blocking reader thread — see ARCHITECTURE.md), joined at
     /// shutdown.
     dynamic_control_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// The periodic breaker cooldown ticker, if enabled.
@@ -275,20 +256,14 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if `config.workers == 0` or sockets cannot be bound on
-    /// loopback.
+    /// Panics if sockets cannot be bound on loopback or the event loops
+    /// cannot start.
     pub fn start(config: ProtoConfig, trace: &Trace) -> Result<Cluster, ConfigError> {
         if config.nodes == 0 {
             return Err(ConfigError::ZeroNodes);
         }
-        assert!(config.workers > 0, "worker pool must not be empty");
         if config.reactor_shards == 0 {
             return Err(ConfigError::ZeroReactorShards);
-        }
-        if config.io_model == IoModel::Threads && config.reactor_shards > 1 {
-            return Err(ConfigError::ReactorShardsWithoutReactor {
-                shards: config.reactor_shards,
-            });
         }
         if config.peer_pool_cap == 0 {
             return Err(ConfigError::ZeroPeerPoolCap);
@@ -326,9 +301,6 @@ impl Cluster {
             return Err(ConfigError::TargetExceedsBodyLimit { size });
         }
         let stop = Arc::new(AtomicBool::new(false));
-        let peer_threads: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::new(
-            Mutex::new_classed(LockClass::other("peer-threads"), Vec::new()),
-        );
 
         // Bind every peer listener first so all addresses are known —
         // standby slots included, so a later join changes no node's view
@@ -398,9 +370,8 @@ impl Cluster {
         // Control sessions (§7.1): one loopback stream per back-end over
         // which the node pushes framed disk-queue and cache-feedback
         // reports. The node side attaches to the NodeState; the front-end
-        // side is drained by per-node reader threads (thread model) or by
-        // the reactor shards' pollers as registered readiness sources
-        // (reactor model). Frames carry the node id; the receive side is
+        // side is drained by the reactor shards' pollers as registered
+        // readiness sources. Frames carry the node id; the receive side is
         // additionally tagged with it so an unexpected EOF can name the
         // failed node.
         let mut control_rx: Vec<(usize, TcpStream)> = Vec::new();
@@ -417,208 +388,96 @@ impl Cluster {
             }
         }
 
-        let mut accept_threads = Vec::new();
-        // Addresses whose *blocking* accept loops need a wake-up connect
-        // at shutdown (none of the reactor-owned listeners do).
-        let mut listeners = Vec::new();
-
-        let mut worker_threads = Vec::new();
-        let mut control_threads = Vec::new();
-        let mut work_tx = None;
-        let mut reactor_handle = None;
-        let mut reactor_stats = None;
-        let mut accept_handoff = None;
+        // The event-loop shards own every listener outright: the
+        // front-end accept sockets, the peer lateral servers, and the
+        // control sessions are all registered readiness sources — no
+        // acceptor threads and no per-connection threads. Shutdown goes
+        // through the shard wakers instead of wake-up connects.
+        let shards = config.reactor_shards;
         let mut fe_addrs = Vec::new();
-        match config.io_model {
-            IoModel::Threads => {
-                listeners.extend(peer_addrs.iter().copied());
-                // Peer servers: serve lateral fetches against their node's
-                // state. Under the thread model peer connections are few
-                // (bounded by the pooled lateral links) and long-lived, so
-                // a thread per connection is fine here. (The reactor model
-                // instead registers the peer listeners on its shards.)
-                for (listener, node) in peer_listeners.into_iter().zip(nodes.iter()) {
-                    let node = node.clone();
-                    let stop = stop.clone();
-                    let threads = peer_threads.clone();
-                    let timeout = config.read_timeout;
-                    accept_threads.push(std::thread::spawn(move || {
-                        for incoming in listener.incoming() {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let Ok(stream) = incoming else { break };
-                            let node = node.clone();
-                            let handle = std::thread::spawn(move || {
-                                let _ = serve_peer_connection(stream, &node, timeout);
-                            });
-                            threads.lock().push(handle);
-                        }
-                    }));
-                }
-                // Control-session readers: one blocking thread per node,
-                // decoding frames and applying them to the dispatcher.
-                // They exit on EOF — the clean quiescent-flush EOF
-                // `Cluster::shutdown` produces after setting the stop
-                // flag, or a crash EOF, which evicts the node's mappings.
-                for (node_idx, rx) in control_rx.drain(..) {
-                    let fes = fes.clone();
-                    let stop = stop.clone();
-                    control_threads.push(std::thread::spawn(move || {
-                        run_control_reader(rx, &fes, NodeId(node_idx), &stop);
-                    }));
-                }
-                // Client-connection worker pool: pre-spawned handlers pull
-                // accepted streams off a channel, so accepting a connection
-                // costs a channel send rather than a thread spawn. Each
-                // entry carries the front-end the Vip admitted it to (index
-                // 0 and no tier ticket when there is no tier).
-                let (tx, work_rx) =
-                    crossbeam::channel::unbounded::<(TcpStream, usize, Option<ConnId>)>();
-                worker_threads.reserve(config.workers);
-                for _ in 0..config.workers {
-                    let rx = work_rx.clone();
-                    let fes = fes.clone();
-                    let vip = vip.clone();
-                    let store = store.clone();
-                    let timeout = config.read_timeout;
-                    let migration_delay = config.migration_delay;
-                    worker_threads.push(std::thread::spawn(move || {
-                        while let Ok((stream, fe_idx, ticket)) = rx.recv() {
-                            let _ = handle_client_connection(
-                                stream,
-                                &fes[fe_idx],
-                                &store,
-                                timeout,
-                                migration_delay,
-                            );
-                            // The connection has fully unwound: tell the
-                            // tier so its forwarding route is removed.
-                            if let (Some(vip), Some(conn)) = (&vip, ticket) {
-                                vip.release(fe_idx, conn);
-                            }
-                        }
-                    }));
-                }
-                // Front-end acceptors, all feeding the shared worker pool.
-                // With a tier, the acceptor runs the Vip admission
-                // handshake before queueing the stream (the analogue of
-                // the paper's front-end handing the TCP state to a node).
-                for fe_listener in bind_std_frontends(config.fe_listeners) {
-                    let addr = fe_listener.local_addr().expect("front-end addr");
-                    fe_addrs.push(addr);
-                    listeners.push(addr);
-                    let stop = stop.clone();
-                    let tx = tx.clone();
-                    let vip = vip.clone();
-                    accept_threads.push(std::thread::spawn(move || {
-                        for incoming in fe_listener.incoming() {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let Ok(stream) = incoming else { break };
-                            let (fe_idx, ticket) = admit_stream(vip.as_deref(), &stream);
-                            if tx.send((stream, fe_idx, ticket)).is_err() {
-                                break;
-                            }
-                        }
-                    }));
-                }
-                work_tx = Some(tx);
+        // Per-shard front-end accept sockets. With one shard the plain
+        // listeners suffice; with several, each address is an
+        // SO_REUSEPORT group with one member per shard, so the kernel
+        // spreads accepts with no cross-shard traffic. Tier or not: a
+        // shard admits what it accepts over its own admission links.
+        let mut groups: Vec<Vec<mio::net::TcpListener>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut handoff = config.force_accept_handoff;
+        let mut std_fe_listeners = Vec::new();
+        // Addresses whose *blocking* accept loops need a wake-up connect
+        // at shutdown (only the acceptor-handoff fallback has any).
+        let mut listeners = Vec::new();
+        if shards == 1 && !handoff {
+            for l in bind_std_frontends(config.fe_listeners) {
+                fe_addrs.push(l.local_addr().expect("front-end addr"));
+                groups[0].push(mio::net::TcpListener::from_std(l));
             }
-            IoModel::Reactor => {
-                // The event-loop shards own every listener outright: the
-                // front-end accept sockets, the peer lateral servers, and
-                // the control sessions are all registered readiness
-                // sources — no acceptor threads, no worker pool, no
-                // per-peer-connection threads. Shutdown goes through the
-                // shard wakers instead of wake-up connects.
-                let shards = config.reactor_shards;
-                // Per-shard front-end accept sockets. With one shard the
-                // plain listeners suffice; with several, each address is
-                // an SO_REUSEPORT group with one member per shard, so the
-                // kernel spreads accepts with no cross-shard traffic.
-                // Tier or not: a shard admits what it accepts over its
-                // own admission links.
-                let mut groups: Vec<Vec<mio::net::TcpListener>> =
-                    (0..shards).map(|_| Vec::new()).collect();
-                let mut handoff = config.force_accept_handoff;
-                let mut std_fe_listeners = Vec::new();
-                if shards == 1 && !handoff {
-                    for l in bind_std_frontends(config.fe_listeners) {
-                        fe_addrs.push(l.local_addr().expect("front-end addr"));
-                        groups[0].push(mio::net::TcpListener::from_std(l));
-                    }
-                } else if !handoff {
-                    'bind: for i in 0..config.fe_listeners.max(1) {
-                        match bind_reuseport_group(i, shards) {
-                            Ok((addr, group)) => {
-                                fe_addrs.push(addr);
-                                for (s, l) in group.into_iter().enumerate() {
-                                    groups[s].push(l);
-                                }
-                            }
-                            Err(_) => {
-                                // The shim can't express the group here:
-                                // fall back to acceptor handoff for every
-                                // address (mixed modes would complicate
-                                // shutdown for no benefit).
-                                handoff = true;
-                                break 'bind;
-                            }
+        } else if !handoff {
+            'bind: for i in 0..config.fe_listeners.max(1) {
+                match bind_reuseport_group(i, shards) {
+                    Ok((addr, group)) => {
+                        fe_addrs.push(addr);
+                        for (s, l) in group.into_iter().enumerate() {
+                            groups[s].push(l);
                         }
                     }
-                }
-                if handoff {
-                    fe_addrs.clear();
-                    groups = (0..shards).map(|_| Vec::new()).collect();
-                    for l in bind_std_frontends(config.fe_listeners) {
-                        let addr = l.local_addr().expect("front-end addr");
-                        fe_addrs.push(addr);
-                        listeners.push(addr);
-                        std_fe_listeners.push(l);
+                    Err(_) => {
+                        // The shim can't express the group here: fall
+                        // back to acceptor handoff for every address
+                        // (mixed modes would complicate shutdown for no
+                        // benefit).
+                        handoff = true;
+                        break 'bind;
                     }
                 }
-                let handle = reactor::spawn(
-                    ReactorConfig {
-                        migration_delay: config.migration_delay,
-                        read_timeout: config.read_timeout,
-                        shards,
-                        peer_pool_cap: config.peer_pool_cap,
-                    },
-                    fes.clone(),
-                    vip.clone(),
-                    store.clone(),
-                    groups,
-                    peer_listeners,
-                    std::mem::take(&mut control_rx),
-                    stop.clone(),
-                )
-                .expect("start reactor event loops");
-                // Acceptor-handoff fallback: blocking acceptors hand each
-                // accepted stream, untouched, to the next shard round-robin
-                // (staggered per listener so one hot address still spreads).
-                if handoff {
-                    let injectors = handle.injectors();
-                    for (i, fe_listener) in std_fe_listeners.into_iter().enumerate() {
-                        let stop = stop.clone();
-                        let injectors = injectors.clone();
-                        accept_threads.push(std::thread::spawn(move || {
-                            for (n, incoming) in fe_listener.incoming().enumerate() {
-                                if stop.load(Ordering::Relaxed) {
-                                    break;
-                                }
-                                let Ok(stream) = incoming else { break };
-                                injectors[(i + n) % injectors.len()].push(stream);
-                            }
-                        }));
-                    }
-                }
-                reactor_stats = Some(handle.stats());
-                reactor_handle = Some(handle);
-                accept_handoff = Some(handoff);
             }
         }
+        if handoff {
+            fe_addrs.clear();
+            groups = (0..shards).map(|_| Vec::new()).collect();
+            for l in bind_std_frontends(config.fe_listeners) {
+                let addr = l.local_addr().expect("front-end addr");
+                fe_addrs.push(addr);
+                listeners.push(addr);
+                std_fe_listeners.push(l);
+            }
+        }
+        let handle = reactor::spawn(
+            ReactorConfig {
+                migration_delay: config.migration_delay,
+                read_timeout: config.read_timeout,
+                shards,
+                peer_pool_cap: config.peer_pool_cap,
+            },
+            fes.clone(),
+            vip.clone(),
+            store.clone(),
+            groups,
+            peer_listeners,
+            control_rx,
+            stop.clone(),
+        )
+        .expect("start reactor event loops");
+        // Acceptor-handoff fallback: blocking acceptors hand each accepted
+        // stream, untouched, to the next shard round-robin (staggered per
+        // listener so one hot address still spreads).
+        let mut accept_threads = Vec::new();
+        if handoff {
+            let injectors = handle.injectors();
+            for (i, fe_listener) in std_fe_listeners.into_iter().enumerate() {
+                let stop = stop.clone();
+                let injectors = injectors.clone();
+                accept_threads.push(std::thread::spawn(move || {
+                    for (n, incoming) in fe_listener.incoming().enumerate() {
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        let Ok(stream) = incoming else { break };
+                        injectors[(i + n) % injectors.len()].push(stream);
+                    }
+                }));
+            }
+        }
+        let reactor_stats = handle.stats();
 
         // Breaker cooldown timer: Open breakers advance toward HalfOpen
         // probation once per interval, on every front-end.
@@ -655,13 +514,9 @@ impl Cluster {
             store,
             stop,
             accept_threads,
-            worker_threads,
-            control_threads,
-            work_tx,
-            reactor: reactor_handle,
+            reactor: Some(handle),
             reactor_stats,
-            accept_handoff,
-            peer_threads,
+            accept_handoff: handoff,
             listeners,
             cache_feedback: config.cache_feedback,
             weights,
@@ -739,9 +594,9 @@ impl Cluster {
     /// control-plane admission, not a process launch.
     ///
     /// Dynamically installed sessions are drained by a dedicated
-    /// blocking reader thread under **both** I/O models (the reactor's
-    /// registered control sources are fixed at spawn; see
-    /// ARCHITECTURE.md). Returns `false` for an out-of-range slot.
+    /// blocking reader thread (the reactor's registered control sources
+    /// are fixed at spawn; see ARCHITECTURE.md). Returns `false` for an
+    /// out-of-range slot.
     pub fn join_node(&self, i: usize) -> bool {
         let nodes = self.frontend.nodes();
         if i >= nodes.len() {
@@ -842,7 +697,7 @@ impl Cluster {
 
     /// Waits (up to `timeout`) for every client connection's policy state
     /// to unwind. Load generators return as soon as the last response
-    /// arrives, which can be a beat before the handler thread observes
+    /// arrives, which can be a beat before the event loop observes
     /// the client's EOF and closes the connection — call this before
     /// asserting on post-traffic accounting.
     pub fn quiesce(&self, timeout: std::time::Duration) -> bool {
@@ -866,18 +721,19 @@ impl Cluster {
     }
 
     /// Live reactor gauges — registered sources and pending timers
-    /// across every shard — or `None` under [`IoModel::Threads`]. The
-    /// soak test uses this to prove the slab and timer heap drain to
-    /// zero once traffic stops.
+    /// across every shard. The soak test uses this to prove the slab and
+    /// timer heap drain to zero once traffic stops. Always `Some`: the
+    /// `Option` stays only because the benchmark package names this
+    /// signature, and goes with the next change to that package.
     pub fn reactor_stats(&self) -> Option<&ReactorStats> {
-        self.reactor_stats.as_deref()
+        Some(&self.reactor_stats)
     }
 
     /// Whether the reactor accepted via round-robin handoff rather than
-    /// `SO_REUSEPORT` listener groups (`None` under
-    /// [`IoModel::Threads`]). Diagnostics: lets tests assert the accept
-    /// path they meant to exercise is the one that actually ran.
-    pub fn used_accept_handoff(&self) -> Option<bool> {
+    /// `SO_REUSEPORT` listener groups. Diagnostics: lets tests assert
+    /// the accept path they meant to exercise is the one that actually
+    /// ran.
+    pub fn used_accept_handoff(&self) -> bool {
         self.accept_handoff
     }
 
@@ -903,8 +759,8 @@ impl Cluster {
     }
 
     /// Stops the cluster: closes the listeners and joins all threads.
-    /// Under [`IoModel::Reactor`] this wakes the poller and waits for
-    /// the event loop to drain every registered connection — a blocked
+    /// This wakes the pollers and waits for the event loops to drain
+    /// every registered connection — a blocked
     /// `epoll_wait` cannot observe the stop flag on its own, and open
     /// client connections must unwind their dispatcher state rather
     /// than being abandoned to the kernel.
@@ -920,35 +776,14 @@ impl Cluster {
         for t in self.accept_threads.drain(..) {
             let _ = t.join();
         }
-        // Closing the channel drains the pool: workers finish their current
-        // connection and exit on the closed channel.
-        drop(self.work_tx.take());
-        for t in self.worker_threads.drain(..) {
-            let _ = t.join();
-        }
-        // With every connection handler gone, pooled idle lateral streams
-        // can only keep peer handler threads blocked in `read` until the
-        // socket timeout; drop them so the peer joins below are prompt.
-        for node in self.frontend.nodes() {
-            node.drain_peer_pools();
-        }
-        let handles: Vec<_> = std::mem::take(&mut *self.peer_threads.lock());
-        for t in handles {
-            let _ = t.join();
-        }
         // Control sessions last: traffic has stopped, so flush whatever
         // feedback is still pending (the quiescent flush), then close the
-        // node-side streams — the blocking readers see EOF after draining
-        // the final frames and exit without any timeout.
+        // node-side streams — the joined nodes' blocking readers see EOF
+        // after draining the final frames and exit without any timeout.
         for node in self.frontend.nodes() {
             node.flush_feedback();
             node.close_control();
         }
-        for t in self.control_threads.drain(..) {
-            let _ = t.join();
-        }
-        // Dynamically joined nodes' readers exit on the same quiescent
-        // EOF (their node-side streams closed above with the rest).
         let dynamic: Vec<_> = std::mem::take(&mut *self.dynamic_control_threads.lock());
         for t in dynamic {
             let _ = t.join();
@@ -961,25 +796,6 @@ impl Cluster {
         if let Some(vip) = self.vip.take() {
             vip.shutdown();
         }
-    }
-}
-
-/// Runs the Vip admission handshake for a freshly accepted client
-/// stream, returning the front-end to serve it on plus the tier ticket
-/// to release afterwards. Without a tier — or if every handshake fails
-/// — the connection falls through to an untracked front-end: serving
-/// beats strict bookkeeping, matching the paper's front-end which also
-/// degrades rather than refusing clients.
-fn admit_stream(vip: Option<&Vip>, stream: &TcpStream) -> (usize, Option<ConnId>) {
-    let Some(vip) = vip else {
-        return (0, None);
-    };
-    match stream.peer_addr() {
-        Ok(peer) => match vip.admit(client_key(peer)) {
-            Some((f, conn)) => (f, Some(conn)),
-            None => (vip.any_alive(), None),
-        },
-        Err(_) => (vip.any_alive(), None),
     }
 }
 
@@ -1079,248 +895,6 @@ fn run_control_reader(
                     return;
                 }
             }
-        }
-    }
-}
-
-/// Writes one response to a blocking socket: the serialized head and
-/// the shared body slice are gathered into a single `writev` — the body
-/// is written straight out of the cache's (or the store's) allocation,
-/// resuming mid-iovec on partial writes.
-fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
-    let head = resp.head_bytes();
-    let mut segs: [&[u8]; 2] = [&head, &resp.body];
-    let mut idx = 0;
-    while idx < segs.len() {
-        if segs[idx].is_empty() {
-            idx += 1;
-            continue;
-        }
-        let bufs: Vec<std::io::IoSlice<'_>> = segs[idx..]
-            .iter()
-            .map(|s| std::io::IoSlice::new(s))
-            .collect();
-        match stream.write_vectored(&bufs) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "socket accepted no bytes",
-                ))
-            }
-            Ok(mut n) => {
-                // Partial write: advance through the segments, possibly
-                // landing mid-segment; the next call resumes there.
-                while n > 0 {
-                    let take = n.min(segs[idx].len());
-                    segs[idx] = &segs[idx][take..];
-                    n -= take;
-                    if segs[idx].is_empty() {
-                        idx += 1;
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Reads at least one request (blocking), then drains whatever else has
-/// already arrived — the handler's estimate of a pipelined batch, matching
-/// the front-end's packet-arrival batch estimate in the paper.
-fn read_batch(stream: &mut TcpStream, parser: &mut RequestParser) -> std::io::Result<Vec<Request>> {
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        let batch = parser
-            .drain()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        if !batch.is_empty() {
-            return Ok(batch);
-        }
-        let n = stream.read(&mut buf)?;
-        if n == 0 {
-            return Ok(Vec::new()); // clean EOF
-        }
-        parser.feed(&buf[..n]);
-    }
-}
-
-/// Serves one client connection end to end. See the module docs for the
-/// protocol walk-through.
-fn handle_client_connection(
-    mut stream: TcpStream,
-    fe: &FrontEnd,
-    store: &ContentStore,
-    timeout: Duration,
-    migration_delay: Duration,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(timeout))?;
-    let mut parser = RequestParser::new();
-
-    // First request: required before the policy can choose a node.
-    let mut first_batch = read_batch(&mut stream, &mut parser)?;
-    if first_batch.is_empty() {
-        return Ok(());
-    }
-    let first = first_batch.remove(0);
-    let Some(first_target) = store.lookup(&first.uri) else {
-        write_response(&mut stream, &Response::not_found(first.version))?;
-        return Ok(());
-    };
-
-    let conn = fe.alloc_conn();
-    let node_id = fe.open_connection(conn, first_target);
-    let _guard = ConnGuard::new(fe, conn);
-    let mut node = fe.nodes()[node_id.0].clone();
-
-    // Handoff complete: this thread is now the back-end connection handler.
-    let keep = serve_one(&mut stream, fe, &node, &first, Assignment::Local)?;
-    if !keep {
-        return Ok(());
-    }
-    // Any pipelined requests that arrived with the first one form the rest
-    // of batch 0 in trace terms; treat them as a batch of their own.
-    let mut pending = first_batch;
-    loop {
-        let batch = if pending.is_empty() {
-            match read_batch(&mut stream, &mut parser) {
-                Ok(b) => b,
-                // A read timeout is the idle-close path.
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        } else {
-            std::mem::take(&mut pending)
-        };
-        if batch.is_empty() {
-            break; // client closed
-        }
-        // One dispatcher call for the whole pipelined batch: the parser
-        // already drained it, so the policy can decide it under a single
-        // connection-shard visit and grouped mapping-shard acquisitions
-        // instead of per-request lock traffic. Unknown URIs get their 404
-        // in sequence but take no part in the policy batch.
-        let targets: Vec<Option<TargetId>> = batch.iter().map(|r| store.lookup(&r.uri)).collect();
-        let known: Vec<TargetId> = targets.iter().filter_map(|&t| t).collect();
-        let assignments = fe.assign_batch(conn, &known);
-        let mut next_assignment = assignments.into_iter();
-        for (req, target) in batch.iter().zip(&targets) {
-            if target.is_none() {
-                write_response(&mut stream, &Response::not_found(req.version))?;
-                continue;
-            }
-            let mut assignment = next_assignment.next().expect("one assignment per target");
-            if let Assignment::Remote(k) = assignment {
-                // Under migrate semantics the dispatcher has re-homed the
-                // connection: this thread now acts as back-end `k` (the
-                // in-process analogue of handing the TCP state over), after
-                // paying the emulated protocol cost. Checked against the
-                // configured semantics, not `connection_node`: with batched
-                // decisions a later request's migration may already have
-                // re-homed the connection past `k`, but each hop still has
-                // to be walked in order.
-                if fe.semantics() == phttp_core::ForwardSemantics::Migrate {
-                    std::thread::sleep(migration_delay);
-                    node = fe.nodes()[k.0].clone();
-                    node.stats.migrations_in.fetch_add(1, Ordering::Relaxed);
-                    assignment = Assignment::Local;
-                }
-            }
-            let keep = serve_one(&mut stream, fe, &node, req, assignment)?;
-            if !keep {
-                return Ok(());
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Serves a single request on the connection-handling node per the
-/// assignment; returns whether the connection persists.
-fn serve_one(
-    stream: &mut TcpStream,
-    fe: &FrontEnd,
-    node: &NodeState,
-    req: &Request,
-    assignment: Assignment,
-) -> std::io::Result<bool> {
-    let body = match assignment {
-        Assignment::Local => {
-            let target = node
-                .store
-                .lookup(&req.uri)
-                .expect("caller verified the target");
-            node.serve_local(target)
-        }
-        Assignment::Remote(k) => {
-            // Tag the request the way the paper's dispatcher does, then act
-            // on the tag: fetch laterally from node k.
-            let mut tagged = req.clone();
-            tagged.tag(&format!("be_{}", k.0));
-            let (_seg, rest) = Request::untag(&tagged.uri).expect("just tagged");
-            let target = node.store.lookup(rest).expect("caller verified the target");
-            match node.lateral_fetch_coalesced(&fe.nodes()[k.0], target) {
-                Ok(body) => body,
-                // Fall back to local disk if the peer path fails: the
-                // paper's prototype would surface an NFS error; degrading
-                // to local service keeps the cluster available.
-                Err(_) => node.serve_local(target),
-            }
-        }
-    };
-    // `body` is a clone of the cache's slice (or the store's fresh
-    // allocation); the gathered write sends it without flattening.
-    write_response(stream, &Response::ok(req.version, body))?;
-    Ok(req.keep_alive())
-}
-
-/// Serves lateral fetches on a peer connection until EOF.
-fn serve_peer_connection(
-    mut stream: TcpStream,
-    node: &NodeState,
-    timeout: Duration,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(timeout))?;
-    let mut parser = RequestParser::new();
-    loop {
-        let batch = match read_batch(&mut stream, &mut parser) {
-            Ok(b) => b,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        if batch.is_empty() {
-            return Ok(());
-        }
-        for req in batch {
-            let resp = match node.store.lookup(&req.uri) {
-                // Serving for a peer exercises THIS node's cache and disk.
-                Some(target) => {
-                    if node.take_lateral_fault() {
-                        // Injected fault: die like a crashed lateral
-                        // server — close without responding. The fetcher
-                        // sees EOF mid-fetch and degrades to local
-                        // service.
-                        return Ok(());
-                    }
-                    node.stats.lateral_in.fetch_add(1, Ordering::Relaxed);
-                    Response::ok(req.version, node.serve_local(target))
-                }
-                None => Response::not_found(req.version),
-            };
-            write_response(&mut stream, &resp)?;
         }
     }
 }

@@ -35,9 +35,9 @@
 //! [`MAX_FRAME`] so a corrupt peer cannot make the receiver buffer
 //! unboundedly. The [`FrameDecoder`] is incremental: feed it whatever
 //! bytes arrived, pop complete messages — the same parser shape as the
-//! HTTP side, so it works identically on a blocking reader thread
-//! ([`IoModel::Threads`](crate::IoModel)) and as a registered readiness
-//! source on the reactor's poller ([`IoModel::Reactor`](crate::IoModel)).
+//! HTTP side, so it works identically as a registered readiness source
+//! on a reactor shard's poller and on the blocking reader thread that
+//! drains a node joined after start.
 
 use phttp_core::{CacheEvent, NodeId, StateDelta};
 use phttp_trace::TargetId;

@@ -1,18 +1,18 @@
-//! The front-end: policy decisions plus connection lifecycle, shared by the
-//! acceptor and every connection-handler thread.
+//! The front-end: policy decisions plus connection lifecycle, shared by
+//! every reactor shard.
 //!
 //! This wraps [`phttp_core::ConcurrentDispatcher`] — the same layered
 //! policy engine the simulator drives from its one event loop — with
-//! **no lock of its own**. Every handler thread calls straight into the
+//! **no lock of its own**. Every shard calls straight into the
 //! dispatcher, whose hot path takes only the mapping shard and connection
-//! shard for the request in hand, so no policy decision serializes
-//! handler threads behind another. The front-end also
+//! shard for the request in hand, so no policy decision serializes one
+//! event loop behind another. The front-end also
 //! feeds the dispatcher the back-ends' disk-queue depths (the control
 //! session traffic of the paper's §7.1) — throttled to a configurable
 //! reporting interval, mirroring the paper's periodic control-session
 //! updates, so the per-decision hot path is not dominated by O(nodes)
-//! bookkeeping — and makes the lifecycle calls idempotent so connection
-//! handlers can use plain drop-guards.
+//! bookkeeping — and makes the lifecycle calls idempotent, so a
+//! connection's teardown paths need not coordinate who closes it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -46,12 +46,6 @@ pub enum ConfigError {
     /// `ProtoConfig::reactor_shards` is zero — a reactor front-end
     /// needs at least one event loop.
     ZeroReactorShards,
-    /// `ProtoConfig::reactor_shards` asks for more than one shard under
-    /// [`crate::IoModel::Threads`], which has no event loops to shard.
-    ReactorShardsWithoutReactor {
-        /// The requested shard count.
-        shards: usize,
-    },
     /// `ProtoConfig::peer_pool_cap` is zero: every lateral fetch would
     /// silently dial a fresh peer connection, defeating the persistent
     /// lateral sessions the paper's NFS stand-in depends on.
@@ -93,10 +87,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroReactorShards => {
                 write!(f, "reactor_shards must be at least 1")
             }
-            ConfigError::ReactorShardsWithoutReactor { shards } => write!(
-                f,
-                "reactor_shards = {shards} requires IoModel::Reactor (the thread model has no event loops to shard)"
-            ),
             ConfigError::ZeroFrontEnds => {
                 write!(f, "front_ends must be at least 1")
             }
@@ -108,7 +98,10 @@ impl std::fmt::Display for ConfigError {
                 "node_weights has {got} entries but the cluster allocates {expected} back-end slots"
             ),
             ConfigError::ZeroNodeWeight { node } => {
-                write!(f, "node_weights[{node}] is zero; weights must be at least 1")
+                write!(
+                    f,
+                    "node_weights[{node}] is zero; weights must be at least 1"
+                )
             }
             ConfigError::InvalidHealthConfig => {
                 write!(
@@ -295,10 +288,9 @@ impl FrontEnd {
     }
 
     /// Applies one decoded control-session message to the dispatcher.
-    /// Both I/O models funnel their control streams here: the blocking
-    /// per-node reader threads under `IoModel::Threads`, and the
-    /// registered control-channel readiness sources under
-    /// `IoModel::Reactor`.
+    /// Every control stream funnels here: the reactor shards' registered
+    /// control-channel readiness sources, and the blocking reader thread
+    /// of each node joined after start.
     pub fn apply_control(&self, msg: ControlMsg) {
         match msg {
             ControlMsg::DiskQueue { node, depth } => {
@@ -360,8 +352,8 @@ impl FrontEnd {
 
     /// Decommissions `node` for mapping purposes: drops every believed
     /// mapping that references it and forgets its mirrored cache
-    /// contents. This is the control-plane failure-handling hook — both
-    /// I/O models call it when a node's control session hits an
+    /// contents. This is the control-plane failure-handling hook — the
+    /// control-session readers call it when a node's session hits an
     /// **unexpected** EOF (the node died); the quiescent-flush EOF of a
     /// clean `Cluster::shutdown` never does (distinguished by the stop
     /// flag, set before the node-side streams close). The node's
@@ -420,7 +412,7 @@ impl FrontEnd {
     }
 
     /// Waits until every tracked connection has closed, up to `timeout`.
-    /// Returns whether the front-end reached quiescence. Handler threads
+    /// Returns whether the front-end reached quiescence. The event loops
     /// observe client EOFs asynchronously, so callers that need exact
     /// post-traffic accounting (tests, orderly shutdown) wait here
     /// instead of racing the teardown.
@@ -436,8 +428,8 @@ impl FrontEnd {
     }
 
     /// Pushes every back-end's current disk-queue depth into the
-    /// dispatcher, at most once per reporting interval across all handler
-    /// threads. A decision used to pay O(nodes) atomic stores *every*
+    /// dispatcher, at most once per reporting interval across all
+    /// callers. A decision used to pay O(nodes) atomic stores *every*
     /// time — pure control-session bookkeeping dominating the batched hot
     /// path. Now one CAS winner per interval refreshes the depths; every
     /// other caller pays a single relaxed load and moves on. Losing the
@@ -468,8 +460,8 @@ impl FrontEnd {
     }
 }
 
-/// Drop-guard ensuring a connection is closed exactly once even if the
-/// handler thread unwinds.
+/// Drop-guard ensuring a connection is closed exactly once even if its
+/// holder unwinds.
 pub struct ConnGuard<'a> {
     fe: &'a FrontEnd,
     conn: ConnId,

@@ -9,15 +9,13 @@
 //! DESIGN.md §6.2-§6.4 for the substitution table versus the paper's
 //! FreeBSD kernel implementation.
 //!
-//! The front-end serves client connections under one of two selectable
-//! I/O models ([`ProtoConfig::io_model`](cluster::ProtoConfig)): a
-//! blocking worker-thread pool ([`IoModel::Threads`]) or a single
-//! epoll-style event loop ([`IoModel::Reactor`], the [`reactor`]
-//! module) that drives every connection, lateral fetch, and emulated
-//! disk without blocking, making policy decisions inline via the
-//! batched dispatcher path. The two are observably interchangeable —
-//! byte-identical responses, enforced by a differential test — so the
-//! thread model doubles as the reactor's oracle.
+//! The front-end serves client connections on epoll-style event loops
+//! (the [`reactor`] module, [`ProtoConfig::reactor_shards`] of them)
+//! that drive every connection, lateral fetch, and emulated disk
+//! without blocking, making policy decisions inline via the batched
+//! dispatcher path. Responses are a pure function of target and HTTP
+//! version, so the test suites check every transcript against the
+//! [`ContentStore`] itself.
 //!
 //! # Examples
 //!

@@ -1,23 +1,25 @@
-//! Back-end node state: file cache, emulated disk, peer connections, stats.
+//! Back-end node state: file cache, emulated disk, control session, stats.
 //!
 //! Each node owns a byte-budget cache (standing in for FreeBSD's unified
-//! buffer cache; GreedyDual-Size replacement by default), an emulated disk
-//! (one spindle serving reads back to back on its own timeline, preserving the
-//! one-disk-per-node queueing behaviour the extended-LARD heuristic observes),
-//! and a pool of persistent lateral TCP connections to its peers (standing in
-//! for the paper's NFS cross-mounts — DESIGN.md §6.3). Remotely fetched
-//! content is never inserted into the fetching node's cache, mirroring the
-//! paper's disabled NFS client caching.
+//! buffer cache; GreedyDual-Size replacement by default), the disk-queue
+//! depth the extended-LARD heuristic observes, the node side of its
+//! control session, and its counters. The reactor shards serve from it
+//! through the split, non-blocking primitives
+//! ([`NodeState::begin_serve_body`] / [`NodeState::finish_disk_read`]),
+//! scheduling each read on an emulated spindle (one read at a time, back
+//! to back on its own timeline) and fetching laterally over persistent
+//! peer sessions (standing in for the paper's NFS cross-mounts —
+//! DESIGN.md §6.3). Remotely fetched content is never inserted into the
+//! fetching node's cache, mirroring the paper's disabled NFS client
+//! caching.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::{Condvar, LockClass, Mutex};
+use parking_lot::{LockClass, Mutex};
 use phttp_core::{CacheEvent, NodeId};
 use phttp_http::{Request, ResponseParser, Version};
 use phttp_simcore::lru::{EvictPolicy, LruCache};
@@ -54,7 +56,8 @@ impl DiskEmu {
     }
 }
 
-/// One node's emulated spindle. Both I/O models admit every read here,
+/// One node's emulated spindle. Every read is admitted here (by the
+/// reactor's disk scheduler and by [`NodeState::serve_local`] alike),
 /// so the device runs on its own timeline — arrivals and service times —
 /// and is never billed for how late its driver (an event loop turn, a
 /// thread wake-up) got round to the next read.
@@ -114,85 +117,16 @@ const FEEDBACK_EVENTS_PER_FRAME: usize = 4096;
 
 /// Node-side state of the control session: pending (unencoded) events,
 /// encoded-but-unwritten bytes, and the stream itself. Writes are
-/// non-blocking — under [`IoModel::Reactor`](crate::IoModel) the event
-/// loop is both this writer (disk completions run on it) and the
-/// front-end-side reader, so a blocking write could deadlock the loop
-/// against itself; unwritten bytes stay queued and retry on the next
-/// flush instead.
+/// non-blocking — the event loop is both this writer (disk completions
+/// run on it) and the front-end-side reader, so a blocking write could
+/// deadlock the loop against itself; unwritten bytes stay queued and
+/// retry on the next flush instead.
 #[derive(Debug, Default)]
 struct ControlTx {
     stream: Option<TcpStream>,
     pending: Vec<CacheEvent>,
     outbuf: Vec<u8>,
     last_flush: Option<Instant>,
-}
-
-/// Outcome of a single-flight fetch, observed by its parked waiters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlightOutcome {
-    /// The fetch is still in flight.
-    Pending,
-    /// The leader fetched the document (for local flights, it is now in
-    /// the cache; for lateral flights, the response body is reproducible
-    /// from the store).
-    Done,
-    /// The leader's fetch failed; every waiter must fail over itself.
-    Failed,
-}
-
-/// One in-flight fetch in a single-flight table (threads I/O model): the
-/// leader completes it exactly once; waiters block on the condvar.
-#[derive(Debug)]
-struct Flight {
-    state: Mutex<FlightOutcome>,
-    cv: Condvar,
-    /// When the leader's miss arrived.
-    opened: Instant,
-    /// Requests parked on this flight so far, and the sum of how long
-    /// after `opened` each arrived, µs.
-    waiters: AtomicU64,
-    parked_after_us: AtomicU64,
-}
-
-impl Flight {
-    fn new(opened: Instant) -> Self {
-        Flight {
-            state: Mutex::new_classed(LockClass::flight(), FlightOutcome::Pending),
-            cv: Condvar::new(),
-            opened,
-            waiters: AtomicU64::new(0),
-            parked_after_us: AtomicU64::new(0),
-        }
-    }
-
-    /// Parks a request that arrived at `arrival` on this flight.
-    fn park(&self, arrival: Instant) {
-        let after = arrival.saturating_duration_since(self.opened).as_micros() as u64;
-        self.waiters.fetch_add(1, Ordering::Relaxed);
-        self.parked_after_us.fetch_add(after, Ordering::Relaxed);
-    }
-
-    /// What the flight stalled, µs: its leader's `delay` from `opened`
-    /// plus each waiter's from its own arrival to the same completion.
-    /// (A waiter parking meanwhile skews one sample of an EWMA.)
-    fn stalled_us(&self, delay: Duration) -> u64 {
-        let parked = self.waiters.load(Ordering::Relaxed);
-        (delay.as_micros() as u64 * (1 + parked))
-            .saturating_sub(self.parked_after_us.load(Ordering::Relaxed))
-    }
-
-    fn complete(&self, outcome: FlightOutcome) {
-        *self.state.lock() = outcome;
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> FlightOutcome {
-        let mut st = self.state.lock();
-        while *st == FlightOutcome::Pending {
-            self.cv.wait(&mut st);
-        }
-        *st
-    }
 }
 
 /// Per-node counters (all monotonic).
@@ -265,7 +199,8 @@ pub struct NodeState {
     /// owner — serve paths hold extra handles only while bytes are in
     /// flight toward a socket.
     pub cache: Mutex<LruCache<TargetId, Bytes>>,
-    /// The spindle (one per node) the threads model's reads queue on.
+    /// The spindle [`serve_local`](Self::serve_local)'s reads queue on
+    /// (the reactor keeps one per shard and node in its disk scheduler).
     disk: Mutex<Spindle>,
     /// Number of requests queued on or holding the disk.
     disk_queue: AtomicUsize,
@@ -291,14 +226,6 @@ pub struct NodeState {
     /// Node side of the control session (lock order: `cache` may be held
     /// when taking `control`, never the reverse).
     control: Mutex<ControlTx>,
-    /// In-flight local disk fetches, keyed by target (threads I/O model;
-    /// the reactor keeps its own per-shard flight tables). Lock order:
-    /// `cache` may be held when taking this, never the reverse —
-    /// registering a waiter under the cache lock closes the race with
-    /// the leader's insert-then-remove completion.
-    disk_flights: Mutex<HashMap<TargetId, Arc<Flight>>>,
-    /// In-flight lateral fetches, keyed by (remote node, target).
-    lateral_flights: Mutex<HashMap<(usize, TargetId), Arc<Flight>>>,
 }
 
 impl NodeState {
@@ -331,8 +258,6 @@ impl NodeState {
             stats: NodeStats::default(),
             feedback,
             control: Mutex::new_classed(LockClass::control(nid), ControlTx::default()),
-            disk_flights: Mutex::new_classed(LockClass::disk_flights(nid), HashMap::new()),
-            lateral_flights: Mutex::new_classed(LockClass::lateral_flights(nid), HashMap::new()),
         }
     }
 
@@ -365,9 +290,8 @@ impl NodeState {
 
     /// Test hook: arms `n` lateral-server faults on this node. Each of
     /// the next `n` lateral requests it would serve kills that peer
-    /// connection instead of responding — the fetching handler observes
-    /// EOF mid-fetch and must degrade the fetch to local service. Both
-    /// I/O models honour it.
+    /// connection instead of responding — the fetching shard observes
+    /// EOF mid-fetch and must degrade the fetch to local service.
     pub fn inject_lateral_faults(&self, n: u64) {
         self.lateral_faults.fetch_add(n as i64, Ordering::Relaxed);
     }
@@ -624,103 +548,27 @@ impl NodeState {
         self.disk_queue.load(Ordering::Relaxed)
     }
 
-    /// Serves `target` from this node: cache probe, disk on miss (inserting
-    /// into the cache afterwards — the OS caches what it reads), body
-    /// generation. Returns the response body.
-    ///
-    /// A miss first consults the single-flight table (still under the
-    /// cache lock, so the check cannot race the leader's
-    /// insert-then-remove completion): if a fetch for this target is
-    /// already in flight the request parks as a *delayed hit* and wakes
-    /// when the leader's read completes; otherwise it becomes the flight
-    /// leader and performs the one real disk read.
+    /// Serves `target` from this node for a serial caller: cache probe,
+    /// then on a miss a sleep until this node's [`Spindle`] deadline and
+    /// the insert (the OS caches what it reads). Returns the response
+    /// body. A serial caller is always its read's only requester, so its
+    /// counters and cost sample are those of a reactor flight with no
+    /// waiters. Concurrent misses for one target are not coalesced here
+    /// — the reactor's flight tables do that; this blocking path stays
+    /// only because the benchmark package's inline replay names it, and
+    /// goes with the next change to that package.
     pub fn serve_local(&self, target: TargetId) -> Bytes {
         self.serve_local_at(target, Instant::now())
     }
 
     /// [`serve_local`](Self::serve_local), a miss's delay measured from `arrival`.
     fn serve_local_at(&self, target: TargetId, arrival: Instant) -> Bytes {
-        enum Role {
-            /// Cached: the body slice cloned out under the cache lock.
-            Hit(Option<Bytes>),
-            /// Performs the read for its flight.
-            Leader(Arc<Flight>),
-            Waiter(Arc<Flight>),
+        if let Some(body) = self.begin_serve_body(target) {
+            return body;
         }
-        let size = self.store.size(target);
-        let role = {
-            let mut cache = self.cache.lock();
-            if cache.touch(target) {
-                Role::Hit(cache.get(target).cloned())
-            } else {
-                let mut flights = self.disk_flights.lock();
-                match flights.get(&target) {
-                    Some(f) => {
-                        f.park(arrival);
-                        Role::Waiter(f.clone())
-                    }
-                    None => {
-                        let f = Arc::new(Flight::new(arrival));
-                        flights.insert(target, f.clone());
-                        Role::Leader(f)
-                    }
-                }
-            }
-        };
-        self.stats.served.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes.fetch_add(size, Ordering::Relaxed);
-        match role {
-            Role::Hit(cached) => {
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                // A hit serves the cache's own slice — no regeneration, no
-                // copy. The fallback covers metadata-only entries, which
-                // the serve path never creates (every admission below
-                // carries its body).
-                cached.unwrap_or_else(|| self.store.body(target))
-            }
-            Role::Leader(flight) => {
-                let delay = self.blocking_disk_read(size, arrival);
-                // Cost sample: what this one read stalled — the leader and
-                // every waiter parked so far, each from its own arrival.
-                let stalled_us = flight.stalled_us(delay);
-                let body = self.store.body(target);
-                // Insert BEFORE retiring the flight: a concurrent probe
-                // always finds the target either cached or in flight.
-                self.cache_insert_reporting(target, size, stalled_us, body.clone());
-                self.disk_flights.lock().remove(&target);
-                flight.complete(FlightOutcome::Done);
-                body
-            }
-            Role::Waiter(f) => {
-                self.stats.coalesced_waits.fetch_add(1, Ordering::Relaxed);
-                // Local disk reads cannot fail; the outcome is always Done.
-                f.wait();
-                // The leader admits before retiring the flight, so the
-                // slice is normally still cached; eviction in the gap
-                // falls back to regeneration (bodies are a pure function
-                // of the target, so the bytes are identical either way).
-                self.cache
-                    .lock()
-                    .get(target)
-                    .cloned()
-                    .unwrap_or_else(|| self.store.body(target))
-            }
-        }
-    }
-
-    /// The one real disk access of a miss that arrived at `arrival`:
-    /// queue-depth accounting around a slot on the [`Spindle`], slept out
-    /// to its deadline. Returns the delay the spindle measured.
-    fn blocking_disk_read(&self, size: u64, arrival: Instant) -> Duration {
-        let (deadline, delay) = self
-            .disk
-            .lock()
-            .admit(arrival, self.disk_emu.read_time(size));
-        self.disk_queue.fetch_add(1, Ordering::Relaxed);
-        self.stats.disk_reads.fetch_add(1, Ordering::Relaxed);
+        let (deadline, delay) = self.disk.lock().admit(arrival, self.disk_read_time(target));
         std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
-        self.disk_queue.fetch_sub(1, Ordering::Relaxed);
-        delay
+        self.finish_disk_read(target, delay)
     }
 
     /// Non-blocking first half of serving `target`: probes the cache and
@@ -731,8 +579,8 @@ impl NodeState {
     /// the extended-LARD control data is concerned) and the caller owns
     /// scheduling the emulated read; it must call
     /// [`finish_disk_read`](Self::finish_disk_read) exactly once when
-    /// the read completes. The event-driven reactor uses this pair where
-    /// the thread path calls the blocking [`serve_local`](Self::serve_local).
+    /// the read completes. The reactor's disk scheduler drives this pair;
+    /// the blocking [`serve_local`](Self::serve_local) runs it inline.
     pub fn begin_serve_body(&self, target: TargetId) -> Option<Bytes> {
         let size = self.store.size(target);
         let cached = {
@@ -759,8 +607,7 @@ impl NodeState {
 
     /// Completes a miss started by [`begin_serve_body`](Self::begin_serve_body):
     /// pops the disk queue and inserts the document into the cache (the
-    /// OS caches what it reads), mirroring the tail of
-    /// [`serve_local`](Self::serve_local). `stalled` — the read's measured
+    /// OS caches what it reads). `stalled` — the read's measured
     /// delay plus the wait of every request coalesced onto it — is the
     /// insert's cost sample. Returns the body so callers serve the very
     /// slice the cache now owns.
@@ -794,8 +641,7 @@ impl NodeState {
     /// Records a request that parked on an in-flight local fetch in the
     /// reactor (a delayed hit): it is served — response bytes counted —
     /// without a disk read or a cache hit of its own. The reactor's
-    /// per-shard flight table calls this where the threads model's
-    /// [`serve_local`](Self::serve_local) waiter path books itself.
+    /// per-shard flight table calls this.
     pub fn note_coalesced_serve(&self, target: TargetId) {
         self.stats.served.fetch_add(1, Ordering::Relaxed);
         self.stats
@@ -829,8 +675,12 @@ impl NodeState {
         self.disk_emu.read_time(self.store.size(target))
     }
 
-    /// Fetches `target` from peer `remote` over a persistent lateral
-    /// connection (the NFS stand-in). The result is NOT cached locally.
+    /// Fetches `target` from peer `remote` over a pooled persistent
+    /// lateral connection (the NFS stand-in), blocking the caller. The
+    /// result is NOT cached locally. The reactor fetches over its own
+    /// per-shard sessions; this blocking path and its pool stay only
+    /// because the benchmark package's inline replay names them, and go
+    /// with the next change to that package.
     pub fn lateral_fetch(&self, remote: NodeId, target: TargetId) -> std::io::Result<Bytes> {
         self.stats.lateral_out.fetch_add(1, Ordering::Relaxed);
         let mut stream = self.take_peer_conn(remote)?;
@@ -871,62 +721,6 @@ impl NodeState {
         }
     }
 
-    /// [`lateral_fetch`](Self::lateral_fetch) from `remote` behind the
-    /// single-flight table (threads I/O model): concurrent fetches for the
-    /// same (remote, target) share one peer request. The leader fetches;
-    /// the waiters park and, on success, reproduce the identical body from
-    /// the store (response bytes are a pure function of the target) and
-    /// are booked as served on `remote`, where the leader's request was.
-    /// If the leader's fetch fails, *every* waiter gets the error — each
-    /// caller then runs its own serve-locally failover, where the local
-    /// flight table coalesces the resulting disk reads in turn.
-    pub fn lateral_fetch_coalesced(
-        &self,
-        remote: &NodeState,
-        target: TargetId,
-    ) -> std::io::Result<Bytes> {
-        let key = (remote.id.0, target);
-        // Unlike the local table there is no cache probe to serialize
-        // with, so registration needs no outer lock. A waiter that
-        // arrives just after the leader retired the flight simply starts
-        // a fresh one — an extra fetch, never a lost wakeup.
-        let leader = {
-            let mut flights = self.lateral_flights.lock();
-            match flights.get(&key) {
-                Some(f) => Err(f.clone()),
-                None => {
-                    let f = Arc::new(Flight::new(Instant::now()));
-                    flights.insert(key, f.clone());
-                    Ok(f)
-                }
-            }
-        };
-        match leader {
-            Ok(f) => {
-                let res = self.lateral_fetch(remote.id, target);
-                self.lateral_flights.lock().remove(&key);
-                f.complete(if res.is_ok() {
-                    FlightOutcome::Done
-                } else {
-                    FlightOutcome::Failed
-                });
-                res
-            }
-            Err(f) => {
-                self.stats.coalesced_waits.fetch_add(1, Ordering::Relaxed);
-                match f.wait() {
-                    FlightOutcome::Done => {
-                        remote.note_lateral_waiters_served(target, 1);
-                        Ok(self.store.body(target))
-                    }
-                    _ => Err(std::io::Error::other(
-                        "lateral flight leader failed; waiter must fail over",
-                    )),
-                }
-            }
-        }
-    }
-
     fn take_peer_conn(&self, remote: NodeId) -> std::io::Result<TcpStream> {
         if let Some(s) = self.peer_pool[remote.0].lock().pop() {
             return Ok(s);
@@ -943,23 +737,11 @@ impl NodeState {
             pool.push(stream);
         }
     }
-
-    /// Drops every pooled idle lateral connection. Closing them sends
-    /// FIN to the peer servers, whose handler threads would otherwise
-    /// sit in `read` until their socket timeout — `Cluster::shutdown`
-    /// calls this once client traffic has stopped so teardown never
-    /// waits out a read timeout on an idle pooled stream.
-    pub fn drain_peer_pools(&self) {
-        for pool in &self.peer_pool {
-            pool.lock().clear();
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
     fn node() -> NodeState {
@@ -1144,180 +926,6 @@ mod tests {
         server.join().unwrap();
     }
 
-    #[test]
-    fn concurrent_misses_share_one_disk_read() {
-        let store = Arc::new(ContentStore::from_sizes(vec![1000, 2000]));
-        let n = Arc::new(NodeState::new(
-            NodeId(0),
-            1 << 20,
-            DiskEmu {
-                seek: Duration::from_millis(50),
-                bytes_per_sec: 1e9,
-            },
-            store.clone(),
-            Vec::new(),
-        ));
-        let threads = 4;
-        let barrier = Arc::new(std::sync::Barrier::new(threads));
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let n = n.clone();
-                let b = barrier.clone();
-                std::thread::spawn(move || {
-                    b.wait();
-                    n.serve_local(TargetId(0))
-                })
-            })
-            .collect();
-        let body = store.body(TargetId(0));
-        for h in handles {
-            assert_eq!(h.join().unwrap(), body, "every caller gets the bytes");
-        }
-        let s = n.stats.snapshot();
-        assert_eq!(s.served, threads as u64);
-        assert_eq!(
-            s.disk_reads, 1,
-            "concurrent misses for one target must share one read"
-        );
-        // Every non-leader either parked on the flight or (if it probed
-        // after completion) hit the now-populated cache.
-        assert_eq!(s.hits + s.coalesced_waits, threads as u64 - 1);
-        assert_eq!(n.disk_queue_len(), 0);
-        assert!(n.cache.lock().contains(TargetId(0)));
-    }
-
-    #[test]
-    fn lateral_flight_failure_fails_every_waiter_over() {
-        use std::net::TcpListener;
-
-        let store = Arc::new(ContentStore::from_sizes(vec![1000, 2000]));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        // A peer that kills every lateral connection without responding —
-        // but only after holding it open long enough for the other
-        // threads to park on the leader's flight, so the failure lands on
-        // a fully-populated flight. The accept loop is unbounded (a
-        // coalesced run makes exactly one connection); the test stops it
-        // with a flag plus a sentinel connect.
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_accepting = stop.clone();
-        let server = std::thread::spawn(move || {
-            while !stop_accepting.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((s, _)) => {
-                        std::thread::sleep(Duration::from_millis(500));
-                        drop(s);
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-
-        let n = Arc::new(NodeState::new(
-            NodeId(0),
-            1 << 20,
-            DiskEmu {
-                seek: Duration::from_micros(100),
-                bytes_per_sec: 1e9,
-            },
-            store.clone(),
-            vec![addr],
-        ));
-        let threads = 3;
-        let barrier = Arc::new(std::sync::Barrier::new(threads));
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let n = n.clone();
-                let b = barrier.clone();
-                std::thread::spawn(move || {
-                    b.wait();
-                    // The failover the cluster's serve path performs:
-                    // lateral fetch, then serve locally on error.
-                    match n.lateral_fetch_coalesced(&n, TargetId(0)) {
-                        Ok(body) => (body, false),
-                        Err(_) => (n.serve_local(TargetId(0)), true),
-                    }
-                })
-            })
-            .collect();
-        let body = store.body(TargetId(0));
-        let mut failed_over = 0;
-        for h in handles {
-            let (got, fo) = h.join().unwrap();
-            assert_eq!(got, body, "failover must still produce the bytes");
-            failed_over += fo as u64;
-        }
-        assert_eq!(
-            failed_over, threads as u64,
-            "leader failure must fail over leader AND every parked waiter"
-        );
-        // Exactly one lateral fetch touched the wire: the waiters parked
-        // on the leader's flight and failed over without re-fetching.
-        assert_eq!(n.stats.snapshot().lateral_out, 1);
-        drop(n);
-        stop.store(true, Ordering::Relaxed);
-        let _ = TcpStream::connect(addr); // unblock the accept loop
-        server.join().unwrap();
-    }
-
-    /// Waiters on a *successful* lateral flight are served too, so they
-    /// are booked as served on the remote beside the leader's request
-    /// (which the remote's lateral server booked): however many requests
-    /// share one fetch, the served counters sum to the request count.
-    #[test]
-    fn lateral_flight_waiters_are_booked_as_served_on_the_remote() {
-        use std::net::TcpListener;
-
-        const N: u64 = 4;
-        let store = Arc::new(ContentStore::from_sizes(vec![1000, 2000]));
-        let disk = DiskEmu {
-            seek: Duration::from_micros(100),
-            bytes_per_sec: 1e9,
-        };
-        let remote = Arc::new(NodeState::new(
-            NodeId(1),
-            1 << 20,
-            disk,
-            store.clone(),
-            Vec::new(),
-        ));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        // The remote's lateral server, answering 300 ms late so every
-        // fetcher parks on the leader's flight; it serves through the
-        // remote's own `serve_local`, which books the leader's request.
-        let server = {
-            let remote = remote.clone();
-            std::thread::spawn(move || {
-                let (mut s, _) = listener.accept().unwrap();
-                let mut buf = [0u8; 4096];
-                while s.read(&mut buf).unwrap_or(0) > 0 {
-                    std::thread::sleep(Duration::from_millis(300));
-                    let resp =
-                        phttp_http::Response::ok(Version::Http11, remote.serve_local(TargetId(0)));
-                    s.write_all(&resp.to_bytes()).unwrap();
-                }
-            })
-        };
-        let handler = NodeState::new(NodeId(0), 1 << 20, disk, store.clone(), vec![addr; 2]);
-        let barrier = std::sync::Barrier::new(N as usize);
-        std::thread::scope(|s| {
-            for _ in 0..N {
-                s.spawn(|| {
-                    barrier.wait();
-                    let got = handler.lateral_fetch_coalesced(&remote, TargetId(0));
-                    assert_eq!(got.unwrap(), store.body(TargetId(0)));
-                });
-            }
-        });
-        let (h, r) = (handler.stats.snapshot(), remote.stats.snapshot());
-        assert_eq!((h.lateral_out, h.coalesced_waits), (1, N - 1), "one flight");
-        assert_eq!(h.served + r.served, N, "every request is booked once");
-        assert_eq!(r.bytes, N * 1000);
-        drop(handler); // closes the pooled session: the server sees EOF
-        server.join().unwrap();
-    }
-
     proptest::proptest! {
         /// The one spindle rule, over arbitrary arrival gaps and read
         /// times: a read starts at its arrival on an idle spindle and
@@ -1378,57 +986,6 @@ mod tests {
         scores.sort_unstable();
         let read_us = read.as_micros() as u64;
         assert_eq!(scores, [read_us, 2 * read_us, 3 * read_us, 4 * read_us]);
-    }
-
-    /// A threads-model flight with `k` parked waiters inserts costed by
-    /// the k+1 *measured* delays — the leader's queue wait plus service,
-    /// each waiter's from its own later arrival — not by
-    /// `read_time x (k + 1)`; an uncontended miss still costs its read.
-    #[test]
-    fn flight_is_costed_by_what_it_was_measured_to_stall() {
-        let ms = Duration::from_millis;
-        let store = Arc::new(ContentStore::from_sizes(vec![1024; 2]));
-        let disk = DiskEmu {
-            seek: ms(150),
-            bytes_per_sec: 1e12,
-        };
-        let read = disk.read_time(1024);
-        let n = NodeState::new(NodeId(0), 1 << 20, disk, store, Vec::new());
-        let t0 = Instant::now();
-        let k = 3u64;
-        std::thread::scope(|s| {
-            // Target 0 takes the idle spindle; target 1's flight queues
-            // behind it, and k waiters park on that flight 10 ms apart.
-            // (The depth counter moves once a read is on the spindle.)
-            s.spawn(|| n.serve_local_at(TargetId(0), t0));
-            while n.disk_queue_len() < 1 {
-                std::thread::yield_now();
-            }
-            s.spawn(|| n.serve_local_at(TargetId(1), t0 + ms(20)));
-            while n.disk_queue_len() < 2 {
-                std::thread::yield_now();
-            }
-            for w in 1..=k {
-                let n = &n;
-                s.spawn(move || n.serve_local_at(TargetId(1), t0 + ms(20 + 10 * w)));
-            }
-        });
-        let stats = n.stats.snapshot();
-        assert_eq!((stats.disk_reads, stats.coalesced_waits), (2, k));
-        let cache = n.cache.lock();
-        assert_eq!(
-            cache.mad_score(TargetId(0)),
-            Some(read.as_micros() as u64),
-            "an uncontended miss costs its read time"
-        );
-        // The flight completes at t0 + 2 reads; leader and waiters
-        // arrived 20, 30, 40, 50 ms after t0.
-        let stalled: Duration = (0..=k).map(|w| read * 2 - ms(20 + 10 * w)).sum();
-        assert_eq!(
-            cache.mad_score(TargetId(1)),
-            Some(stalled.as_micros() as u64)
-        );
-        assert_ne!(stalled, read * (k as u32 + 1), "the nominal sample differs");
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //! connections (requests go through the dispatcher — handoff, batched
 //! policy decisions, possible laterals/migrations) and **peer-server**
 //! connections (lateral fetches from other nodes' handlers; every
-//! request serves on this listener's node, no dispatcher involvement —
-//! the event-driven replacement for the thread-per-peer-connection
-//! `serve_peer_connection` loop). The roles differ only in how a
+//! request serves on this listener's node, no dispatcher involvement).
+//! The roles differ only in how a
 //! drained batch turns into pipeline entries; reading, ordering,
 //! backpressure, and write-out are shared.
 
@@ -124,9 +123,9 @@ pub(crate) const HIGH_WATER: usize = 256 * 1024;
 /// unanswered. `HIGH_WATER` alone only bounds *staged* bytes; a client
 /// that pipelines continuously without ever reading responses would
 /// otherwise grow the entry queue (each `Ready` slot holding a full
-/// serialized response) without bound. The thread path is naturally
-/// bounded by its blocking per-response `write_all`; this is the
-/// event-loop equivalent.
+/// serialized response) without bound. A blocking server is naturally
+/// bounded by its per-response `write_all`; this is the event-loop
+/// equivalent.
 pub(crate) const MAX_PIPELINE: usize = 256;
 
 /// The staged-response output queue: ordered shared byte slices
@@ -452,10 +451,9 @@ impl ClientConn {
     /// `close_after_drain` — because requests already received must
     /// still be served: a client may legitimately half-close right
     /// after its last pipelined request, and its FIN can arrive in the
-    /// same readiness window as the request bytes. The thread path gets
-    /// this for free (`read_batch` drains the parser before it can
-    /// observe the EOF); skipping them here would break the
-    /// byte-identical-responses contract between the io models.
+    /// same readiness window as the request bytes. Skipping them here
+    /// would break the contract that every request received is
+    /// answered byte-exact.
     pub fn read_into_parser(&mut self, buf: &mut [u8]) -> io::Result<bool> {
         loop {
             if self.eof || self.backpressured() {

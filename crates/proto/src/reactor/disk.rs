@@ -1,14 +1,13 @@
 //! Event-driven emulation of each node's single disk spindle.
 //!
-//! The thread path models a disk as one spindle serving reads FIFO,
-//! each thread sleeping out its own read, plus a depth counter the
-//! extended-LARD policy reads over the control session. Sleeping would
-//! stall the reactor's event loop, so here the same model is a deadline:
+//! A node's disk is one spindle serving reads FIFO, plus a depth
+//! counter the extended-LARD policy reads over the control session.
+//! Sleeping out a read would stall the event loop, so here a read is a
+//! deadline:
 //! at most one [`DiskJob`] is *busy* per node (its completion a reactor
 //! timer), later misses queue behind it, and the shared
-//! [`crate::node::NodeState`] depth counter moves at the same points as
-//! the blocking version (incremented when the miss is queued,
-//! decremented when the read completes).
+//! [`crate::node::NodeState`] depth counter is incremented when the
+//! miss is queued and decremented when the read completes.
 //!
 //! The [`Spindle`] runs on its own timeline, not the event loop's: a
 //! read starts at its arrival if the spindle was idle, else at the

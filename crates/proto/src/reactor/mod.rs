@@ -1,9 +1,9 @@
 //! `phttp-reactor`: the event-driven front-end I/O model.
 //!
-//! The thread-per-connection path (`cluster.rs`) burns one OS thread
-//! per client connection — the scalability wall the paper's front-end
-//! must avoid if P-HTTP's amortized TCP costs are to survive high
-//! concurrency. This module replaces it with readiness-driven
+//! A thread per client connection is the scalability wall the paper's
+//! front-end must avoid if P-HTTP's amortized TCP costs are to survive
+//! high concurrency. This module serves every connection with
+//! readiness-driven
 //! (epoll-style, via the vendored `mio` shim) reactor **shards**:
 //! `ProtoConfig::reactor_shards` loop threads (one per core on a real
 //! host), each owning its own poller, its own front-end accept
@@ -30,8 +30,7 @@
 //! The policy engine needs no adaptation: PR 1/PR 2 shaped
 //! [`phttp_core::ConcurrentDispatcher`] so decisions run inline on
 //! event-loop threads — `FrontEnd::assign_batch` is called directly
-//! from each shard, one call per drained pipelined batch, exactly as
-//! the handler threads call it in the thread model.
+//! from each shard, one call per drained pipelined batch.
 //!
 //! ## Connection lifecycle (see ARCHITECTURE.md "I/O models" for the
 //! full state diagram)
@@ -196,8 +195,7 @@ pub(crate) struct ReactorConfig {
     pub read_timeout: Duration,
     /// Number of event-loop shards (validated ≥ 1 by `Cluster::start`).
     pub shards: usize,
-    /// Idle lateral sessions retained per peer, per shard (mirrors the
-    /// thread path's per-peer pool cap).
+    /// Idle lateral sessions retained per peer, per shard.
     pub peer_pool_cap: usize,
 }
 
@@ -398,8 +396,8 @@ pub(crate) fn spawn(
             peer_lns.push((node, l));
         }
         // The control sessions are ordinary readiness sources on the
-        // same poller: the loop decodes their frames exactly where the
-        // thread model runs its per-node reader threads.
+        // same poller: the loop decodes their frames itself, with no
+        // reader thread per node.
         let control_base = peer_base + peer_lns.len();
         let mut chans = Vec::with_capacity(ctrls.len());
         for (i, (node, s)) in ctrls.into_iter().enumerate() {
@@ -835,8 +833,8 @@ impl Reactor {
     // ---- control sessions -----------------------------------------------
 
     /// Drains one control session as far as readiness allows, applying
-    /// every decoded frame to every front-end — the reactor-side
-    /// analogue of the thread model's blocking per-node control reader
+    /// every decoded frame to every front-end — the event-loop analogue
+    /// of the blocking reader a node joined after start gets
     /// (feedback describes the node's cache, which all the tier's
     /// dispatchers decide against). A session that dies while the
     /// cluster is not shutting down is a node-failure signal: the
@@ -973,9 +971,9 @@ impl Reactor {
     ) -> Result<(), phttp_http::ParseError> {
         loop {
             if c.close_after_drain {
-                // Mirrors the thread path: once a non-keep-alive request
-                // (or EOF) ends the logical connection, later pipelined
-                // requests are not served.
+                // Once a non-keep-alive request (or EOF) ends the
+                // logical connection, later pipelined requests are not
+                // served.
                 return Ok(());
             }
             let batch = c.parser.drain()?;
@@ -990,9 +988,9 @@ impl Reactor {
         }
     }
 
-    /// The inline analogue of the thread path's handler loop body: the
-    /// first request drives the content-based handoff, every subsequent
-    /// drained batch is decided in one `assign_batch` call.
+    /// One drained batch of a client connection: the first request
+    /// drives the content-based handoff, every subsequent drained batch
+    /// is decided in one `assign_batch` call.
     fn process_batch(&mut self, idx: usize, c: &mut ClientConn, mut batch: Vec<Request>) {
         let me = self.slot_ref(idx);
         if c.conn_id.is_none() {
@@ -1022,9 +1020,9 @@ impl Reactor {
         }
         let conn = c.conn_id.expect("handoff done above");
 
-        // One dispatcher call for the whole pipelined batch — the same
-        // single connection-shard visit and grouped mapping-shard locks
-        // as the thread path, now running inline on the event loop.
+        // One dispatcher call for the whole pipelined batch — a single
+        // connection-shard visit and grouped mapping-shard locks, inline
+        // on the event loop.
         let targets: Vec<Option<TargetId>> =
             batch.iter().map(|r| self.store.lookup(&r.uri)).collect();
         let known: Vec<TargetId> = targets.iter().filter_map(|&t| t).collect();
@@ -1080,9 +1078,8 @@ impl Reactor {
 
     /// The peer-server analogue of [`process_batch`]: every request
     /// serves on the listener's node — no handoff, no dispatcher, same
-    /// strict response ordering. Mirrors the thread model's
-    /// `serve_peer_connection` loop body, including its per-request
-    /// `lateral_in` accounting.
+    /// strict response ordering, with per-request `lateral_in`
+    /// accounting.
     fn process_peer_batch(&mut self, idx: usize, c: &mut ClientConn, batch: Vec<Request>) {
         let me = self.slot_ref(idx);
         let node_idx = c.node;
@@ -1313,8 +1310,8 @@ impl Reactor {
     // ---- lateral fetches ------------------------------------------------
 
     /// Issues a lateral fetch for a remote assignment, preferring a
-    /// pooled idle session; falls back to serving locally (like the
-    /// thread path) if no peer session can be set up.
+    /// pooled idle session; falls back to serving locally if no peer
+    /// session can be set up.
     fn issue_lateral(&mut self, job: LateralJob, remote: NodeId) -> EntryState {
         // Single-flight: an in-flight fetch of this target from this
         // remote absorbs the request — it parks with the flight and is
@@ -1358,8 +1355,8 @@ impl Reactor {
         EntryState::Lateral
     }
 
-    /// The serve-locally degradation the thread path applies when the
-    /// peer path fails, as an [`EntryState`] (used while the owning
+    /// The serve-locally degradation applied when the peer path fails,
+    /// as an [`EntryState`] (used while the owning
     /// client is checked out, so it cannot go through [`deliver`]).
     fn lateral_fallback_state(&mut self, job: LateralJob) -> EntryState {
         self.serve_on(job.conn, job.seq, job.handler, job.target, job.version)
@@ -1776,8 +1773,7 @@ impl Reactor {
     }
 
     /// Closes a lateral session; an in-flight fetch degrades to local
-    /// service exactly as the thread path's error fallback does —
-    /// together with every request parked on its flight. A fetch that
+    /// service — together with every request parked on its flight. A fetch that
     /// died *mid-splice* instead completes the leader from the store
     /// ([`abort_stream`](Self::abort_stream)): its response prefix is
     /// already on the wire.
@@ -1827,8 +1823,8 @@ impl Reactor {
         }
     }
 
-    /// Applies the idle-close rule the thread path gets from its socket
-    /// read timeouts: a client/peer-server connection with nothing
+    /// Applies the idle-close rule (the event-loop form of a socket
+    /// read timeout): a client/peer-server connection with nothing
     /// pending, or a pooled lateral session with no in-flight fetch,
     /// that has seen no activity for `read_timeout` is closed. This is
     /// also what guarantees the slab drains to zero sources after

@@ -1,9 +1,7 @@
 //! Pooled non-blocking lateral-fetch sessions.
 //!
-//! The thread path keeps per-node pools of *blocking* persistent peer
-//! connections ([`crate::node::NodeState::lateral_fetch`]). The reactor
-//! replaces them with [`PeerSession`]s driven by the same event loop as
-//! the client connections: a session carries at most one in-flight
+//! The reactor fetches laterally over [`PeerSession`]s driven by the
+//! same event loop as the client connections: a session carries at most one in-flight
 //! fetch ([`LateralJob`]), writes its request under the loop's
 //! backpressure rules, parses the response incrementally, and returns
 //! to its peer's idle pool only if the stream is provably clean —
@@ -62,9 +60,7 @@ pub(crate) struct PeerSession {
     /// Interests currently registered with the poller.
     pub interest: Interest,
     /// Last time the session carried a fetch, for the idle sweep: a
-    /// pooled session idle past the read timeout is closed, mirroring
-    /// the thread model's peer-side socket timeout reaping its idle
-    /// pooled streams.
+    /// pooled session idle past the read timeout is closed.
     pub last_activity: Instant,
 }
 

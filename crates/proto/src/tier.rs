@@ -22,11 +22,12 @@
 //!   admitted connections still alive. Both ends of a session are one
 //!   sans-IO [`AdmissionLink`]; whoever owns the link also owns both
 //!   sockets and moves the bytes between them, so a handshake never
-//!   crosses a thread. Two drivers exist: [`Vip::admit`] /
+//!   crosses a thread. Each reactor shard drives its own links from
+//!   socket readiness (`reactor/admit.rs`). [`Vip::admit`] /
 //!   [`Vip::release`] drive a per-front-end link with blocking I/O on
-//!   the caller's thread (the threads model, inline callers), and each
-//!   reactor shard drives its own links from socket readiness
-//!   (`reactor/admit.rs`).
+//!   the caller's thread; they stay only for inline callers — the
+//!   tier's unit tests and the benchmark package's replay — and go
+//!   with the next change to that package.
 //! * **Gossip** — front-ends exchange dispatcher state peer-to-peer:
 //!   every gossip tick each front-end publishes a
 //!   [`phttp_core::StateDelta`] (its own loads plus the believed
@@ -374,7 +375,8 @@ pub(crate) fn loopback_pair(listener: &TcpListener) -> io::Result<(TcpStream, Tc
 }
 
 /// A link the caller drives to completion on its own thread: the
-/// blocking driver behind [`Vip::admit`] and [`Vip::release`].
+/// blocking driver behind [`Vip::admit`] and [`Vip::release`], kept for
+/// inline callers only (it goes with them).
 struct BlockingLink {
     link: AdmissionLink,
     vip_end: TcpStream,
@@ -651,7 +653,10 @@ impl Vip {
     /// admission link, on the caller's thread. Returns the chosen
     /// front-end index plus the tier-level connection id (release it
     /// with [`release`](Self::release) when the connection ends), or
-    /// `None` if no front-end admitted the connection.
+    /// `None` if no front-end admitted the connection. The reactor
+    /// admits on its own links; this blocking driver stays only for
+    /// inline callers and goes with the next change to the benchmark
+    /// package, which names it.
     pub fn admit(&self, client: ClientKey) -> Option<(usize, ConnId)> {
         let mut cursor = self.cursor();
         while let Some(f) = self.next_candidate(&mut cursor) {
@@ -743,7 +748,7 @@ impl Vip {
     /// The connection admitted to `f` as `conn` has ended: the
     /// endpoint releases it and its close notification crosses the
     /// session back to the Vip machine (removing the forwarding-table
-    /// route) before this returns.
+    /// route) before this returns. Goes with [`admit`](Self::admit).
     pub fn release(&self, f: usize, conn: ConnId) {
         let mut l = self.links[f].lock();
         l.link.release(conn);

@@ -1,7 +1,7 @@
 //! The chaos differential harness: deterministic, seed-driven
 //! membership churn — kills, warm restarts, cold replacements, and a
 //! standby slot joining fresh — injected *under live verifying load*,
-//! across both I/O models and both tier shapes (1 and 2 front-ends).
+//! across both tier shapes (1 and 2 front-ends).
 //!
 //! What must survive arbitrary churn:
 //!
@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use phttp_core::{HealthState, NodeId, PolicyKind};
-use phttp_proto::{run_load, ClientProtocol, Cluster, DiskEmu, IoModel, LoadConfig, ProtoConfig};
+use phttp_proto::{run_load, ClientProtocol, Cluster, DiskEmu, LoadConfig, ProtoConfig};
 use phttp_trace::{generate, reconstruct, SessionConfig, SynthConfig};
 
 /// Pinned default schedule seed (override with `PHTTP_CHAOS_SEED`).
@@ -65,14 +65,6 @@ impl Rng {
     }
 }
 
-fn io_models() -> Vec<IoModel> {
-    match std::env::var("PHTTP_IO_MODEL").as_deref() {
-        Ok("threads") => vec![IoModel::Threads],
-        Ok("reactor") => vec![IoModel::Reactor],
-        _ => vec![IoModel::Threads, IoModel::Reactor],
-    }
-}
-
 fn chaos_trace() -> phttp_trace::Trace {
     let mut synth = SynthConfig::small();
     synth.num_page_views = 250;
@@ -80,7 +72,7 @@ fn chaos_trace() -> phttp_trace::Trace {
     generate(&synth)
 }
 
-fn config(io: IoModel, front_ends: usize) -> ProtoConfig {
+fn config(front_ends: usize) -> ProtoConfig {
     ProtoConfig {
         nodes: SERVING,
         standby_nodes: STANDBY,
@@ -97,7 +89,6 @@ fn config(io: IoModel, front_ends: usize) -> ProtoConfig {
         feedback_interval: Duration::from_millis(10),
         health_tick_interval: Duration::from_millis(10),
         read_timeout: Duration::from_secs(5),
-        io_model: io,
         front_ends,
         ..ProtoConfig::default()
     }
@@ -105,12 +96,12 @@ fn config(io: IoModel, front_ends: usize) -> ProtoConfig {
 
 /// One matrix cell: start the cluster, run verifying load continuously,
 /// churn against it, then prove conservation + convergence.
-fn chaos_cell(io: IoModel, front_ends: usize, seed: u64) {
-    let cell = format!("{io:?}/fe{front_ends}/seed={seed}");
+fn chaos_cell(front_ends: usize, seed: u64) {
+    let cell = format!("fe{front_ends}/seed={seed}");
     let trace = chaos_trace();
     let workload = reconstruct(&trace, SessionConfig::default());
     let expected = trace.len() as u64;
-    let cluster = Cluster::start(config(io, front_ends), &trace).expect("start cluster");
+    let cluster = Cluster::start(config(front_ends), &trace).expect("start cluster");
 
     let stop = AtomicBool::new(false);
     let errors = AtomicU64::new(0);
@@ -271,10 +262,8 @@ fn chaos_cell(io: IoModel, front_ends: usize, seed: u64) {
 #[test]
 fn chaos_churn_conserves_requests_and_converges() {
     let seed = seed();
-    for io in io_models() {
-        for front_ends in [1usize, 2] {
-            chaos_cell(io, front_ends, seed ^ (front_ends as u64));
-        }
+    for front_ends in [1usize, 2] {
+        chaos_cell(front_ends, seed ^ (front_ends as u64));
     }
 }
 
@@ -286,65 +275,63 @@ fn warm_join_seeds_beliefs_cold_join_does_not() {
     let seed = seed();
     let trace = chaos_trace();
     let workload = reconstruct(&trace, SessionConfig::default());
-    for io in io_models() {
-        let cell = format!("{io:?}/seed={seed}");
-        let cluster = Cluster::start(config(io, 1), &trace).expect("start cluster");
-        let report = run_load(
-            cluster.frontend_addrs(),
-            cluster.store(),
-            &workload,
-            &LoadConfig {
-                clients: 8,
-                protocol: ClientProtocol::PHttp,
-                ..LoadConfig::default()
-            },
-        );
-        assert_eq!(report.errors, 0, "{cell}");
-        assert!(cluster.quiesce(Duration::from_secs(10)), "{cell}");
+    let cell = format!("seed={seed}");
+    let cluster = Cluster::start(config(1), &trace).expect("start cluster");
+    let report = run_load(
+        cluster.frontend_addrs(),
+        cluster.store(),
+        &workload,
+        &LoadConfig {
+            clients: 8,
+            protocol: ClientProtocol::PHttp,
+            ..LoadConfig::default()
+        },
+    );
+    assert_eq!(report.errors, 0, "{cell}");
+    assert!(cluster.quiesce(Duration::from_secs(10)), "{cell}");
 
-        let victim = 1usize;
-        let believed = |cluster: &Cluster| {
-            let mut count = 0usize;
-            cluster.frontend().mapping().for_each_pair(|_, n| {
-                if n == NodeId(victim) {
-                    count += 1;
-                }
-            });
-            count
-        };
-        assert!(cluster.kill_node(victim), "{cell}: kill failed");
-        assert_eq!(believed(&cluster), 0, "{cell}: eviction left beliefs");
+    let victim = 1usize;
+    let believed = |cluster: &Cluster| {
+        let mut count = 0usize;
+        cluster.frontend().mapping().for_each_pair(|_, n| {
+            if n == NodeId(victim) {
+                count += 1;
+            }
+        });
+        count
+    };
+    assert!(cluster.kill_node(victim), "{cell}: kill failed");
+    assert_eq!(believed(&cluster), 0, "{cell}: eviction left beliefs");
 
-        // Warm: the journal replay re-seeds the belief immediately —
-        // before any request has touched the rejoined node.
-        assert!(cluster.rejoin_node_warm(victim), "{cell}");
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while believed(&cluster) == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let warm_pairs = believed(&cluster);
-        assert!(
-            warm_pairs > 0,
-            "{cell}: warm join seeded no beliefs for the rejoined node"
-        );
-
-        // Cold: wiped cache, empty journal — the belief stays empty
-        // until traffic refills it.
-        assert!(cluster.kill_node(victim), "{cell}: second kill failed");
-        assert!(cluster.rejoin_node_cold(victim), "{cell}");
-        // The Join frame is ordered before any feedback on the fresh
-        // session; give it the same window the warm path got.
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(
-            believed(&cluster),
-            0,
-            "{cell}: cold join must start from a blank belief"
-        );
-        assert_eq!(
-            cluster.frontend().health().state(NodeId(victim)),
-            HealthState::Closed,
-            "{cell}: cold join must still close the breaker"
-        );
-        cluster.shutdown();
+    // Warm: the journal replay re-seeds the belief immediately —
+    // before any request has touched the rejoined node.
+    assert!(cluster.rejoin_node_warm(victim), "{cell}");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while believed(&cluster) == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
     }
+    let warm_pairs = believed(&cluster);
+    assert!(
+        warm_pairs > 0,
+        "{cell}: warm join seeded no beliefs for the rejoined node"
+    );
+
+    // Cold: wiped cache, empty journal — the belief stays empty
+    // until traffic refills it.
+    assert!(cluster.kill_node(victim), "{cell}: second kill failed");
+    assert!(cluster.rejoin_node_cold(victim), "{cell}");
+    // The Join frame is ordered before any feedback on the fresh
+    // session; give it the same window the warm path got.
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(
+        believed(&cluster),
+        0,
+        "{cell}: cold join must start from a blank belief"
+    );
+    assert_eq!(
+        cluster.frontend().health().state(NodeId(victim)),
+        HealthState::Closed,
+        "{cell}: cold join must still close the breaker"
+    );
+    cluster.shutdown();
 }

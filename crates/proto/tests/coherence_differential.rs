@@ -2,7 +2,7 @@
 //!
 //! Both implementations of the feedback loop — the simulator's
 //! event-driven reports and the prototype's real framed control sessions
-//! (in both I/O models) — must agree on the observable contract:
+//! — must agree on the observable contract:
 //!
 //! * with feedback **on** and the trace quiescent, the dispatcher's
 //!   divergence gauge converges to 0, and the belief is a subset of the
@@ -13,15 +13,12 @@
 //! The contract is about journalled victims, not about which entry the
 //! cache picks, so the convergence half runs under both eviction
 //! policies — the default GreedyDual and the strict-LRU baseline.
-//!
-//! `PHTTP_IO_MODEL=threads|reactor` restricts the prototype half of the
-//! matrix to one model, mirroring `end_to_end.rs`.
 
 use std::time::{Duration, Instant};
 
 use phttp_core::PolicyKind;
 use phttp_proto::{
-    run_load, ClientProtocol, Cluster, DiskEmu, EvictPolicy, IoModel, LoadConfig, ProtoConfig,
+    run_load, ClientProtocol, Cluster, DiskEmu, EvictPolicy, LoadConfig, ProtoConfig,
 };
 use phttp_sim::{build_workload, SimConfig, Simulator};
 use phttp_simcore::SimDuration;
@@ -34,15 +31,7 @@ fn churn_trace() -> phttp_trace::Trace {
     generate(&synth)
 }
 
-fn io_models() -> Vec<IoModel> {
-    match std::env::var("PHTTP_IO_MODEL").as_deref() {
-        Ok("threads") => vec![IoModel::Threads],
-        Ok("reactor") => vec![IoModel::Reactor],
-        _ => vec![IoModel::Threads, IoModel::Reactor],
-    }
-}
-
-fn proto_config(io_model: IoModel, feedback: bool, cache_policy: EvictPolicy) -> ProtoConfig {
+fn proto_config(feedback: bool, cache_policy: EvictPolicy) -> ProtoConfig {
     ProtoConfig {
         nodes: 3,
         policy: PolicyKind::ExtLard,
@@ -54,7 +43,6 @@ fn proto_config(io_model: IoModel, feedback: bool, cache_policy: EvictPolicy) ->
             bytes_per_sec: 200.0 * 1024.0 * 1024.0,
         },
         read_timeout: Duration::from_secs(5),
-        io_model,
         cache_feedback: feedback,
         cache_policy,
         feedback_interval: Duration::from_millis(2),
@@ -122,63 +110,51 @@ fn divergence_converges_to_zero_under(policy: EvictPolicy) {
     );
     assert!(sim.believed_pairs > 0);
 
-    // --- Prototype half: real control sessions, both I/O models.
-    for io in io_models() {
-        let cluster =
-            Cluster::start(proto_config(io, true, policy), &trace).expect("start cluster");
-        run_traffic(&cluster, &trace);
+    // --- Prototype half: real control sessions.
+    let cluster = Cluster::start(proto_config(true, policy), &trace).expect("start cluster");
+    run_traffic(&cluster, &trace);
 
-        // Reports are applied asynchronously (reader threads / poller),
-        // and serves can journal a few final events (late disk
-        // completions) *after* an earlier flush: force flushes and poll
-        // until BOTH gauges settle — exiting on the mirror gauge alone
-        // races the last unflushed eviction batch, leaving the
-        // ground-truth check below to fail spuriously.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut snap = cluster.frontend().coherence();
-        while (snap.divergence != 0 || true_divergence(&cluster) != 0) && Instant::now() < deadline
-        {
-            cluster.flush_feedback();
-            std::thread::sleep(Duration::from_millis(2));
-            snap = cluster.frontend().coherence();
-        }
-        assert_eq!(
-            snap.divergence, 0,
-            "{io:?}/{policy:?}: divergence stuck at {} of {} believed pairs ({snap:?})",
-            snap.divergence, snap.believed_pairs
-        );
-        assert!(
-            snap.believed_pairs > 0,
-            "{io:?}/{policy:?}: no beliefs formed"
-        );
-        assert!(
-            snap.reports > 0,
-            "{io:?}/{policy:?}: no control reports flowed"
-        );
-        assert!(
-            snap.stale_removed > 0,
-            "{io:?}/{policy:?}: churn must have removed stale beliefs"
-        );
-        // Mirror-based and ground-truth divergence must agree: every
-        // believed mapping points at a document the node really caches.
-        assert_eq!(
-            true_divergence(&cluster),
-            0,
-            "{io:?}/{policy:?}: belief not ⊆ caches"
-        );
-        cluster.shutdown();
+    // Reports are applied asynchronously (by the shards' pollers),
+    // and serves can journal a few final events (late disk
+    // completions) *after* an earlier flush: force flushes and poll
+    // until BOTH gauges settle — exiting on the mirror gauge alone
+    // races the last unflushed eviction batch, leaving the
+    // ground-truth check below to fail spuriously.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut snap = cluster.frontend().coherence();
+    while (snap.divergence != 0 || true_divergence(&cluster) != 0) && Instant::now() < deadline {
+        cluster.flush_feedback();
+        std::thread::sleep(Duration::from_millis(2));
+        snap = cluster.frontend().coherence();
     }
+    assert_eq!(
+        snap.divergence, 0,
+        "{policy:?}: divergence stuck at {} of {} believed pairs ({snap:?})",
+        snap.divergence, snap.believed_pairs
+    );
+    assert!(snap.believed_pairs > 0, "{policy:?}: no beliefs formed");
+    assert!(snap.reports > 0, "{policy:?}: no control reports flowed");
+    assert!(
+        snap.stale_removed > 0,
+        "{policy:?}: churn must have removed stale beliefs"
+    );
+    // Mirror-based and ground-truth divergence must agree: every
+    // believed mapping points at a document the node really caches.
+    assert_eq!(
+        true_divergence(&cluster),
+        0,
+        "{policy:?}: belief not ⊆ caches"
+    );
+    cluster.shutdown();
 }
 
 #[test]
 fn open_loop_belief_really_diverges() {
     // The premise the feedback loop exists to fix (and the baseline the
     // mapping_coherence bench measures): without reports, churn leaves
-    // the only-grows table pointing at cold caches. One io model
-    // suffices — the belief path is shared.
+    // the only-grows table pointing at cold caches.
     let trace = churn_trace();
-    let io = io_models()[0];
-    let cluster = Cluster::start(proto_config(io, false, EvictPolicy::GreedyDual), &trace)
+    let cluster = Cluster::start(proto_config(false, EvictPolicy::GreedyDual), &trace)
         .expect("start cluster");
     run_traffic(&cluster, &trace);
 

@@ -1,10 +1,6 @@
 //! End-to-end tests of the live loopback cluster: byte-exact responses,
-//! policy-visible distribution behaviour, and clean shutdown — run over
-//! **both** front-end I/O models (thread-per-connection workers and the
-//! event-driven reactor), which must be observably interchangeable.
+//! policy-visible distribution behaviour, and clean shutdown.
 //!
-//! `PHTTP_IO_MODEL=threads|reactor` restricts the matrix to one model
-//! (CI runs the suite once per model); unset, every test covers both.
 //! `PHTTP_REACTOR_SHARDS=N` sets the reactor's shard count (CI adds a
 //! 2-shard leg; the default is 1). `PHTTP_FRONT_ENDS=N` runs every
 //! cluster as an N-front-end tier behind the VIP (CI adds an `N=2`
@@ -15,7 +11,7 @@
 use std::time::Duration;
 
 use phttp_core::PolicyKind;
-use phttp_proto::{run_load, ClientProtocol, Cluster, DiskEmu, IoModel, LoadConfig, ProtoConfig};
+use phttp_proto::{run_load, ClientProtocol, Cluster, DiskEmu, LoadConfig, ProtoConfig};
 use phttp_trace::{generate, http10_connections, reconstruct, SessionConfig, SynthConfig};
 
 fn tiny_trace() -> phttp_trace::Trace {
@@ -32,29 +28,16 @@ fn fast_disk() -> DiskEmu {
     }
 }
 
-/// The I/O models this run covers (see module docs).
-fn io_models() -> Vec<IoModel> {
-    match std::env::var("PHTTP_IO_MODEL").as_deref() {
-        Ok("threads") => vec![IoModel::Threads],
-        Ok("reactor") => vec![IoModel::Reactor],
-        _ => vec![IoModel::Threads, IoModel::Reactor],
-    }
-}
-
-/// Reactor shard count for this run (`PHTTP_REACTOR_SHARDS`; the
-/// thread model always runs shardless).
-fn reactor_shards(io_model: IoModel) -> usize {
-    match io_model {
-        IoModel::Threads => 1,
-        IoModel::Reactor => std::env::var("PHTTP_REACTOR_SHARDS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1),
-    }
+/// Reactor shard count for this run (`PHTTP_REACTOR_SHARDS`).
+fn reactor_shards() -> usize {
+    std::env::var("PHTTP_REACTOR_SHARDS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1)
 }
 
 /// Front-end tier size for this run (`PHTTP_FRONT_ENDS=N`; CI adds an
-/// `N=2` leg per io model so the whole suite also regresses the VIP
+/// `N=2` leg so the whole suite also regresses the VIP
 /// admission, gossip, and per-front-end dispatch paths; the default of
 /// 1 is the tierless single-front-end cluster).
 fn front_ends() -> usize {
@@ -64,15 +47,14 @@ fn front_ends() -> usize {
         .unwrap_or(1)
 }
 
-fn config(policy: PolicyKind, nodes: usize, io_model: IoModel) -> ProtoConfig {
+fn config(policy: PolicyKind, nodes: usize) -> ProtoConfig {
     ProtoConfig {
         nodes,
         policy,
         cache_bytes: 1024 * 1024,
         disk: fast_disk(),
         read_timeout: Duration::from_secs(5),
-        io_model,
-        reactor_shards: reactor_shards(io_model),
+        reactor_shards: reactor_shards(),
         front_ends: front_ends(),
         ..ProtoConfig::default()
     }
@@ -82,64 +64,55 @@ fn config(policy: PolicyKind, nodes: usize, io_model: IoModel) -> ProtoConfig {
 fn phttp_serves_every_request_byte_exact() {
     let trace = tiny_trace();
     let workload = reconstruct(&trace, SessionConfig::default());
-    for io in io_models() {
-        let cluster =
-            Cluster::start(config(PolicyKind::ExtLard, 3, io), &trace).expect("start cluster");
-        let report = run_load(
-            cluster.frontend_addrs(),
-            cluster.store(),
-            &workload,
-            &LoadConfig {
-                clients: 8,
-                protocol: ClientProtocol::PHttp,
-                ..LoadConfig::default()
-            },
-        );
-        assert_eq!(report.errors, 0, "{io:?}: verification failures");
-        assert_eq!(report.requests as usize, trace.len(), "{io:?}");
-        assert_eq!(
-            report.connections as usize,
-            workload.connections.len(),
-            "{io:?}"
-        );
-        // The cluster served everything the clients received. A lateral fetch
-        // that times out under load falls back to local service, which can
-        // legitimately count a request twice — allow a whisker of slack.
-        let served: u64 = cluster.node_stats().iter().map(|s| s.served).sum();
-        assert!(served >= trace.len() as u64, "{io:?}");
-        assert!(served <= trace.len() as u64 + 8, "{io:?}: served={served}");
-        // All policy connection state was torn down (handlers observe the
-        // clients' EOFs asynchronously, so wait for quiescence first).
-        assert!(
-            cluster.quiesce(Duration::from_secs(10)),
-            "{io:?}: connections leaked"
-        );
-        assert_eq!(cluster.frontend().active_connections(), 0, "{io:?}");
-        cluster.shutdown();
-    }
+    let cluster = Cluster::start(config(PolicyKind::ExtLard, 3), &trace).expect("start cluster");
+    let report = run_load(
+        cluster.frontend_addrs(),
+        cluster.store(),
+        &workload,
+        &LoadConfig {
+            clients: 8,
+            protocol: ClientProtocol::PHttp,
+            ..LoadConfig::default()
+        },
+    );
+    assert_eq!(report.errors, 0, "verification failures");
+    assert_eq!(report.requests as usize, trace.len());
+    assert_eq!(report.connections as usize, workload.connections.len());
+    // The cluster served everything the clients received. A lateral fetch
+    // that times out under load falls back to local service, which can
+    // legitimately count a request twice — allow a whisker of slack.
+    let served: u64 = cluster.node_stats().iter().map(|s| s.served).sum();
+    assert!(served >= trace.len() as u64);
+    assert!(served <= trace.len() as u64 + 8, "served={served}");
+    // All policy connection state was torn down (handlers observe the
+    // clients' EOFs asynchronously, so wait for quiescence first).
+    assert!(
+        cluster.quiesce(Duration::from_secs(10)),
+        "connections leaked"
+    );
+    assert_eq!(cluster.frontend().active_connections(), 0);
+    cluster.shutdown();
 }
 
 #[test]
 fn http10_mode_works_on_every_policy() {
     let trace = tiny_trace();
     let workload = http10_connections(&trace);
-    for io in io_models() {
-        for policy in [PolicyKind::Wrr, PolicyKind::Lard] {
-            let cluster = Cluster::start(config(policy, 2, io), &trace).expect("start cluster");
-            let report = run_load(
-                cluster.frontend_addrs(),
-                cluster.store(),
-                &workload,
-                &LoadConfig {
-                    clients: 8,
-                    protocol: ClientProtocol::Http10,
-                    ..LoadConfig::default()
-                },
-            );
-            assert_eq!(report.errors, 0, "{io:?}/{policy:?}");
-            assert_eq!(report.requests as usize, trace.len(), "{io:?}/{policy:?}");
-            cluster.shutdown();
-        }
+    for policy in [PolicyKind::Wrr, PolicyKind::Lard] {
+        let cluster = Cluster::start(config(policy, 2), &trace).expect("start cluster");
+        let report = run_load(
+            cluster.frontend_addrs(),
+            cluster.store(),
+            &workload,
+            &LoadConfig {
+                clients: 8,
+                protocol: ClientProtocol::Http10,
+                ..LoadConfig::default()
+            },
+        );
+        assert_eq!(report.errors, 0, "{policy:?}");
+        assert_eq!(report.requests as usize, trace.len(), "{policy:?}");
+        cluster.shutdown();
     }
 }
 
@@ -148,216 +121,192 @@ fn wrr_spreads_but_lard_concentrates_targets() {
     let trace = tiny_trace();
     let workload = http10_connections(&trace);
 
-    for io in io_models() {
-        // WRR: every node should see a similar number of requests.
-        let cluster =
-            Cluster::start(config(PolicyKind::Wrr, 3, io), &trace).expect("start cluster");
-        let _ = run_load(
-            cluster.frontend_addrs(),
-            cluster.store(),
-            &workload,
-            &LoadConfig {
-                clients: 6,
-                protocol: ClientProtocol::Http10,
-                ..LoadConfig::default()
-            },
-        );
-        let wrr_stats = cluster.node_stats();
-        cluster.shutdown();
-        let served: Vec<u64> = wrr_stats.iter().map(|s| s.served).collect();
-        let max = *served.iter().max().unwrap() as f64;
-        let min = *served.iter().min().unwrap() as f64;
-        assert!(
-            min / max > 0.5,
-            "{io:?}: WRR petered out unevenly: {served:?}"
-        );
+    // WRR: every node should see a similar number of requests.
+    let cluster = Cluster::start(config(PolicyKind::Wrr, 3), &trace).expect("start cluster");
+    let _ = run_load(
+        cluster.frontend_addrs(),
+        cluster.store(),
+        &workload,
+        &LoadConfig {
+            clients: 6,
+            protocol: ClientProtocol::Http10,
+            ..LoadConfig::default()
+        },
+    );
+    let wrr_stats = cluster.node_stats();
+    cluster.shutdown();
+    let served: Vec<u64> = wrr_stats.iter().map(|s| s.served).collect();
+    let max = *served.iter().max().unwrap() as f64;
+    let min = *served.iter().min().unwrap() as f64;
+    assert!(min / max > 0.5, "WRR petered out unevenly: {served:?}");
 
-        // LARD: better aggregate hit rate than WRR on the same workload (cache
-        // aggregation), since per-node caches are much smaller than the corpus.
-        let cluster =
-            Cluster::start(config(PolicyKind::Lard, 3, io), &trace).expect("start cluster");
-        let _ = run_load(
-            cluster.frontend_addrs(),
-            cluster.store(),
-            &workload,
-            &LoadConfig {
-                clients: 6,
-                protocol: ClientProtocol::Http10,
-                ..LoadConfig::default()
-            },
-        );
-        let lard_stats = cluster.node_stats();
-        cluster.shutdown();
-        let hit = |st: &[phttp_proto::NodeStatsSnapshot]| {
-            let h: u64 = st.iter().map(|s| s.hits).sum();
-            let r: u64 = st.iter().map(|s| s.served).sum();
-            h as f64 / r as f64
-        };
-        assert!(
-            hit(&lard_stats) > hit(&wrr_stats),
-            "{io:?}: LARD hit rate {:.3} must beat WRR {:.3}",
-            hit(&lard_stats),
-            hit(&wrr_stats)
-        );
-    }
+    // LARD: better aggregate hit rate than WRR on the same workload (cache
+    // aggregation), since per-node caches are much smaller than the corpus.
+    let cluster = Cluster::start(config(PolicyKind::Lard, 3), &trace).expect("start cluster");
+    let _ = run_load(
+        cluster.frontend_addrs(),
+        cluster.store(),
+        &workload,
+        &LoadConfig {
+            clients: 6,
+            protocol: ClientProtocol::Http10,
+            ..LoadConfig::default()
+        },
+    );
+    let lard_stats = cluster.node_stats();
+    cluster.shutdown();
+    let hit = |st: &[phttp_proto::NodeStatsSnapshot]| {
+        let h: u64 = st.iter().map(|s| s.hits).sum();
+        let r: u64 = st.iter().map(|s| s.served).sum();
+        h as f64 / r as f64
+    };
+    assert!(
+        hit(&lard_stats) > hit(&wrr_stats),
+        "LARD hit rate {:.3} must beat WRR {:.3}",
+        hit(&lard_stats),
+        hit(&wrr_stats)
+    );
 }
 
 #[test]
 fn ext_lard_uses_lateral_fetches_under_pressure() {
     let trace = tiny_trace();
     let workload = reconstruct(&trace, SessionConfig::default());
-    for io in io_models() {
-        // Slow disk so queues build and the policy prefers forwarding.
-        let mut cfg = config(PolicyKind::ExtLard, 3, io);
-        cfg.disk = DiskEmu {
-            seek: Duration::from_millis(2),
-            bytes_per_sec: 40.0 * 1024.0 * 1024.0,
-        };
-        cfg.cache_bytes = 512 * 1024;
-        let cluster = Cluster::start(cfg, &trace).expect("start cluster");
-        let report = run_load(
-            cluster.frontend_addrs(),
-            cluster.store(),
-            &workload,
-            &LoadConfig {
-                clients: 12,
-                protocol: ClientProtocol::PHttp,
-                ..LoadConfig::default()
-            },
-        );
-        assert_eq!(report.errors, 0, "{io:?}");
-        let stats = cluster.node_stats();
-        let lateral: u64 = stats.iter().map(|s| s.lateral_out).sum();
-        let lateral_in: u64 = stats.iter().map(|s| s.lateral_in).sum();
-        assert!(lateral > 0, "{io:?}: extended LARD never forwarded");
-        // Every lateral fetch that reached a peer has a server side; the
-        // few that fail (e.g. a pooled stream the peer timed out) degrade
-        // to local service instead.
-        assert!(
-            lateral >= lateral_in,
-            "{io:?}: peers served fetches nobody issued"
-        );
-        assert!(
-            lateral_in + 8 >= lateral,
-            "{io:?}: too many fetches fell back locally: out={lateral} in={lateral_in}"
-        );
-        cluster.shutdown();
-    }
+    // Slow disk so queues build and the policy prefers forwarding.
+    let mut cfg = config(PolicyKind::ExtLard, 3);
+    cfg.disk = DiskEmu {
+        seek: Duration::from_millis(2),
+        bytes_per_sec: 40.0 * 1024.0 * 1024.0,
+    };
+    cfg.cache_bytes = 512 * 1024;
+    let cluster = Cluster::start(cfg, &trace).expect("start cluster");
+    let report = run_load(
+        cluster.frontend_addrs(),
+        cluster.store(),
+        &workload,
+        &LoadConfig {
+            clients: 12,
+            protocol: ClientProtocol::PHttp,
+            ..LoadConfig::default()
+        },
+    );
+    assert_eq!(report.errors, 0);
+    let stats = cluster.node_stats();
+    let lateral: u64 = stats.iter().map(|s| s.lateral_out).sum();
+    let lateral_in: u64 = stats.iter().map(|s| s.lateral_in).sum();
+    assert!(lateral > 0, "extended LARD never forwarded");
+    // Every lateral fetch that reached a peer has a server side; the
+    // few that fail (e.g. a pooled stream the peer timed out) degrade
+    // to local service instead.
+    assert!(lateral >= lateral_in, "peers served fetches nobody issued");
+    assert!(
+        lateral_in + 8 >= lateral,
+        "too many fetches fell back locally: out={lateral} in={lateral_in}"
+    );
+    cluster.shutdown();
 }
 
 #[test]
 fn single_node_cluster_works() {
     let trace = tiny_trace();
     let workload = reconstruct(&trace, SessionConfig::default());
-    for io in io_models() {
-        let cluster =
-            Cluster::start(config(PolicyKind::ExtLard, 1, io), &trace).expect("start cluster");
-        let report = run_load(
-            cluster.frontend_addrs(),
-            cluster.store(),
-            &workload,
-            &LoadConfig {
-                clients: 4,
-                protocol: ClientProtocol::PHttp,
-                ..LoadConfig::default()
-            },
-        );
-        assert_eq!(report.errors, 0, "{io:?}");
-        let stats = cluster.node_stats();
-        assert_eq!(
-            stats[0].lateral_out, 0,
-            "{io:?}: nowhere to forward with one node"
-        );
-        cluster.shutdown();
-    }
+    let cluster = Cluster::start(config(PolicyKind::ExtLard, 1), &trace).expect("start cluster");
+    let report = run_load(
+        cluster.frontend_addrs(),
+        cluster.store(),
+        &workload,
+        &LoadConfig {
+            clients: 4,
+            protocol: ClientProtocol::PHttp,
+            ..LoadConfig::default()
+        },
+    );
+    assert_eq!(report.errors, 0);
+    let stats = cluster.node_stats();
+    assert_eq!(stats[0].lateral_out, 0, "nowhere to forward with one node");
+    cluster.shutdown();
 }
 
 #[test]
 fn unknown_uri_gets_404_without_breaking_connection() {
     use std::io::{Read, Write};
     let trace = tiny_trace();
-    for io in io_models() {
-        let cluster =
-            Cluster::start(config(PolicyKind::ExtLard, 2, io), &trace).expect("start cluster");
-        let mut stream = std::net::TcpStream::connect(cluster.frontend_addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        // A valid first request (handoff needs a real target), then a bogus one.
-        stream.write_all(b"GET /t/0 HTTP/1.1\r\n\r\n").unwrap();
-        let mut parser = phttp_http::ResponseParser::new();
-        let mut buf = [0u8; 8192];
-        let mut responses = Vec::new();
-        while responses.is_empty() {
-            let n = stream.read(&mut buf).unwrap();
-            parser.feed(&buf[..n]);
-            while let Some(r) = parser.next().unwrap() {
-                responses.push(r.status);
-            }
+    let cluster = Cluster::start(config(PolicyKind::ExtLard, 2), &trace).expect("start cluster");
+    let mut stream = std::net::TcpStream::connect(cluster.frontend_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    // A valid first request (handoff needs a real target), then a bogus one.
+    stream.write_all(b"GET /t/0 HTTP/1.1\r\n\r\n").unwrap();
+    let mut parser = phttp_http::ResponseParser::new();
+    let mut buf = [0u8; 8192];
+    let mut responses = Vec::new();
+    while responses.is_empty() {
+        let n = stream.read(&mut buf).unwrap();
+        parser.feed(&buf[..n]);
+        while let Some(r) = parser.next().unwrap() {
+            responses.push(r.status);
         }
-        stream
-            .write_all(b"GET /no/such/thing HTTP/1.1\r\n\r\nGET /t/1 HTTP/1.1\r\n\r\n")
-            .unwrap();
-        while responses.len() < 3 {
-            let n = stream.read(&mut buf).unwrap();
-            assert!(n > 0, "{io:?}: server closed early");
-            parser.feed(&buf[..n]);
-            while let Some(r) = parser.next().unwrap() {
-                responses.push(r.status);
-            }
-        }
-        assert_eq!(responses, vec![200, 404, 200], "{io:?}");
-        cluster.shutdown();
     }
+    stream
+        .write_all(b"GET /no/such/thing HTTP/1.1\r\n\r\nGET /t/1 HTTP/1.1\r\n\r\n")
+        .unwrap();
+    while responses.len() < 3 {
+        let n = stream.read(&mut buf).unwrap();
+        assert!(n > 0, "server closed early");
+        parser.feed(&buf[..n]);
+        while let Some(r) = parser.next().unwrap() {
+            responses.push(r.status);
+        }
+    }
+    assert_eq!(responses, vec![200, 404, 200]);
+    cluster.shutdown();
 }
 
 /// A client may legitimately half-close (shutdown its write side) right
 /// after its last pipelined request, so the FIN arrives in the same
-/// readiness window as the request bytes. Both io models must serve
+/// readiness window as the request bytes. The cluster must serve
 /// everything received before the EOF — the reactor must not let the
 /// EOF flag suppress requests its parser already holds.
 #[test]
 fn half_close_after_last_request_is_still_served() {
     use std::io::{Read, Write};
     let trace = tiny_trace();
-    for io in io_models() {
-        let cluster =
-            Cluster::start(config(PolicyKind::ExtLard, 2, io), &trace).expect("start cluster");
-        let mut stream = std::net::TcpStream::connect(cluster.frontend_addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        stream
-            .write_all(b"GET /t/0 HTTP/1.1\r\n\r\nGET /t/1 HTTP/1.1\r\n\r\n")
-            .unwrap();
-        stream.shutdown(std::net::Shutdown::Write).unwrap();
-        let mut parser = phttp_http::ResponseParser::new();
-        let mut buf = [0u8; 32 * 1024];
-        let mut statuses = Vec::new();
-        loop {
-            while let Some(r) = parser.next().unwrap() {
-                statuses.push(r.status);
-            }
-            if statuses.len() >= 2 {
-                break;
-            }
-            let n = stream
-                .read(&mut buf)
-                .unwrap_or_else(|e| panic!("{io:?}: read after half-close failed: {e}"));
-            assert!(
-                n > 0,
-                "{io:?}: server closed after {} of 2 responses",
-                statuses.len()
-            );
-            parser.feed(&buf[..n]);
+    let cluster = Cluster::start(config(PolicyKind::ExtLard, 2), &trace).expect("start cluster");
+    let mut stream = std::net::TcpStream::connect(cluster.frontend_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream
+        .write_all(b"GET /t/0 HTTP/1.1\r\n\r\nGET /t/1 HTTP/1.1\r\n\r\n")
+        .unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut parser = phttp_http::ResponseParser::new();
+    let mut buf = [0u8; 32 * 1024];
+    let mut statuses = Vec::new();
+    loop {
+        while let Some(r) = parser.next().unwrap() {
+            statuses.push(r.status);
         }
-        assert_eq!(statuses, vec![200, 200], "{io:?}");
-        // Having served everything, the server closes its side too.
-        let n = stream.read(&mut buf).unwrap();
-        assert_eq!(n, 0, "{io:?}: server kept a half-closed connection open");
-        cluster.shutdown();
+        if statuses.len() >= 2 {
+            break;
+        }
+        let n = stream
+            .read(&mut buf)
+            .unwrap_or_else(|e| panic!("read after half-close failed: {e}"));
+        assert!(
+            n > 0,
+            "server closed after {} of 2 responses",
+            statuses.len()
+        );
+        parser.feed(&buf[..n]);
     }
+    assert_eq!(statuses, vec![200, 200]);
+    // Having served everything, the server closes its side too.
+    let n = stream.read(&mut buf).unwrap();
+    assert_eq!(n, 0, "server kept a half-closed connection open");
+    cluster.shutdown();
 }
 
 /// A client that pipelines hundreds of requests before reading a single
@@ -375,46 +324,43 @@ fn pipelining_without_reading_is_backpressured_not_unbounded() {
     const DOC: usize = 16 * 1024;
     const N: usize = 600;
     let trace = phttp_trace::Trace::new(Vec::new(), vec![DOC as u64; 4]);
-    for io in io_models() {
-        let cluster =
-            Cluster::start(config(PolicyKind::ExtLard, 2, io), &trace).expect("start cluster");
-        let mut stream = std::net::TcpStream::connect(cluster.frontend_addr()).unwrap();
-        stream.set_nodelay(true).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        // Writer thread: floods the pipeline without reading; it blocks
-        // once the server backpressures and resumes as we drain below.
-        let flood = std::thread::spawn(move || {
-            // Padded requests so the pipeline spans many socket reads.
-            let req = format!("GET /t/1 HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "p".repeat(160));
-            for _ in 0..N {
-                writer.write_all(req.as_bytes()).unwrap();
-            }
-        });
-        let mut parser = phttp_http::ResponseParser::new();
-        let mut buf = [0u8; 32 * 1024];
-        let mut got = 0;
-        while got < N {
-            if let Some(resp) = parser.next().unwrap() {
-                assert_eq!(resp.status, 200, "{io:?}");
-                assert_eq!(resp.body.len(), DOC, "{io:?}");
-                got += 1;
-                continue;
-            }
-            let n = stream.read(&mut buf).unwrap();
-            assert!(n > 0, "{io:?}: server closed after {got}/{N} responses");
-            parser.feed(&buf[..n]);
+    let cluster = Cluster::start(config(PolicyKind::ExtLard, 2), &trace).expect("start cluster");
+    let mut stream = std::net::TcpStream::connect(cluster.frontend_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    // Writer thread: floods the pipeline without reading; it blocks
+    // once the server backpressures and resumes as we drain below.
+    let flood = std::thread::spawn(move || {
+        // Padded requests so the pipeline spans many socket reads.
+        let req = format!("GET /t/1 HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "p".repeat(160));
+        for _ in 0..N {
+            writer.write_all(req.as_bytes()).unwrap();
         }
-        flood.join().unwrap();
-        drop(stream);
-        assert!(
-            cluster.quiesce(Duration::from_secs(10)),
-            "{io:?}: connection leaked"
-        );
-        cluster.shutdown();
+    });
+    let mut parser = phttp_http::ResponseParser::new();
+    let mut buf = [0u8; 32 * 1024];
+    let mut got = 0;
+    while got < N {
+        if let Some(resp) = parser.next().unwrap() {
+            assert_eq!(resp.status, 200);
+            assert_eq!(resp.body.len(), DOC);
+            got += 1;
+            continue;
+        }
+        let n = stream.read(&mut buf).unwrap();
+        assert!(n > 0, "server closed after {got}/{N} responses");
+        parser.feed(&buf[..n]);
     }
+    flood.join().unwrap();
+    drop(stream);
+    assert!(
+        cluster.quiesce(Duration::from_secs(10)),
+        "connection leaked"
+    );
+    cluster.shutdown();
 }
 
 #[test]
@@ -422,7 +368,7 @@ fn simulator_only_mechanism_is_a_config_error_not_a_panic() {
     use phttp_core::Mechanism;
     let trace = tiny_trace();
     for mech in [Mechanism::RelayingFrontend, Mechanism::ZeroCost] {
-        let mut cfg = config(PolicyKind::ExtLard, 2, IoModel::Threads);
+        let mut cfg = config(PolicyKind::ExtLard, 2);
         cfg.mechanism = mech;
         let err = match Cluster::start(cfg, &trace) {
             Err(e) => e,
@@ -443,7 +389,7 @@ fn bad_shard_and_pool_configs_are_errors() {
     use phttp_proto::ConfigError;
     let trace = tiny_trace();
     let check = |mutate: &dyn Fn(&mut ProtoConfig), want: ConfigError| {
-        let mut cfg = config(PolicyKind::ExtLard, 2, IoModel::Reactor);
+        let mut cfg = config(PolicyKind::ExtLard, 2);
         mutate(&mut cfg);
         match Cluster::start(cfg, &trace) {
             Err(e) => assert_eq!(e, want),
@@ -455,33 +401,13 @@ fn bad_shard_and_pool_configs_are_errors() {
     };
     // A reactor with zero event loops can serve nothing.
     check(&|c| c.reactor_shards = 0, ConfigError::ZeroReactorShards);
-    // Shards belong to the reactor; the thread model has none to offer.
-    check(
-        &|c| {
-            c.io_model = IoModel::Threads;
-            c.reactor_shards = 4;
-        },
-        ConfigError::ReactorShardsWithoutReactor { shards: 4 },
-    );
     // A zero-capacity peer pool silently degrades every lateral fetch
-    // to a fresh dial; refuse it up front (both io models).
-    for io in [IoModel::Threads, IoModel::Reactor] {
-        check(
-            &|c| {
-                c.io_model = io;
-                c.reactor_shards = 1;
-                c.peer_pool_cap = 0;
-            },
-            ConfigError::ZeroPeerPoolCap,
-        );
-    }
+    // to a fresh dial; refuse it up front.
+    check(&|c| c.peer_pool_cap = 0, ConfigError::ZeroPeerPoolCap);
     // The error messages are self-describing.
     assert!(ConfigError::ZeroReactorShards
         .to_string()
         .contains("at least 1"));
-    assert!(ConfigError::ReactorShardsWithoutReactor { shards: 4 }
-        .to_string()
-        .contains("IoModel::Reactor"));
     assert!(ConfigError::ZeroPeerPoolCap
         .to_string()
         .contains("peer_pool_cap"));
@@ -494,7 +420,7 @@ fn oversized_corpus_document_is_a_config_error() {
     // Cluster::start must refuse it up front.
     let size = phttp_http::MAX_BODY as u64 + 1;
     let trace = phttp_trace::Trace::new(Vec::new(), vec![1024, size]);
-    let err = match Cluster::start(config(PolicyKind::Wrr, 2, IoModel::Threads), &trace) {
+    let err = match Cluster::start(config(PolicyKind::Wrr, 2), &trace) {
         Err(e) => e,
         Ok(cluster) => {
             cluster.shutdown();
@@ -510,69 +436,56 @@ fn oversized_corpus_document_is_a_config_error() {
 #[test]
 fn shutdown_is_clean_with_no_traffic() {
     let trace = tiny_trace();
-    for io in io_models() {
-        let cluster =
-            Cluster::start(config(PolicyKind::Wrr, 2, io), &trace).expect("start cluster");
-        cluster.shutdown();
-    }
+    let cluster = Cluster::start(config(PolicyKind::Wrr, 2), &trace).expect("start cluster");
+    cluster.shutdown();
 }
 
-/// The PR 1 teardown-race scenario, extended to `Reactor` mode: a client
-/// connection is still **open** (no EOF, no timeout) when the cluster
-/// shuts down. The reactor must not wait for the socket — shutdown wakes
-/// the poller, drains every registered connection, and unwinds its
-/// dispatcher state before the loop thread exits.
-///
-/// Reactor-only: the thread model's shutdown semantics are to let each
-/// worker finish its current connection, which for a held-open socket
-/// means waiting out the read timeout — precisely the behaviour the
-/// event loop is not allowed to share.
+/// The teardown-race scenario: a client connection is still **open**
+/// (no EOF, no timeout) when the cluster shuts down. The reactor must
+/// not wait for the socket — shutdown wakes the poller, drains every
+/// registered connection, and unwinds its dispatcher state before the
+/// loop thread exits.
 #[test]
 fn shutdown_drains_open_connections() {
     use std::io::{Read, Write};
     let trace = tiny_trace();
-    for io in io_models() {
-        if io != IoModel::Reactor {
-            continue;
-        }
-        let mut cfg = config(PolicyKind::ExtLard, 2, io);
-        // A long read timeout: if shutdown waited for it, this test would
-        // blow the suite's time budget rather than pass by accident.
-        cfg.read_timeout = Duration::from_secs(300);
-        let cluster = Cluster::start(cfg, &trace).expect("start cluster");
-        let fe = cluster.frontend_shared();
+    let mut cfg = config(PolicyKind::ExtLard, 2);
+    // A long read timeout: if shutdown waited for it, this test would
+    // blow the suite's time budget rather than pass by accident.
+    cfg.read_timeout = Duration::from_secs(300);
+    let cluster = Cluster::start(cfg, &trace).expect("start cluster");
+    let fe = cluster.frontend_shared();
 
-        // One served request on a connection we then hold open.
-        let mut stream = std::net::TcpStream::connect(cluster.frontend_addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        stream.write_all(b"GET /t/0 HTTP/1.1\r\n\r\n").unwrap();
-        let mut parser = phttp_http::ResponseParser::new();
-        let mut buf = [0u8; 8192];
-        loop {
-            let n = stream.read(&mut buf).unwrap();
-            assert!(n > 0, "{io:?}: server closed before responding");
-            parser.feed(&buf[..n]);
-            if parser.next().unwrap().is_some() {
-                break;
-            }
+    // One served request on a connection we then hold open.
+    let mut stream = std::net::TcpStream::connect(cluster.frontend_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(b"GET /t/0 HTTP/1.1\r\n\r\n").unwrap();
+    let mut parser = phttp_http::ResponseParser::new();
+    let mut buf = [0u8; 8192];
+    loop {
+        let n = stream.read(&mut buf).unwrap();
+        assert!(n > 0, "server closed before responding");
+        parser.feed(&buf[..n]);
+        if parser.next().unwrap().is_some() {
+            break;
         }
-        assert_eq!(fe.active_connections(), 1, "{io:?}");
-
-        let start = std::time::Instant::now();
-        cluster.shutdown();
-        assert!(
-            start.elapsed() < Duration::from_secs(60),
-            "{io:?}: shutdown waited on an open connection"
-        );
-        assert_eq!(
-            fe.active_connections(),
-            0,
-            "{io:?}: shutdown leaked dispatcher connection state"
-        );
-        drop(stream);
     }
+    assert_eq!(fe.active_connections(), 1);
+
+    let start = std::time::Instant::now();
+    cluster.shutdown();
+    assert!(
+        start.elapsed() < Duration::from_secs(60),
+        "shutdown waited on an open connection"
+    );
+    assert_eq!(
+        fe.active_connections(),
+        0,
+        "shutdown leaked dispatcher connection state"
+    );
+    drop(stream);
 }
 
 #[test]
@@ -580,44 +493,39 @@ fn multiple_handoff_migrates_and_serves_correctly() {
     use phttp_core::Mechanism;
     let trace = tiny_trace();
     let workload = reconstruct(&trace, SessionConfig::default());
-    for io in io_models() {
-        let mut cfg = config(PolicyKind::ExtLard, 3, io);
-        cfg.mechanism = Mechanism::MultipleHandoff;
-        // Busy disks push the policy toward moving requests.
-        cfg.disk = DiskEmu {
-            seek: Duration::from_millis(2),
-            bytes_per_sec: 40.0 * 1024.0 * 1024.0,
-        };
-        cfg.cache_bytes = 512 * 1024;
-        let cluster = Cluster::start(cfg, &trace).expect("start cluster");
-        let report = run_load(
-            cluster.frontend_addrs(),
-            cluster.store(),
-            &workload,
-            &LoadConfig {
-                clients: 12,
-                protocol: ClientProtocol::PHttp,
-                ..LoadConfig::default()
-            },
-        );
-        assert_eq!(report.errors, 0, "{io:?}");
-        assert_eq!(report.requests as usize, trace.len(), "{io:?}");
-        let stats = cluster.node_stats();
-        let migrations: u64 = stats.iter().map(|s| s.migrations_in).sum();
-        let laterals: u64 = stats.iter().map(|s| s.lateral_out).sum();
-        assert!(migrations > 0, "{io:?}: multiple handoff never migrated");
-        assert_eq!(
-            laterals, 0,
-            "{io:?}: migration mechanism must not fetch laterally"
-        );
-        // Policy state fully unwound despite mid-connection re-homing.
-        assert!(
-            cluster.quiesce(Duration::from_secs(10)),
-            "{io:?}: connections leaked"
-        );
-        assert_eq!(cluster.frontend().active_connections(), 0, "{io:?}");
-        cluster.shutdown();
-    }
+    let mut cfg = config(PolicyKind::ExtLard, 3);
+    cfg.mechanism = Mechanism::MultipleHandoff;
+    // Busy disks push the policy toward moving requests.
+    cfg.disk = DiskEmu {
+        seek: Duration::from_millis(2),
+        bytes_per_sec: 40.0 * 1024.0 * 1024.0,
+    };
+    cfg.cache_bytes = 512 * 1024;
+    let cluster = Cluster::start(cfg, &trace).expect("start cluster");
+    let report = run_load(
+        cluster.frontend_addrs(),
+        cluster.store(),
+        &workload,
+        &LoadConfig {
+            clients: 12,
+            protocol: ClientProtocol::PHttp,
+            ..LoadConfig::default()
+        },
+    );
+    assert_eq!(report.errors, 0);
+    assert_eq!(report.requests as usize, trace.len());
+    let stats = cluster.node_stats();
+    let migrations: u64 = stats.iter().map(|s| s.migrations_in).sum();
+    let laterals: u64 = stats.iter().map(|s| s.lateral_out).sum();
+    assert!(migrations > 0, "multiple handoff never migrated");
+    assert_eq!(laterals, 0, "migration mechanism must not fetch laterally");
+    // Policy state fully unwound despite mid-connection re-homing.
+    assert!(
+        cluster.quiesce(Duration::from_secs(10)),
+        "connections leaked"
+    );
+    assert_eq!(cluster.frontend().active_connections(), 0);
+    cluster.shutdown();
 }
 
 /// One reactor node whose every target is a 1 KiB cold miss on a 300 µs
@@ -636,7 +544,6 @@ fn cold_miss_cluster(misses: u32) -> (Cluster, std::net::TcpStream) {
             nodes: 1,
             cache_bytes: 8 * 1024 * 1024,
             disk: fast_disk(),
-            io_model: IoModel::Reactor,
             ..ProtoConfig::default()
         },
         &trace,

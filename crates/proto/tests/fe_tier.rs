@@ -1,11 +1,11 @@
-//! Differential tests of the front-end tier: a cluster with
-//! `front_ends ∈ {1, 2}` — in **both** I/O models — must be observably
-//! the same server as the single-front-end threads oracle.
+//! Transcript tests of the front-end tier: a cluster with
+//! `front_ends ∈ {1, 2}`, on one shard or two, must serve every request
+//! byte-exact.
 //!
 //! Response bytes are a pure function of `(target, HTTP version)`
 //! regardless of which front-end admits a connection or which node
-//! serves a request, so per-connection transcripts must stay
-//! **byte-identical** however the VIP routes. Byte-identity alone
+//! serves a request, so per-connection transcripts must equal the one
+//! the content store predicts however the VIP routes. Byte-identity alone
 //! cannot see the tier, though — a Vip that admitted nothing would
 //! pass — so the `front_ends = 2` legs additionally assert the
 //! admission handshakes actually ran (`handoffs > 0`) and that both
@@ -17,13 +17,15 @@
 //! in-flight request must still complete byte-exact — the tier's
 //! failover contract.
 //!
-//! Under the reactor the shards admit what they accept over their own
-//! admission links, on the event loop. The reactor legs therefore also
-//! pin the accept path (no acceptor thread where `SO_REUSEPORT` binds),
-//! count one handshake per connection, and attack the *admitting*
-//! state from outside: clients that reset before they are served,
-//! front-ends killed under an admission storm, and a shutdown that
-//! lands on connections still parked behind their handshake.
+//! The shards admit what they accept over their own admission links,
+//! on the event loop. The tests therefore also pin the accept path (no
+//! acceptor thread where `SO_REUSEPORT` binds), count one handshake per
+//! connection, and attack the *admitting* state from outside: clients
+//! that reset before they are served, front-ends killed under an
+//! admission storm, and a shutdown that lands on connections still
+//! parked behind their handshake.
+
+mod support;
 
 use std::io::{Read, Write};
 use std::net::SocketAddr;
@@ -31,9 +33,10 @@ use std::time::Duration;
 
 use bytes::BytesMut;
 use phttp_core::{FeId, Mechanism, PolicyKind};
-use phttp_http::{Request, ResponseParser, Version};
-use phttp_proto::{Cluster, ContentStore, DiskEmu, IoModel, ProtoConfig};
+use phttp_http::{Request, Version};
+use phttp_proto::{Cluster, ContentStore, DiskEmu, ProtoConfig};
 use phttp_trace::{generate, reconstruct, ConnectionTrace, SessionConfig, SynthConfig, TargetId};
+use support::{expected_transcript, play_capture, play_one};
 
 fn workload() -> (phttp_trace::Trace, ConnectionTrace) {
     let mut synth = SynthConfig::small();
@@ -44,7 +47,7 @@ fn workload() -> (phttp_trace::Trace, ConnectionTrace) {
     (trace, conns)
 }
 
-fn config(io_model: IoModel, front_ends: usize, shards: usize) -> ProtoConfig {
+fn config(front_ends: usize, shards: usize) -> ProtoConfig {
     ProtoConfig {
         reactor_shards: shards,
         nodes: 3,
@@ -58,105 +61,38 @@ fn config(io_model: IoModel, front_ends: usize, shards: usize) -> ProtoConfig {
             bytes_per_sec: 40.0 * 1024.0 * 1024.0,
         },
         read_timeout: Duration::from_secs(5),
-        io_model,
         front_ends,
         gossip_interval: Duration::from_millis(1),
         ..ProtoConfig::default()
     }
 }
 
-/// Plays one trace connection and returns the re-encoded wire bytes of
-/// each of its responses, in request order.
-fn play_one(addr: SocketAddr, conn: &phttp_trace::Connection) -> Vec<Vec<u8>> {
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut parser = ResponseParser::new();
-    let mut responses = Vec::with_capacity(conn.num_requests());
-    for batch in &conn.batches {
-        let mut wire = BytesMut::new();
-        for &target in &batch.targets {
-            Request::get(ContentStore::uri(target), Version::Http11).encode(&mut wire);
-        }
-        stream.write_all(&wire).unwrap();
-        let mut got = 0;
-        let mut buf = [0u8; 32 * 1024];
-        while got < batch.targets.len() {
-            if let Some(resp) = parser.next().expect("parse response") {
-                responses.push(resp.to_bytes().to_vec());
-                got += 1;
-                continue;
-            }
-            let n = stream.read(&mut buf).expect("read response");
-            assert!(n > 0, "server closed mid-connection");
-            parser.feed(&buf[..n]);
-        }
-    }
-    responses
-}
-
-/// Plays every connection of the workload (8 in flight at once so
-/// disk queues build and the VIP's round robin interleaves admissions)
-/// and returns each connection's transcript, indexed by connection
-/// order.
-fn play_capture(addrs: &[SocketAddr], workload: &ConnectionTrace) -> Vec<Vec<Vec<u8>>> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let cursor = AtomicUsize::new(0);
-    let transcript: Vec<parking_lot::Mutex<Vec<Vec<u8>>>> = workload
-        .connections
-        .iter()
-        .map(|_| parking_lot::Mutex::new(Vec::new()))
-        .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..8 {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(conn) = workload.connections.get(i) else {
-                    break;
-                };
-                *transcript[i].lock() = play_one(addrs[i % addrs.len()], conn);
-            });
-        }
-    });
-    transcript.into_iter().map(|m| m.into_inner()).collect()
-}
-
-fn run_tier(io_model: IoModel, front_ends: usize, shards: usize) -> Vec<Vec<Vec<u8>>> {
-    run_tier_with(config(io_model, front_ends, shards))
-}
-
-fn run_tier_with(config: ProtoConfig) -> Vec<Vec<Vec<u8>>> {
-    let (io_model, front_ends) = (config.io_model, config.front_ends);
+/// Serves the workload on `config`, checks the tier ran and unwound,
+/// and returns the transcript.
+fn run_tier(config: ProtoConfig) -> Vec<Vec<Vec<u8>>> {
+    let front_ends = config.front_ends;
     let forced_handoff = config.force_accept_handoff;
     let (trace, conns) = workload();
     let cluster = Cluster::start(config, &trace).expect("start cluster");
-    if io_model == IoModel::Reactor {
-        // A tier no longer forces acceptor threads on the reactor: the
-        // shards own the listeners (this host binds reuseport groups)
-        // unless the fallback is asked for by name.
-        assert_eq!(
-            cluster.used_accept_handoff(),
-            Some(forced_handoff),
-            "{front_ends} FEs"
-        );
-    }
-    let transcript = play_capture(cluster.frontend_addrs(), &conns);
+    // A tier forces no acceptor threads: the shards own the listeners
+    // (this host binds reuseport groups) unless the fallback is asked
+    // for by name.
+    assert_eq!(
+        cluster.used_accept_handoff(),
+        forced_handoff,
+        "{front_ends} FEs"
+    );
+    let transcript = play_capture(cluster.frontend_addrs(), &conns, cluster.store(), 0);
     assert!(
         cluster.quiesce(Duration::from_secs(10)),
-        "{io_model:?}/{front_ends} FEs: connections leaked"
+        "{front_ends} FEs: connections leaked"
     );
     // Every front-end's dispatcher unwound its share to exactly zero.
     for (i, fe) in cluster.front_ends().iter().enumerate() {
-        assert_eq!(
-            fe.active_connections(),
-            0,
-            "{io_model:?}/{front_ends} FEs: fe {i}"
-        );
+        assert_eq!(fe.active_connections(), 0, "{front_ends} FEs: fe {i}");
         assert!(
             fe.loads().iter().all(|&l| l.abs() < 1e-12),
-            "{io_model:?}/{front_ends} FEs: fe {i} residual load {:?}",
+            "{front_ends} FEs: fe {i} residual load {:?}",
             fe.loads()
         );
     }
@@ -168,61 +104,49 @@ fn run_tier_with(config: ProtoConfig) -> Vec<Vec<Vec<u8>>> {
         assert_eq!(
             vip.handoffs(),
             conns.connections.len() as u64,
-            "{io_model:?}: every connection crosses exactly one handshake"
+            "every connection crosses exactly one handshake"
         );
         for f in 0..front_ends {
             assert!(
                 vip.admitted(f) > 0,
-                "{io_model:?}: front-end {f} never admitted a connection"
+                "front-end {f} never admitted a connection"
             );
         }
         // Every admitted connection's close notification came back:
         // the forwarding table is empty again.
-        assert_eq!(vip.tracked(), 0, "{io_model:?}: tier routes leaked");
+        assert_eq!(vip.tracked(), 0, "tier routes leaked");
     }
     cluster.shutdown();
     transcript
 }
 
-/// The tier legs every differential run covers, as `(io model,
-/// front-ends, reactor shards)`: the tierless baseline and a
-/// 2-front-end tier per I/O model, plus the tier across two shards —
-/// each shard then runs its own link to each front-end.
-const TIER_MATRIX: [(IoModel, usize, usize); 4] = [
-    (IoModel::Threads, 2, 1),
-    (IoModel::Reactor, 1, 1),
-    (IoModel::Reactor, 2, 1),
-    (IoModel::Reactor, 2, 2),
-];
+/// The tier legs the matrix covers, as `(front-ends, reactor shards)`:
+/// the tierless baseline, a 2-front-end tier, and the tier across two
+/// shards — each shard then runs its own link to each front-end.
+const TIER_MATRIX: [(usize, usize); 3] = [(1, 1), (2, 1), (2, 2)];
 
-/// Every cell of the matrix is byte-identical to the single-front-end
-/// threads oracle.
+/// Every cell of the matrix, and the acceptor-handoff fallback, serves
+/// the transcript the store predicts — what the single-front-end
+/// cluster must serve.
 #[test]
 fn tier_matrix_matches_single_frontend_oracle() {
-    let (trace, _) = workload();
-    let oracle = run_tier(IoModel::Threads, 1, 1);
-    let responses: usize = oracle.iter().map(|c| c.len()).sum();
-    assert_eq!(responses, trace.len(), "every request got a response");
-    assert!(oracle
-        .iter()
-        .flatten()
-        .all(|r| r.starts_with(b"HTTP/1.1 200 ") || r.starts_with(b"HTTP/1.0 200 ")));
-    for (io_model, front_ends, shards) in TIER_MATRIX {
-        let tiered = run_tier(io_model, front_ends, shards);
-        assert_eq!(
-            oracle, tiered,
-            "transcripts diverge from the single-front-end oracle \
-             ({io_model:?}, {front_ends} front-ends, {shards} shards)"
+    let (trace, conns) = workload();
+    let expected = expected_transcript(&ContentStore::from_trace(&trace), &conns);
+    for (front_ends, shards) in TIER_MATRIX {
+        let tiered = run_tier(config(front_ends, shards));
+        assert!(
+            tiered == expected,
+            "transcripts diverge from the store ({front_ends} front-ends, {shards} shards)"
         );
     }
     // The acceptor-handoff fallback hands the shards raw streams; they
     // admit them exactly as they admit their own accepts.
-    let fallback = run_tier_with(ProtoConfig {
+    let fallback = run_tier(ProtoConfig {
         force_accept_handoff: true,
-        ..config(IoModel::Reactor, 2, 2)
+        ..config(2, 2)
     });
-    assert_eq!(
-        oracle, fallback,
+    assert!(
+        fallback == expected,
         "transcripts diverge under acceptor handoff"
     );
 }
@@ -232,7 +156,7 @@ fn tier_matrix_matches_single_frontend_oracle() {
 #[test]
 fn kill_one_frontend_drains_without_loss() {
     let (trace, conns) = workload();
-    let cluster = Cluster::start(config(IoModel::Threads, 2, 1), &trace).expect("start cluster");
+    let cluster = Cluster::start(config(2, 1), &trace).expect("start cluster");
     let store = cluster.store().clone();
     let addrs: Vec<SocketAddr> = cluster.frontend_addrs().to_vec();
 
@@ -255,7 +179,7 @@ fn kill_one_frontend_drains_without_loss() {
                 let Some(conn) = conns.connections.get(i) else {
                     break;
                 };
-                *transcript[i].lock() = play_one(addrs[i % addrs.len()], conn);
+                *transcript[i].lock() = play_one(addrs[i % addrs.len()], conn, &store);
             });
         }
         // Let the players get connections in flight on both front-ends,
@@ -288,25 +212,16 @@ fn kill_one_frontend_drains_without_loss() {
     // (target, version), so each can be checked against the store
     // directly, including every connection the dead front-end was
     // still draining when it was decommissioned.
-    for (conn, got) in conns.connections.iter().zip(&transcript) {
-        let got = got.lock();
-        let want: Vec<Vec<u8>> = conn
-            .batches
-            .iter()
-            .flat_map(|b| b.targets.iter())
-            .map(|&t| {
-                phttp_http::Response::ok(Version::Http11, store.body(t))
-                    .to_bytes()
-                    .to_vec()
-            })
-            .collect();
-        assert_eq!(*got, want, "a request was lost or corrupted by the kill");
-    }
+    let got: Vec<Vec<Vec<u8>>> = transcript.into_iter().map(|m| m.into_inner()).collect();
+    assert!(
+        got == expected_transcript(&store, &conns),
+        "a request was lost or corrupted by the kill"
+    );
 
     // New connections keep flowing, all admitted to the survivor.
     let before = vip.admitted(1);
     let (_, tail) = workload();
-    let extra = play_capture(&addrs, &tail);
+    let extra = play_capture(&addrs, &tail, &store, 0);
     assert_eq!(
         extra.iter().map(|c| c.len()).sum::<usize>(),
         trace.len(),
@@ -411,7 +326,7 @@ fn eventually(what: &str, done: impl Fn() -> bool) {
 #[test]
 fn client_reset_while_admitting_releases_its_ticket() {
     let (trace, _) = workload();
-    let cluster = Cluster::start(config(IoModel::Reactor, 2, 2), &trace).expect("start cluster");
+    let cluster = Cluster::start(config(2, 2), &trace).expect("start cluster");
     let vip = cluster.vip().expect("tier cluster has a vip").clone();
     let store = cluster.store().clone();
     let addrs = cluster.frontend_addrs().to_vec();
@@ -464,7 +379,7 @@ fn client_reset_while_admitting_releases_its_ticket() {
 fn kill_frontend_during_reactor_admission_storm_loses_nothing() {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     let (trace, _) = workload();
-    let cluster = Cluster::start(config(IoModel::Reactor, 3, 2), &trace).expect("start cluster");
+    let cluster = Cluster::start(config(3, 2), &trace).expect("start cluster");
     let vip = cluster.vip().expect("tier cluster has a vip").clone();
     let store = cluster.store().clone();
     let addrs = cluster.frontend_addrs().to_vec();
@@ -526,7 +441,7 @@ fn kill_frontend_during_reactor_admission_storm_loses_nothing() {
 fn shard_teardown_with_admitting_connections_leaves_nothing_tracked() {
     use std::sync::atomic::{AtomicBool, Ordering};
     let (trace, _) = workload();
-    let cluster = Cluster::start(config(IoModel::Reactor, 2, 2), &trace).expect("start cluster");
+    let cluster = Cluster::start(config(2, 2), &trace).expect("start cluster");
     let vip = cluster.vip().expect("tier cluster has a vip").clone();
     let addrs = cluster.frontend_addrs().to_vec();
     let stop = AtomicBool::new(false);

@@ -11,31 +11,28 @@
 //! matrix
 //!
 //! ```text
-//! {threads oracle} vs {reactor × shards {1,2,4}} × front_ends {1,2}
+//! reactor shards {1,2,4} × front_ends {1,2}
 //! ```
 //!
-//! must produce **byte-identical** transcripts (responses are a pure
-//! function of `(target, HTTP version)`, so transcripts compare across
-//! io models, shard counts, and tier shapes). Each response body is
-//! additionally verified against the store, anchoring the equality to
-//! ground truth rather than to a shared bug. Every run must
+//! must produce the **byte-identical** transcript the content store
+//! predicts (responses are a pure function of `(target, HTTP
+//! version)`, so one expected transcript covers every shard count and
+//! tier shape). Every run must
 //! demonstrably stream laterally and evict cached bodies (paths that
 //! byte-identity alone cannot see; the recipe forces both by
-//! construction — see `config` and `play_capture`), and must unwind to
+//! construction — see `config` and `LEAD_IN`), and must unwind to
 //! zero tracked connections, zero residual load, and a fully drained
 //! `pending_body_bytes` gauge.
 
-use std::io::{Read, Write};
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod support;
+
 use std::time::Duration;
 
-use bytes::BytesMut;
 use phttp_core::{LardParams, Mechanism, PolicyKind};
-use phttp_http::{Request, ResponseParser, Version};
-use phttp_proto::{Cluster, ContentStore, DiskEmu, IoModel, ProtoConfig};
+use phttp_proto::{Cluster, ContentStore, DiskEmu, ProtoConfig};
 use phttp_simcore::SimTime;
 use phttp_trace::{reconstruct, ClientId, ConnectionTrace, SessionConfig, TargetId, Trace};
+use support::{expected_transcript, play_capture};
 
 const MIB: u64 = 1024 * 1024;
 
@@ -75,7 +72,7 @@ fn workload() -> (Trace, ConnectionTrace) {
     }
     let trace = Trace::new(requests, SIZES.to_vec());
     let conns = reconstruct(&trace, SessionConfig::default());
-    // `play_capture`'s lead-in rests on this: the first connection asks
+    // `LEAD_IN`'s recipe rests on this: the first connection asks
     // for the three cacheable targets that cannot share one cache.
     let lead: Vec<TargetId> = conns.connections[0]
         .batches
@@ -90,7 +87,7 @@ fn workload() -> (Trace, ConnectionTrace) {
     (trace, conns)
 }
 
-fn config(io_model: IoModel, shards: usize, front_ends: usize) -> ProtoConfig {
+fn config(shards: usize, front_ends: usize) -> ProtoConfig {
     ProtoConfig {
         nodes: 3,
         policy: PolicyKind::ExtLard,
@@ -116,90 +113,23 @@ fn config(io_model: IoModel, shards: usize, front_ends: usize) -> ProtoConfig {
             ..LardParams::default()
         },
         read_timeout: Duration::from_secs(10),
-        io_model,
         reactor_shards: shards,
         front_ends,
         ..ProtoConfig::default()
     }
 }
 
-/// Plays one trace connection, verifying each body against the store as
-/// it arrives, and returns the re-encoded wire bytes of each response.
-fn play_one(
-    addr: SocketAddr,
-    conn: &phttp_trace::Connection,
-    store: &ContentStore,
-) -> Vec<Vec<u8>> {
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let mut parser = ResponseParser::new();
-    let mut responses = Vec::with_capacity(conn.num_requests());
-    let mut buf = vec![0u8; 64 * 1024];
-    for batch in &conn.batches {
-        let mut wire = BytesMut::new();
-        for &target in &batch.targets {
-            Request::get(ContentStore::uri(target), Version::Http11).encode(&mut wire);
-        }
-        stream.write_all(&wire).unwrap();
-        let mut got = 0;
-        while got < batch.targets.len() {
-            if let Some(resp) = parser.next().expect("parse response") {
-                assert_eq!(resp.status, 200);
-                assert!(
-                    store.verify(batch.targets[got], &resp.body),
-                    "corrupt body for {}",
-                    batch.targets[got]
-                );
-                responses.push(resp.to_bytes().to_vec());
-                got += 1;
-                continue;
-            }
-            let n = stream.read(&mut buf).expect("read response");
-            assert!(n > 0, "server closed mid-connection");
-            parser.feed(&buf[..n]);
-        }
-    }
-    responses
-}
-
-/// Plays every connection, spread across all front-end addresses. The
-/// first plays alone on the cold cluster: nothing is mapped yet, so each
-/// of its targets is a first-ever fetch, read and cached on its own
-/// connection node — and the three cacheable ones (8 KiB + 512 KiB +
-/// 1.5 MiB) do not fit that node's cache together, so bodies are evicted
-/// whatever the eviction policy and however the rest is timed. The
-/// others then play several at a time, so staging queues actually back
-/// up against HIGH_WATER; they open together on a loaded cluster, LARD
-/// spreads them over the nodes, and each asks for targets the others
-/// fetched first — which, rule 1b being off, are forwarded.
-fn play_capture(
-    addrs: &[SocketAddr],
-    workload: &ConnectionTrace,
-    store: &ContentStore,
-) -> Vec<Vec<Vec<u8>>> {
-    let cursor = AtomicUsize::new(1);
-    let transcript: Vec<parking_lot::Mutex<Vec<Vec<u8>>>> = workload
-        .connections
-        .iter()
-        .map(|_| parking_lot::Mutex::new(Vec::new()))
-        .collect();
-    *transcript[0].lock() = play_one(addrs[0], &workload.connections[0], store);
-    std::thread::scope(|scope| {
-        for _ in 0..8 {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(conn) = workload.connections.get(i) else {
-                    break;
-                };
-                *transcript[i].lock() = play_one(addrs[i % addrs.len()], conn, store);
-            });
-        }
-    });
-    transcript.into_iter().map(|m| m.into_inner()).collect()
-}
+/// The first connection plays alone on the cold cluster: nothing is
+/// mapped yet, so each of its targets is a first-ever fetch, read and
+/// cached on its own connection node — and the three cacheable ones
+/// (8 KiB + 512 KiB + 1.5 MiB) do not fit that node's cache together,
+/// so bodies are evicted whatever the eviction policy and however the
+/// rest is timed. The others then play several at a time, so staging
+/// queues actually back up against HIGH_WATER; they open together on a
+/// loaded cluster, LARD spreads them over the nodes, and each asks for
+/// targets the others fetched first — which, rule 1b being off, are
+/// forwarded.
+const LEAD_IN: usize = 1;
 
 /// One matrix cell: serve the workload, capture transcripts, prove the
 /// cluster evicted and unwound clean, and return (transcript, node
@@ -209,10 +139,9 @@ fn run_cell(
     cell: &str,
 ) -> (Vec<Vec<Vec<u8>>>, Vec<phttp_proto::NodeStatsSnapshot>) {
     let (trace, conns) = workload();
-    let io_model = cfg.io_model;
     cfg.read_timeout = cfg.read_timeout.max(Duration::from_secs(10));
     let cluster = Cluster::start(cfg, &trace).expect("start cluster");
-    let transcript = play_capture(cluster.frontend_addrs(), &conns, cluster.store());
+    let transcript = play_capture(cluster.frontend_addrs(), &conns, cluster.store(), LEAD_IN);
     assert!(
         cluster.quiesce(Duration::from_secs(15)),
         "{cell}: connections leaked"
@@ -224,17 +153,14 @@ fn run_cell(
         "{cell}: residual load {:?}",
         fe.loads()
     );
-    if io_model == IoModel::Reactor {
-        // Satellite invariant: the staging-queue gauge charges each
-        // queued slice once and unwinds to exactly zero when every
-        // connection has drained.
-        let stats = cluster.reactor_stats().expect("reactor mode");
-        assert_eq!(
-            stats.pending_body_bytes(),
-            0,
-            "{cell}: pending_body_bytes gauge leaked"
-        );
-    }
+    // The staging-queue gauge charges each queued slice once and
+    // unwinds to exactly zero when every connection has drained.
+    let stats = cluster.reactor_stats().expect("reactor gauges");
+    assert_eq!(
+        stats.pending_body_bytes(),
+        0,
+        "{cell}: pending_body_bytes gauge leaked"
+    );
     let responses: usize = transcript.iter().map(|c| c.len()).sum();
     assert_eq!(responses, trace.len(), "{cell}: lost responses");
     let evictions: u64 = fe.nodes().iter().map(|n| n.cache.lock().evictions()).sum();
@@ -248,26 +174,24 @@ fn lateral_out(stats: &[phttp_proto::NodeStatsSnapshot]) -> u64 {
     stats.iter().map(|s| s.lateral_out).sum()
 }
 
-/// Runs the whole matrix against the threads oracle and returns every
-/// cell's node stats, labelled, the oracle first.
+/// Runs the whole matrix against the store's transcript and returns
+/// every cell's node stats, labelled, the single-shard, single-front-end
+/// cell first.
 fn matrix() -> Vec<(String, Vec<phttp_proto::NodeStatsSnapshot>)> {
-    let (oracle, oracle_stats) = run_cell(config(IoModel::Threads, 1, 1), "threads oracle");
-    assert!(
-        lateral_out(&oracle_stats) > 0,
-        "oracle never forwarded — the recipe exercises no remote path"
-    );
-    let mut cells = vec![("threads oracle".to_string(), oracle_stats)];
+    let (trace, conns) = workload();
+    let expected = expected_transcript(&ContentStore::from_trace(&trace), &conns);
+    let mut cells = Vec::new();
     for shards in [1usize, 2, 4] {
         for front_ends in [1usize, 2] {
             let cell = format!("reactor/shards={shards}/fe={front_ends}");
-            let (transcript, stats) = run_cell(config(IoModel::Reactor, shards, front_ends), &cell);
+            let (transcript, stats) = run_cell(config(shards, front_ends), &cell);
             assert!(
                 lateral_out(&stats) > 0,
                 "{cell}: no lateral stream ever ran"
             );
-            assert_eq!(
-                oracle, transcript,
-                "{cell}: large-body transcripts diverge from the threads oracle"
+            assert!(
+                transcript == expected,
+                "{cell}: large-body transcripts diverge from the store"
             );
             cells.push((cell, stats));
         }
@@ -276,23 +200,25 @@ fn matrix() -> Vec<(String, Vec<phttp_proto::NodeStatsSnapshot>)> {
 }
 
 #[test]
-fn large_body_matrix_matches_threads_oracle() {
+fn large_body_matrix_matches_store() {
     matrix();
 }
 
 /// Multi-MiB misses are slow disk reads, so concurrent requests for one
 /// target park on its flight and share the single body it reads. The
-/// oracle must actually coalesce, or the matrix would not exercise
-/// waiters holding a large shared body; and since every waiter is
-/// served, each cell's served counters must sum to the request count.
+/// single-shard, single-front-end cell must actually coalesce, or the
+/// matrix would not exercise waiters holding a large shared body; and
+/// since every waiter is served, each cell's served counters must sum
+/// to the request count.
 #[test]
-fn large_body_matrix_matches_threads_oracle_with_coalescing() {
+fn large_body_matrix_matches_store_with_coalescing() {
     let (trace, _) = workload();
     let cells = matrix();
     let coalesced: u64 = cells[0].1.iter().map(|s| s.coalesced_waits).sum();
     assert!(
         coalesced > 0,
-        "oracle never coalesced a miss — widen the concurrency recipe"
+        "{} never coalesced a miss — widen the concurrency recipe",
+        cells[0].0
     );
     for (cell, stats) in &cells {
         let served: u64 = stats.iter().map(|s| s.served).sum();

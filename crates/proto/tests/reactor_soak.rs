@@ -25,7 +25,7 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use phttp_core::PolicyKind;
-use phttp_proto::{Cluster, ContentStore, DiskEmu, IoModel, ProtoConfig};
+use phttp_proto::{Cluster, ContentStore, DiskEmu, ProtoConfig};
 use phttp_trace::TargetId;
 
 /// Worker threads opening/holding connections (client-side only — the
@@ -58,7 +58,6 @@ fn soak(conns: usize) {
                 bytes_per_sec: 400.0 * 1024.0 * 1024.0,
             },
             read_timeout,
-            io_model: IoModel::Reactor,
             reactor_shards: shards,
             ..ProtoConfig::default()
         },

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use phttp_core::PolicyKind;
-use phttp_proto::{run_load, ClientProtocol, Cluster, DiskEmu, IoModel, LoadConfig, ProtoConfig};
+use phttp_proto::{run_load, ClientProtocol, Cluster, DiskEmu, LoadConfig, ProtoConfig};
 use phttp_simcore::SimTime;
 use phttp_trace::{reconstruct, ClientId, SessionConfig, TargetId, Trace};
 
@@ -59,7 +59,6 @@ fn cached_slices_return_to_refcount_one_after_soak_and_churn() {
             feedback_interval: Duration::from_millis(10),
             health_tick_interval: Duration::from_millis(10),
             read_timeout: Duration::from_secs(5),
-            io_model: IoModel::Reactor,
             reactor_shards: 2,
             ..ProtoConfig::default()
         },

@@ -1,7 +1,8 @@
 //! Workspace shim for `crossbeam`: an unbounded blocking MPMC channel
 //! (`channel::unbounded`) built on a mutex + condvar. Receivers are
-//! cloneable, which `std::sync::mpsc` does not offer — that is the one
-//! property the prototype's worker pool needs.
+//! cloneable, which `std::sync::mpsc` does not offer. Nothing calls it
+//! any more; it stays only because the benchmark package's `Cargo.lock`
+//! lists it, and goes with the next change to that package.
 
 pub mod channel {
     use std::collections::VecDeque;
