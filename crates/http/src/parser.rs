@@ -6,10 +6,16 @@
 //! messages stay buffered until completed by a later feed. This is exactly
 //! what the prototype's back-end needs to support HTTP/1.1 request
 //! pipelining ("fully supported by the handoff protocol", paper §7.2).
+//!
+//! A request is validated once, by one routine that borrows its fields
+//! from the parser's buffer ([`RequestHead`]); [`RequestParser::next`]
+//! copies that view into an owned [`Request`], while
+//! [`RequestParser::next_with`] hands the view itself to a caller that
+//! needs no copy.
 
 use bytes::{Buf, Bytes, BytesMut};
 
-use crate::message::{Headers, Request, Response, Version};
+use crate::message::{connection_keeps_alive, Headers, Request, Response, Version};
 
 /// Why parsing failed. The connection should be dropped on any of these.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,44 +62,165 @@ const MAX_HEAD: usize = 16 * 1024;
 /// far below anything a hostile client should get to pin.
 pub const MAX_BODY: usize = 64 * 1024 * 1024;
 
-/// Finds `\r\n\r\n`; returns the index just past it.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
-}
-
-/// Splits one header block (excluding the blank line) into lines.
-fn parse_headers(block: &str) -> Result<Headers, ParseError> {
-    let mut headers = Headers::new();
-    for line in block.split("\r\n").filter(|l| !l.is_empty()) {
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| ParseError::BadHeader(line.to_owned()))?;
-        headers.push(name.trim(), value.trim());
+/// The complete head at the front of `buf` — start line and header
+/// block, without the blank line — plus the offset just past that
+/// blank line. `Ok(None)` while the head is incomplete.
+fn split_head(buf: &[u8]) -> Result<Option<(usize, &str, &str)>, ParseError> {
+    let head_end = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4);
+    if head_end.unwrap_or(buf.len()) > MAX_HEAD {
+        return Err(ParseError::HeadTooLarge);
     }
-    Ok(headers)
+    let Some(head_end) = head_end else {
+        return Ok(None);
+    };
+    let head = std::str::from_utf8(&buf[..head_end - 4])
+        .map_err(|_| ParseError::BadStartLine("non-utf8 head".into()))?;
+    let (start, block) = head.split_once("\r\n").unwrap_or((head, ""));
+    Ok(Some((head_end, start, block)))
 }
 
-fn content_length(headers: &Headers) -> Result<usize, ParseError> {
-    match headers.get("Content-Length") {
-        None => Ok(0),
+fn parse_version(token: &str) -> Result<Version, ParseError> {
+    Version::parse(token).ok_or_else(|| ParseError::BadVersion(token.into()))
+}
+
+/// The non-empty lines of a header block as trimmed `(name, value)`
+/// pairs; a line without a colon is an error.
+fn header_lines(block: &str) -> impl Iterator<Item = Result<(&str, &str), ParseError>> {
+    block.split("\r\n").filter(|l| !l.is_empty()).map(|line| {
+        line.split_once(':')
+            .map(|(name, value)| (name.trim(), value.trim()))
+            .ok_or_else(|| ParseError::BadHeader(line.to_owned()))
+    })
+}
+
+/// The header list of a block [`scan_headers`] accepted.
+fn collect_headers(block: &str) -> Headers {
+    let mut headers = Headers::new();
+    for (name, value) in header_lines(block).flatten() {
+        headers.push(name, value);
+    }
+    headers
+}
+
+/// What framing and persistence need from a header block, read in
+/// place. Like [`Headers::get`], the first `Content-Length` and the
+/// first `Connection` count.
+struct HeaderFields<'a> {
+    body_len: usize,
+    connection: Option<&'a str>,
+}
+
+/// Validates every header line and reads the framing fields, copying
+/// nothing.
+fn scan_headers(block: &str) -> Result<HeaderFields<'_>, ParseError> {
+    let mut length = None;
+    let mut connection = None;
+    for line in header_lines(block) {
+        let (name, value) = line?;
+        if length.is_none() && name.eq_ignore_ascii_case("Content-Length") {
+            length = Some(value);
+        } else if connection.is_none() && name.eq_ignore_ascii_case("Connection") {
+            connection = Some(value);
+        }
+    }
+    let body_len = match length {
+        None => 0,
         Some(v) => {
             // RFC 9110 §8.6: Content-Length is 1*DIGIT. `usize::parse`
             // alone is laxer than that (it accepts a leading `+`), so
             // reject anything that is not pure ASCII digits before
             // parsing; parse() then only fails on overflow.
-            let digits = v.trim();
-            if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+            if v.is_empty() || !v.bytes().all(|b| b.is_ascii_digit()) {
                 return Err(ParseError::BadContentLength(v.to_owned()));
             }
-            let n: usize = digits
+            let n: usize = v
                 .parse()
                 .map_err(|_| ParseError::BadContentLength(v.to_owned()))?;
             if n > MAX_BODY {
                 return Err(ParseError::BodyTooLarge(n));
             }
-            Ok(n)
+            n
+        }
+    };
+    Ok(HeaderFields {
+        body_len,
+        connection,
+    })
+}
+
+/// A complete request, validated and borrowed from the parser's buffer
+/// (see [`RequestParser::next_with`]): everything a server needs to
+/// route and frame it, with nothing copied.
+#[derive(Debug, Clone, Copy)]
+pub struct RequestHead<'a> {
+    /// Request method.
+    pub method: &'a str,
+    /// Request-URI.
+    pub uri: &'a str,
+    /// Protocol version.
+    pub version: Version,
+    /// Whether the connection persists after this request (the rule
+    /// of [`keep_alive`](crate::keep_alive)).
+    pub keep_alive: bool,
+    /// The header block, every line already validated.
+    headers: &'a str,
+    /// The body, complete.
+    body: &'a [u8],
+    /// Wire length of the whole request, head and body.
+    len: usize,
+}
+
+impl RequestHead<'_> {
+    /// Declared (and fully buffered) body length.
+    pub fn body_len(&self) -> usize {
+        self.body.len()
+    }
+
+    /// The owned copy [`RequestParser::next`] returns.
+    fn to_request(self) -> Request {
+        Request {
+            method: self.method.to_owned(),
+            uri: self.uri.to_owned(),
+            version: self.version,
+            headers: collect_headers(self.headers),
+            body: Bytes::copy_from_slice(self.body),
         }
     }
+}
+
+/// The request validator: the first complete request in `buf`, or
+/// `Ok(None)` while its head or body is still incomplete. Every
+/// request check lives here.
+fn parse_request(buf: &[u8]) -> Result<Option<RequestHead<'_>>, ParseError> {
+    let Some((head_end, start, block)) = split_head(buf)? else {
+        return Ok(None);
+    };
+    let bad_start = || ParseError::BadStartLine(start.to_owned());
+    let mut parts = start.split(' ');
+    let method = parts
+        .next()
+        .filter(|m| !m.is_empty())
+        .ok_or_else(bad_start)?;
+    let uri = parts.next().ok_or_else(bad_start)?;
+    let version_tok = parts.next().unwrap_or("HTTP/1.0");
+    if parts.next().is_some() {
+        return Err(bad_start());
+    }
+    let version = parse_version(version_tok)?;
+    let fields = scan_headers(block)?;
+    let len = head_end + fields.body_len;
+    if buf.len() < len {
+        return Ok(None); // body incomplete
+    }
+    Ok(Some(RequestHead {
+        method,
+        uri,
+        version,
+        keep_alive: connection_keeps_alive(version, fields.connection),
+        headers: block,
+        body: &buf[head_end..len],
+        len,
+    }))
 }
 
 /// Incremental request parser.
@@ -107,7 +234,8 @@ fn content_length(headers: &Headers) -> Result<usize, ParseError> {
 /// // Two pipelined requests arriving in one segment, plus a partial third.
 /// p.feed(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\nGET /c HT");
 /// assert_eq!(p.next().unwrap().unwrap().uri, "/a");
-/// assert_eq!(p.next().unwrap().unwrap().uri, "/b");
+/// // The borrowing form: the closure sees the request in place.
+/// assert_eq!(p.next_with(|h| h.uri == "/b").unwrap(), Some(true));
 /// assert!(p.next().unwrap().is_none()); // /c is incomplete
 /// p.feed(b"TP/1.1\r\n\r\n");
 /// assert_eq!(p.next().unwrap().unwrap().uri, "/c");
@@ -140,58 +268,25 @@ impl RequestParser {
     // fallible and non-blocking, so the trait does not fit.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Request>, ParseError> {
-        let Some(head_end) = find_head_end(&self.buf) else {
-            if self.buf.len() > MAX_HEAD {
-                return Err(ParseError::HeadTooLarge);
-            }
-            return Ok(None);
-        };
-        if head_end > MAX_HEAD {
-            return Err(ParseError::HeadTooLarge);
-        }
-        // Parse the head without consuming, in case the body is incomplete.
-        let head = std::str::from_utf8(&self.buf[..head_end - 4])
-            .map_err(|_| ParseError::BadStartLine("non-utf8 head".into()))?;
-        let (start, rest) = head.split_once("\r\n").unwrap_or((head, ""));
-        let mut parts = start.split(' ');
-        let method = parts
-            .next()
-            .filter(|m| !m.is_empty())
-            .ok_or_else(|| ParseError::BadStartLine(start.to_owned()))?
-            .to_owned();
-        let uri = parts
-            .next()
-            .ok_or_else(|| ParseError::BadStartLine(start.to_owned()))?
-            .to_owned();
-        let version_tok = parts.next().unwrap_or("HTTP/1.0");
-        if parts.next().is_some() {
-            return Err(ParseError::BadStartLine(start.to_owned()));
-        }
-        let version = Version::parse(version_tok)
-            .ok_or_else(|| ParseError::BadVersion(version_tok.into()))?;
-        let headers = parse_headers(rest)?;
-        let body_len = content_length(&headers)?;
-        if self.buf.len() < head_end + body_len {
-            return Ok(None); // body incomplete
-        }
-        self.buf.advance(head_end);
-        let body: Bytes = self.buf.split_to(body_len).freeze();
-        Ok(Some(Request {
-            method,
-            uri,
-            version,
-            headers,
-            body,
-        }))
+        self.next_with(|head| head.to_request())
     }
 
-    /// Drains every complete request currently buffered.
-    pub fn drain(&mut self) -> Result<Vec<Request>, ParseError> {
-        let mut out = Vec::new();
-        while let Some(r) = self.next()? {
-            out.push(r);
-        }
-        Ok(out)
+    /// [`next`](Self::next) without the copy: validates the next
+    /// complete request, passes its borrowed [`RequestHead`] to `f`,
+    /// then consumes the request. Returns `f`'s result, `Ok(None)` when
+    /// more bytes are needed, or the same error `next` would return
+    /// (nothing is consumed then).
+    pub fn next_with<T>(
+        &mut self,
+        f: impl FnOnce(RequestHead<'_>) -> T,
+    ) -> Result<Option<T>, ParseError> {
+        let Some(head) = parse_request(&self.buf)? else {
+            return Ok(None);
+        };
+        let len = head.len;
+        let out = f(head);
+        self.buf.advance(len);
+        Ok(Some(out))
     }
 }
 
@@ -219,6 +314,33 @@ impl ResponseHead {
     pub fn keep_alive(&self) -> bool {
         crate::message::keep_alive(self.version, &self.headers)
     }
+}
+
+/// The first response head in `buf` and the offset just past it, or
+/// `Ok(None)` while the head is incomplete. Every response check lives
+/// here.
+fn parse_response_head(buf: &[u8]) -> Result<Option<(usize, ResponseHead)>, ParseError> {
+    let Some((head_end, start, block)) = split_head(buf)? else {
+        return Ok(None);
+    };
+    let mut parts = start.splitn(3, ' ');
+    let version = parse_version(parts.next().unwrap_or(""))?;
+    let status: u16 = parts
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| ParseError::BadStartLine(start.to_owned()))?;
+    let reason = parts.next().unwrap_or("").to_owned();
+    let body_len = scan_headers(block)?.body_len;
+    Ok(Some((
+        head_end,
+        ResponseHead {
+            version,
+            status,
+            reason,
+            headers: collect_headers(block),
+            body_len,
+        },
+    )))
 }
 
 /// Incremental response parser (client side).
@@ -249,38 +371,19 @@ impl ResponseParser {
     // See `RequestParser::next` for the naming rationale.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Response>, ParseError> {
-        let Some(head_end) = find_head_end(&self.buf) else {
-            if self.buf.len() > MAX_HEAD {
-                return Err(ParseError::HeadTooLarge);
-            }
+        let Some((head_end, head)) = parse_response_head(&self.buf)? else {
             return Ok(None);
         };
-        let head = std::str::from_utf8(&self.buf[..head_end - 4])
-            .map_err(|_| ParseError::BadStartLine("non-utf8 head".into()))?;
-        let (start, rest) = head.split_once("\r\n").unwrap_or((head, ""));
-        let mut parts = start.splitn(3, ' ');
-        let version_tok = parts
-            .next()
-            .ok_or_else(|| ParseError::BadStartLine(start.to_owned()))?;
-        let version = Version::parse(version_tok)
-            .ok_or_else(|| ParseError::BadVersion(version_tok.into()))?;
-        let status: u16 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| ParseError::BadStartLine(start.to_owned()))?;
-        let reason = parts.next().unwrap_or("").to_owned();
-        let headers = parse_headers(rest)?;
-        let body_len = content_length(&headers)?;
-        if self.buf.len() < head_end + body_len {
+        if self.buf.len() < head_end + head.body_len {
             return Ok(None);
         }
         self.buf.advance(head_end);
-        let body = self.buf.split_to(body_len).freeze();
+        let body = self.buf.split_to(head.body_len).freeze();
         Ok(Some(Response {
-            version,
-            status,
-            reason,
-            headers,
+            version: head.version,
+            status: head.status,
+            reason: head.reason,
+            headers: head.headers,
             body,
         }))
     }
@@ -293,39 +396,11 @@ impl ResponseParser {
     /// Returns `Ok(None)` when the head is still incomplete.
     #[allow(clippy::should_implement_trait)]
     pub fn next_head(&mut self) -> Result<Option<ResponseHead>, ParseError> {
-        let Some(head_end) = find_head_end(&self.buf) else {
-            if self.buf.len() > MAX_HEAD {
-                return Err(ParseError::HeadTooLarge);
-            }
+        let Some((head_end, head)) = parse_response_head(&self.buf)? else {
             return Ok(None);
         };
-        if head_end > MAX_HEAD {
-            return Err(ParseError::HeadTooLarge);
-        }
-        let head = std::str::from_utf8(&self.buf[..head_end - 4])
-            .map_err(|_| ParseError::BadStartLine("non-utf8 head".into()))?;
-        let (start, rest) = head.split_once("\r\n").unwrap_or((head, ""));
-        let mut parts = start.splitn(3, ' ');
-        let version_tok = parts
-            .next()
-            .ok_or_else(|| ParseError::BadStartLine(start.to_owned()))?;
-        let version = Version::parse(version_tok)
-            .ok_or_else(|| ParseError::BadVersion(version_tok.into()))?;
-        let status: u16 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| ParseError::BadStartLine(start.to_owned()))?;
-        let reason = parts.next().unwrap_or("").to_owned();
-        let headers = parse_headers(rest)?;
-        let body_len = content_length(&headers)?;
         self.buf.advance(head_end);
-        Ok(Some(ResponseHead {
-            version,
-            status,
-            reason,
-            headers,
-            body_len,
-        }))
+        Ok(Some(head))
     }
 
     /// Removes and returns up to `max` buffered bytes — the body-chunk
@@ -374,8 +449,10 @@ mod tests {
     fn pipelined_requests_drain_in_order() {
         let mut p = RequestParser::new();
         p.feed(b"GET /1 HTTP/1.1\r\n\r\nGET /2 HTTP/1.1\r\n\r\nGET /3 HTTP/1.1\r\n\r\n");
-        let reqs = p.drain().unwrap();
-        let uris: Vec<&str> = reqs.iter().map(|r| r.uri.as_str()).collect();
+        let mut uris = Vec::new();
+        while let Some(r) = p.next().unwrap() {
+            uris.push(r.uri);
+        }
         assert_eq!(uris, vec!["/1", "/2", "/3"]);
     }
 

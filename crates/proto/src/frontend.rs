@@ -460,26 +460,6 @@ impl FrontEnd {
     }
 }
 
-/// Drop-guard ensuring a connection is closed exactly once even if its
-/// holder unwinds.
-pub struct ConnGuard<'a> {
-    fe: &'a FrontEnd,
-    conn: ConnId,
-}
-
-impl<'a> ConnGuard<'a> {
-    /// Registers the guard.
-    pub fn new(fe: &'a FrontEnd, conn: ConnId) -> Self {
-        ConnGuard { fe, conn }
-    }
-}
-
-impl Drop for ConnGuard<'_> {
-    fn drop(&mut self) {
-        self.fe.close_connection(self.conn);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -596,17 +576,6 @@ mod tests {
         fe.close_connection(c); // second close is a no-op
         assert_eq!(fe.active_connections(), 0);
         assert!(fe.loads().iter().all(|&l| l.abs() < 1e-9));
-    }
-
-    #[test]
-    fn guard_closes_on_drop() {
-        let fe = fe(PolicyKind::ExtLard, 2);
-        let c = fe.alloc_conn();
-        fe.open_connection(c, TargetId(0));
-        {
-            let _g = ConnGuard::new(&fe, c);
-        }
-        assert_eq!(fe.active_connections(), 0);
     }
 
     #[test]

@@ -443,11 +443,14 @@ impl ClientConn {
     }
 
     /// Reads available bytes into the parser through `buf` (the shard's
-    /// scratch). `Ok(true)`: a read filled `buf` and more may be waiting
-    /// — parse, then call again. `Ok(false)`: the socket is drained for
-    /// now (`WouldBlock`, EOF or backpressure; calling again would only
-    /// buy an `EAGAIN`) — parse what arrived and stop. `Err`: the
-    /// connection is dead. EOF only sets `eof` — NOT
+    /// scratch) — one `read` per call. `Ok(true)`: the read filled `buf`
+    /// and more may be waiting — parse, then call again. `Ok(false)`:
+    /// the socket is drained for now (a short read, `WouldBlock`, EOF
+    /// or backpressure) — parse what arrived and stop. A short read
+    /// means the kernel had no more bytes queued, so another read would
+    /// only buy an `EAGAIN`; bytes (or a FIN) that arrive later keep
+    /// the level-triggered poller reporting the socket readable. `Err`:
+    /// the connection is dead. EOF only sets `eof` — NOT
     /// `close_after_drain` — because requests already received must
     /// still be served: a client may legitimately half-close right
     /// after its last pipelined request, and its FIN can arrive in the
@@ -463,9 +466,7 @@ impl ClientConn {
                 Ok(0) => self.eof = true,
                 Ok(n) => {
                     self.parser.feed(&buf[..n]);
-                    if n == buf.len() {
-                        return Ok(true);
-                    }
+                    return Ok(n == buf.len());
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,

@@ -44,8 +44,12 @@
 //!    admission link (`admit::Admitter`) and the decoded ack — which
 //!    front-end took it — is what registers it.
 //! 2. **Read → parse** — readable events feed the connection's
-//!    incremental [`phttp_http::RequestParser`]; every drained batch of
-//!    complete requests is decided **inline** via
+//!    incremental [`phttp_http::RequestParser`] (reading stops at the
+//!    first short read; the level-triggered poller reports whatever
+//!    arrives later). Each complete request is parsed in place
+//!    ([`phttp_http::RequestParser::next_with`]) into the shard's
+//!    reused batch buffer — target, version, keep-alive, nothing
+//!    copied — and every batch is decided **inline** via
 //!    [`crate::FrontEnd::assign_batch`] (peer-server connections skip
 //!    the dispatcher: every request serves on the listener's node).
 //! 3. **Serve** — each request becomes an in-order pipeline entry:
@@ -103,7 +107,7 @@ use bytes::Bytes;
 use mio::{Events, Interest, Poll, Token, Waker};
 use parking_lot::{LockClass, Mutex};
 use phttp_core::{Assignment, ForwardSemantics, NodeId};
-use phttp_http::{Request, Response, Version};
+use phttp_http::{ParseError, Request, Response, Version};
 use phttp_trace::TargetId;
 
 use crate::control::FrameDecoder;
@@ -455,6 +459,8 @@ pub(crate) fn spawn(
             peer_pool_cap: cfg.peer_pool_cap,
             last_sweep: Instant::now(),
             scratch: vec![0u8; 16 * 1024].into_boxed_slice(),
+            batch: Vec::new(),
+            known: Vec::new(),
         };
         joins.push(
             std::thread::Builder::new()
@@ -553,20 +559,35 @@ struct Reactor {
     /// The shard's one socket-read buffer: every read on the loop lands
     /// here and is fed to a parser or decoder before the next.
     scratch: Box<[u8]>,
+    /// The batch being served: one [`Parsed`] per request, reused
+    /// across batches and connections (empty between them).
+    batch: Vec<Parsed>,
+    /// The batch's resolved targets in order, for `assign_batch`
+    /// (reused likewise; stale between batches).
+    known: Vec<TargetId>,
 }
 
-/// A complete `200 OK` staged for write-out: the serialized head plus
-/// the *shared* body slice — the body is never copied into a contiguous
-/// wire buffer; `writev` gathers the pair at send time.
-fn ok_state(version: Version, body: Bytes) -> EntryState {
-    let resp = Response::ok(version, body);
-    EntryState::Ready(resp.head_bytes(), resp.body)
+/// What serving needs of one parsed request, taken from the parser's
+/// borrowed view while the URI is still in the buffer.
+#[derive(Debug, Clone, Copy)]
+struct Parsed {
+    /// `None` for a URI outside the corpus (a `404`).
+    target: Option<TargetId>,
+    version: Version,
+    keep_alive: bool,
 }
 
-/// A `404 Not Found` staging pair.
+/// A complete `200 OK` staged for write-out: the store's prebuilt head
+/// for `target` plus the *shared* body slice — neither is built nor
+/// copied here (two refcount bumps); `writev` gathers the pair at send
+/// time.
+fn ok_state(store: &ContentStore, target: TargetId, version: Version, body: Bytes) -> EntryState {
+    EntryState::Ready(store.ok_head(target, version), body)
+}
+
+/// A `404 Not Found`, staged as one segment (head and short body).
 fn not_found_state(version: Version) -> EntryState {
-    let resp = Response::not_found(version);
-    EntryState::Ready(resp.head_bytes(), resp.body)
+    EntryState::Ready(Response::not_found(version).to_bytes(), Bytes::new())
 }
 
 /// What a [`Reactor::pump_peer`] pass concluded about a session.
@@ -962,40 +983,54 @@ impl Reactor {
         self.advance_client(idx, c)
     }
 
-    /// Drains complete requests from the parser and turns them into
-    /// pipeline entries.
-    fn process_available(
-        &mut self,
-        idx: usize,
-        c: &mut ClientConn,
-    ) -> Result<(), phttp_http::ParseError> {
-        loop {
-            if c.close_after_drain {
-                // Once a non-keep-alive request (or EOF) ends the
-                // logical connection, later pipelined requests are not
-                // served.
-                return Ok(());
+    /// Parses every complete request buffered on `c` — each borrowed
+    /// in place just long enough to resolve its target — and turns the
+    /// batch into pipeline entries. A malformed request ends the batch:
+    /// the requests parsed before it are still served, then the error
+    /// is returned.
+    fn process_available(&mut self, idx: usize, c: &mut ClientConn) -> Result<(), ParseError> {
+        if c.close_after_drain {
+            // Once a non-keep-alive request (or EOF) ends the logical
+            // connection, later pipelined requests are not served.
+            return Ok(());
+        }
+        let mut batch = std::mem::take(&mut self.batch);
+        let parsed = loop {
+            let next = c.parser.next_with(|head| Parsed {
+                target: self.store.lookup(head.uri),
+                version: head.version,
+                keep_alive: head.keep_alive,
+            });
+            match next {
+                Ok(Some(req)) => batch.push(req),
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e),
             }
-            let batch = c.parser.drain()?;
-            if batch.is_empty() {
-                return Ok(());
-            }
+        };
+        if !batch.is_empty() {
             if c.peer_server {
-                self.process_peer_batch(idx, c, batch);
+                self.process_peer_batch(idx, c, &batch);
             } else {
-                self.process_batch(idx, c, batch);
+                self.process_batch(idx, c, &batch);
             }
         }
+        batch.clear();
+        self.batch = batch;
+        parsed
     }
 
-    /// One drained batch of a client connection: the first request
-    /// drives the content-based handoff, every subsequent drained batch
-    /// is decided in one `assign_batch` call.
-    fn process_batch(&mut self, idx: usize, c: &mut ClientConn, mut batch: Vec<Request>) {
+    /// One parsed batch of a client connection: the first request
+    /// drives the content-based handoff, every subsequent batch is
+    /// decided in one `assign_batch` call.
+    fn process_batch(&mut self, idx: usize, c: &mut ClientConn, batch: &[Parsed]) {
         let me = self.slot_ref(idx);
+        let mut rest = batch;
         if c.conn_id.is_none() {
-            let first = batch.remove(0);
-            let Some(target) = self.store.lookup(&first.uri) else {
+            let Some((first, tail)) = batch.split_first() else {
+                return;
+            };
+            rest = tail;
+            let Some(target) = first.target else {
                 let seq = c.alloc_seq();
                 c.push_entry(seq, not_found_state(first.version));
                 c.close_after_drain = true;
@@ -1010,11 +1045,11 @@ impl Reactor {
             let seq = c.alloc_seq();
             let state = self.serve_on(me, seq, c.node, target, first.version);
             c.push_entry(seq, state);
-            if !first.keep_alive() {
+            if !first.keep_alive {
                 c.close_after_drain = true;
                 return;
             }
-            if batch.is_empty() {
+            if rest.is_empty() {
                 return;
             }
         }
@@ -1023,14 +1058,13 @@ impl Reactor {
         // One dispatcher call for the whole pipelined batch — a single
         // connection-shard visit and grouped mapping-shard locks, inline
         // on the event loop.
-        let targets: Vec<Option<TargetId>> =
-            batch.iter().map(|r| self.store.lookup(&r.uri)).collect();
-        let known: Vec<TargetId> = targets.iter().filter_map(|&t| t).collect();
-        let assignments = self.fes[c.fe_idx].assign_batch(conn, &known);
+        self.known.clear();
+        self.known.extend(rest.iter().filter_map(|r| r.target));
+        let assignments = self.fes[c.fe_idx].assign_batch(conn, &self.known);
         let mut next_assignment = assignments.into_iter();
 
-        for (req, target) in batch.iter().zip(&targets) {
-            let Some(target) = *target else {
+        for req in rest {
+            let Some(target) = req.target else {
                 let seq = c.alloc_seq();
                 c.push_entry(seq, not_found_state(req.version));
                 continue;
@@ -1069,7 +1103,7 @@ impl Reactor {
                 ),
             };
             c.push_entry(seq, state);
-            if !req.keep_alive() {
+            if !req.keep_alive {
                 c.close_after_drain = true;
                 break;
             }
@@ -1080,11 +1114,11 @@ impl Reactor {
     /// serves on the listener's node — no handoff, no dispatcher, same
     /// strict response ordering, with per-request `lateral_in`
     /// accounting.
-    fn process_peer_batch(&mut self, idx: usize, c: &mut ClientConn, batch: Vec<Request>) {
+    fn process_peer_batch(&mut self, idx: usize, c: &mut ClientConn, batch: &[Parsed]) {
         let me = self.slot_ref(idx);
         let node_idx = c.node;
         for req in batch {
-            let Some(target) = self.store.lookup(&req.uri) else {
+            let Some(target) = req.target else {
                 let seq = c.alloc_seq();
                 c.push_entry(seq, not_found_state(req.version));
                 continue;
@@ -1143,7 +1177,7 @@ impl Reactor {
         // copy); the store fallback inside `begin_serve_body` covers
         // the raced-eviction window.
         if let Some(body) = self.fe.nodes()[node_idx].begin_serve_body(target) {
-            ok_state(version, body)
+            ok_state(&self.store, target, version, body)
         } else {
             self.disk_enqueue(
                 node_idx,
@@ -1295,12 +1329,14 @@ impl Reactor {
         let Some((job, body)) = self.disks[node_idx].finish(node, deadline) else {
             return;
         };
-        self.deliver(job.conn, job.seq, ok_state(job.version, body.clone()));
+        let leader = ok_state(&self.store, job.target, job.version, body.clone());
+        self.deliver(job.conn, job.seq, leader);
         // Waiters whose connection died meanwhile are dropped by
         // `deliver`'s generation check — the flight completes for the
         // survivors either way.
         for w in job.waiters {
-            self.deliver(w.conn, w.seq, ok_state(w.version, body.clone()));
+            let state = ok_state(&self.store, job.target, w.version, body.clone());
+            self.deliver(w.conn, w.seq, state);
         }
         if let Some(next) = self.disks[node_idx].queue.pop_front() {
             self.disk_start(node_idx, next);
@@ -1615,11 +1651,14 @@ impl Reactor {
     }
 
     /// Opens a splice: resolves the flight leader's pipeline slot to a
-    /// streaming entry whose first staged chunk is the client's
-    /// serialized response head — on the wire before the body exists on
-    /// this node.
+    /// streaming entry whose first staged chunk is the client's response
+    /// head — the store's, on the wire before the body exists on this
+    /// node.
     fn begin_splice(&mut self, session: SlotRef, job: LateralJob, body_len: usize) {
-        let head = Response::ok_head(job.version, body_len);
+        // The peer serves the same store, so its `Content-Length` is
+        // the target's size by construction.
+        debug_assert_eq!(body_len as u64, self.store.size(job.target));
+        let head = self.store.ok_head(job.target, job.version);
         self.deliver(
             job.conn,
             job.seq,
@@ -1711,7 +1750,8 @@ impl Reactor {
         self.fe.nodes()[remote].note_lateral_waiters_served(job.target, waiters.len() as u64);
         let body = self.store.body(job.target);
         for w in waiters {
-            self.deliver(w.conn, w.seq, ok_state(w.version, body.clone()));
+            let state = ok_state(&self.store, job.target, w.version, body.clone());
+            self.deliver(w.conn, w.seq, state);
         }
     }
 

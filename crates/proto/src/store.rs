@@ -7,27 +7,39 @@
 //! the paper's `/be_<k>/...` *tagging* prefix composes on top of it.
 
 use bytes::Bytes;
+use phttp_http::{Response, Version};
 use phttp_trace::{TargetId, Trace};
 
 /// An immutable corpus of generated documents.
 #[derive(Debug, Clone)]
 pub struct ContentStore {
     sizes: Vec<u64>,
+    /// Each target's serialized `200 OK` head, per [`Version`]
+    /// (`[HTTP/1.0, HTTP/1.1]`): a response head is a pure function of
+    /// target size and version, so it is built once here and every
+    /// response shares it.
+    heads: Vec<[Bytes; 2]>,
 }
 
 impl ContentStore {
     /// Builds a store over the trace's corpus (same target ids and sizes).
     pub fn from_trace(trace: &Trace) -> Self {
-        ContentStore {
-            sizes: (0..trace.num_targets() as u32)
+        Self::from_sizes(
+            (0..trace.num_targets() as u32)
                 .map(|i| trace.size_of(TargetId(i)))
                 .collect(),
-        }
+        )
     }
 
     /// Builds a store from explicit sizes (tests).
     pub fn from_sizes(sizes: Vec<u64>) -> Self {
-        ContentStore { sizes }
+        let heads = sizes
+            .iter()
+            .map(|&size| {
+                [Version::Http10, Version::Http11].map(|v| Response::ok_head(v, size as usize))
+            })
+            .collect();
+        ContentStore { sizes, heads }
     }
 
     /// Number of targets.
@@ -58,6 +70,21 @@ impl ContentStore {
     /// Panics if the target is out of range.
     pub fn size(&self, target: TargetId) -> u64 {
         self.sizes[target.0 as usize]
+    }
+
+    /// The serialized `200 OK` head of `target`'s response under
+    /// `version` — byte-identical to `Response::ok_head(version, size)`
+    /// and shared: handing it out is a refcount bump.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the target is out of range.
+    pub fn ok_head(&self, target: TargetId, version: Version) -> Bytes {
+        let idx = match version {
+            Version::Http10 => 0,
+            Version::Http11 => 1,
+        };
+        self.heads[target.0 as usize][idx].clone()
     }
 
     /// Byte `i` of `target`'s body: a cheap keyed byte pattern.
@@ -169,6 +196,19 @@ mod tests {
                 body[last] ^= 1;
                 body[0] ^= 1;
                 assert!(!s.verify(t, &body), "target {i}: corrupt head accepted");
+            }
+        }
+    }
+
+    #[test]
+    fn ok_heads_are_the_encoders_heads_and_shared() {
+        let s = store();
+        for i in 0..3u32 {
+            let t = TargetId(i);
+            for v in [Version::Http10, Version::Http11] {
+                let head = s.ok_head(t, v);
+                assert_eq!(head, Response::ok(v, s.body(t)).head_bytes());
+                assert!(head.strong_count() > 1, "a clone of the table's head");
             }
         }
     }

@@ -263,6 +263,67 @@ fn unknown_uri_gets_404_without_breaking_connection() {
     cluster.shutdown();
 }
 
+/// Writes `wire` in one call and collects response statuses until the
+/// server closes the connection.
+fn statuses_until_eof(stream: &mut std::net::TcpStream, wire: &[u8]) -> Vec<u16> {
+    use std::io::{Read, Write};
+    stream.write_all(wire).unwrap();
+    let mut parser = phttp_http::ResponseParser::new();
+    let mut buf = [0u8; 32 * 1024];
+    let mut statuses = Vec::new();
+    loop {
+        let n = stream.read(&mut buf).expect("server closes, not times out");
+        if n == 0 {
+            break;
+        }
+        parser.feed(&buf[..n]);
+        while let Some(r) = parser.next().unwrap() {
+            statuses.push(r.status);
+        }
+    }
+    assert_eq!(parser.buffered(), 0, "a response was cut short");
+    statuses
+}
+
+/// Good requests pipelined ahead of a malformed one are served, in
+/// order, before the server closes the connection — on a fresh
+/// connection (the first of them drives the handoff) and on one whose
+/// handoff is long done.
+#[test]
+fn requests_pipelined_before_a_malformed_one_are_served_then_closed() {
+    use std::io::{Read, Write};
+    const BATCH: &[u8] =
+        b"GET /t/1 HTTP/1.1\r\n\r\nGET /t/2 HTTP/1.1\r\n\r\nGET /t/3 HTTP/1.1 extra\r\n\r\n";
+    let trace = tiny_trace();
+    let cluster = Cluster::start(config(PolicyKind::ExtLard, 2), &trace).expect("start cluster");
+    let connect = || {
+        let s = std::net::TcpStream::connect(cluster.frontend_addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        s
+    };
+
+    let mut fresh = connect();
+    assert_eq!(statuses_until_eof(&mut fresh, BATCH), vec![200, 200]);
+
+    let mut warm = connect();
+    warm.write_all(b"GET /t/0 HTTP/1.1\r\n\r\n").unwrap();
+    let mut parser = phttp_http::ResponseParser::new();
+    let mut buf = [0u8; 32 * 1024];
+    let first = loop {
+        if let Some(r) = parser.next().unwrap() {
+            break r.status;
+        }
+        let n = warm.read(&mut buf).unwrap();
+        assert!(n > 0, "server closed before the first response");
+        parser.feed(&buf[..n]);
+    };
+    assert_eq!(parser.buffered(), 0);
+    let mut statuses = vec![first];
+    statuses.extend(statuses_until_eof(&mut warm, BATCH));
+    assert_eq!(statuses, vec![200, 200, 200]);
+    cluster.shutdown();
+}
+
 /// A client may legitimately half-close (shutdown its write side) right
 /// after its last pipelined request, so the FIN arrives in the same
 /// readiness window as the request bytes. The cluster must serve

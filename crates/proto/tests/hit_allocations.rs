@@ -1,0 +1,108 @@
+//! The per-request work of a cache hit allocates nothing: parsing a
+//! pipelined batch through the borrowing view, resolving each URI and
+//! taking each response head from the store are counted by a global
+//! allocator and must read zero once the parser's buffer has grown to
+//! its working size.
+//!
+//! This binary holds one test on purpose: the allocator is process-wide,
+//! and it counts only on the thread that switches counting on.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use phttp_http::{RequestParser, Version};
+use phttp_proto::ContentStore;
+
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn note_allocation() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards to `System` with the caller's own
+// arguments, so `System`'s guarantees are this allocator's; the
+// counting beside it touches only an atomic and a const-initialised
+// thread-local, neither of which allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // SAFETY: forwarded unchanged (see the impl's comment).
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        // SAFETY: forwarded unchanged (see the impl's comment).
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation();
+        // SAFETY: forwarded unchanged (see the impl's comment).
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded unchanged (see the impl's comment).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `f` makes on this thread.
+fn allocations_in(f: impl FnOnce()) -> usize {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    f();
+    COUNTING.with(|c| c.set(false));
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn parsing_a_pipelined_batch_and_taking_its_heads_allocates_nothing() {
+    let store = ContentStore::from_sizes(vec![512, 4096, 8192, 100]);
+    let batch = b"GET /t/0 HTTP/1.1\r\nHost: h\r\n\r\n\
+                  GET /t/3 HTTP/1.1\r\n\r\n\
+                  GET /t/2 HTTP/1.1\r\nConnection: keep-alive\r\n\r\n\
+                  GET /t/1 HTTP/1.1\r\n\r\n";
+    let mut parser = RequestParser::new();
+    let mut heads = Vec::with_capacity(4);
+    let serve_batch = |parser: &mut RequestParser, heads: &mut Vec<_>| {
+        parser.feed(batch);
+        while let Some(target) = parser
+            .next_with(|h| store.lookup(h.uri).expect("a corpus target"))
+            .expect("the batch parses")
+        {
+            heads.push(store.ok_head(target, Version::Http11));
+        }
+        assert_eq!(heads.len(), 4);
+        heads.clear();
+    };
+    // Warm-up: the parser's buffer grows until it compacts in place.
+    for _ in 0..1000 {
+        serve_batch(&mut parser, &mut heads);
+    }
+    let n = allocations_in(|| {
+        for _ in 0..100 {
+            serve_batch(&mut parser, &mut heads);
+        }
+    });
+    assert_eq!(n, 0, "100 batches of 4 hits allocated {n} times");
+    // The counter is live: an owned parse allocates.
+    let owned = allocations_in(|| {
+        parser.feed(batch);
+        assert!(parser.next().expect("parses").is_some());
+    });
+    assert!(owned > 0, "the counting allocator saw nothing");
+}

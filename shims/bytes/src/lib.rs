@@ -26,12 +26,18 @@ impl Bytes {
     /// Wraps a static byte slice (copies once; upstream is zero-copy, but
     /// no caller here is on a hot path with static data).
     pub fn from_static(data: &'static [u8]) -> Self {
-        Bytes::from(data.to_vec())
+        Bytes::copy_from_slice(data)
     }
 
-    /// Copies a slice into a new buffer.
+    /// Copies a slice into a new buffer: one exact-size allocation
+    /// (going through a `Vec` would allocate twice, since an
+    /// `Arc<[u8]>` cannot adopt a `Vec`'s buffer).
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
+        Bytes {
+            data: Arc::from(data),
+            start: 0,
+            end: data.len(),
+        }
     }
 
     /// Length in bytes.
@@ -123,7 +129,7 @@ impl From<String> for Bytes {
 
 impl From<&[u8]> for Bytes {
     fn from(s: &[u8]) -> Self {
-        Bytes::from(s.to_vec())
+        Bytes::copy_from_slice(s)
     }
 }
 

@@ -18,6 +18,10 @@
 //!   calls a blocking syscall from the deny-list (`write_all`,
 //!   `read_exact`, `connect`, `accept`). The event loop must never
 //!   block while holding a lock.
+//! * **reactor-head** — non-test code in `crates/proto/src/reactor/`
+//!   builds no response head (`Response::ok(`, `.head_bytes(`,
+//!   `Response::ok_head(`): a `200` head comes from the content store's
+//!   per-target table, so a cache hit allocates none.
 //! * **doc-hygiene** — the `tools/check_links.sh` rules, natively:
 //!   markdown links and backticked repo paths / `BENCH_*.json` /
 //!   `UPPER.md` references in the top-level docs must exist.
@@ -293,6 +297,17 @@ fn rule_safety(rel: &str, raw: &str, masked: &str) -> Vec<Finding> {
     findings
 }
 
+/// The lines of `masked` before its first `#[cfg(test)]`, 1-based: the
+/// repo convention puts `#[cfg(test)] mod tests` last in the file, so
+/// everything from the first marker on is test-only.
+fn live_lines(masked: &str) -> impl Iterator<Item = (usize, &str)> {
+    masked
+        .lines()
+        .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
+        .enumerate()
+        .map(|(i, l)| (i + 1, l))
+}
+
 /// Rule `std-sync`: no `std::sync::{Mutex, RwLock, Condvar}` outside
 /// `shims/`, `tests/` directories, `#[cfg(test)]` code, and
 /// `crates/lockcheck` (which implements the checker the shim types
@@ -303,16 +318,7 @@ fn rule_std_sync(rel: &str, masked: &str) -> Vec<Finding> {
         return Vec::new();
     }
     let mut findings = Vec::new();
-    let mut in_cfg_test = false;
-    for (i, line) in masked.lines().enumerate() {
-        // The repo convention puts `#[cfg(test)] mod tests` last in the
-        // file; everything from the first marker on is test-only.
-        if line.trim_start().starts_with("#[cfg(test)]") {
-            in_cfg_test = true;
-        }
-        if in_cfg_test {
-            continue;
-        }
+    for (line_no, line) in live_lines(masked) {
         let banned = [
             "std::sync::Mutex",
             "std::sync::RwLock",
@@ -335,7 +341,7 @@ fn rule_std_sync(rel: &str, masked: &str) -> Vec<Finding> {
         if let Some(t) = hit {
             findings.push(Finding {
                 file: rel.to_string(),
-                line: i + 1,
+                line: line_no,
                 rule: "std-sync",
                 msg: format!("`{t}` outside shims/tests — use the instrumented `parking_lot` shim"),
             });
@@ -389,6 +395,30 @@ fn rule_guard_blocking(rel: &str, masked: &str) -> Vec<Finding> {
     findings
 }
 
+/// Rule `reactor-head`: non-test code in `crates/proto/src/reactor/`
+/// takes `200` heads from the store and builds none.
+fn rule_reactor_head(rel: &str, masked: &str) -> Vec<Finding> {
+    if !rel.starts_with("crates/proto/src/reactor/") {
+        return Vec::new();
+    }
+    const BUILDERS: [&str; 3] = ["Response::ok(", ".head_bytes(", "Response::ok_head("];
+    let mut findings = Vec::new();
+    for (line, text) in live_lines(masked) {
+        for b in BUILDERS.iter().filter(|b| text.contains(*b)) {
+            findings.push(Finding {
+                file: rel.to_string(),
+                line,
+                rule: "reactor-head",
+                msg: format!(
+                    "`{b}...)` builds a response head on the reactor — \
+                     take the store's (`ContentStore::ok_head`)"
+                ),
+            });
+        }
+    }
+    findings
+}
+
 /// Runs every code rule on one file. `rel` is the repo-relative path
 /// with forward slashes.
 fn check_file(rel: &str, raw: &str) -> Vec<Finding> {
@@ -396,6 +426,7 @@ fn check_file(rel: &str, raw: &str) -> Vec<Finding> {
     let mut out = rule_safety(rel, raw, &masked);
     out.extend(rule_std_sync(rel, &masked));
     out.extend(rule_guard_blocking(rel, &masked));
+    out.extend(rule_reactor_head(rel, &masked));
     out
 }
 
@@ -682,6 +713,24 @@ mod tests {
             "{:?}",
             f.iter().map(|x| x.to_string()).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn reactor_head_rule_fires_outside_tests_in_the_reactor_only() {
+        let raw = fixture("reactor_head.rs");
+        let masked = mask_code(&raw);
+        let f = rule_reactor_head("crates/proto/src/reactor/fake.rs", &masked);
+        let lines: Vec<usize> = f.iter().map(|x| x.line).collect();
+        assert_eq!(
+            lines,
+            vec![6, 7, 11],
+            "{:?}",
+            f.iter().map(|x| x.to_string()).collect::<Vec<_>>()
+        );
+        assert!(f.iter().all(|x| x.rule == "reactor-head"));
+        // Building a head is fine anywhere else (the store builds its
+        // table with `Response::ok_head`).
+        assert!(rule_reactor_head("crates/proto/src/store.rs", &masked).is_empty());
     }
 
     #[test]
