@@ -24,19 +24,15 @@
 //! See the [`crate::reactor`] module docs for how the shards drive
 //! each step without blocking.
 
-use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{LockClass, Mutex};
 use phttp_core::{LardParams, Mechanism, NodeId, PolicyKind};
 use phttp_simcore::EvictPolicy;
 use phttp_trace::Trace;
 
-use crate::control::FrameDecoder;
-use crate::frontend::{ConfigError, FrontEnd, DEFAULT_DISK_REPORT_INTERVAL};
+use crate::frontend::{ConfigError, FrontEnd};
 use crate::node::{DiskEmu, FeedbackConfig, NodeState, NodeStatsSnapshot};
 use crate::reactor::{self, ReactorConfig, ReactorHandle, ReactorStats};
 use crate::store::ContentStore;
@@ -80,10 +76,6 @@ pub struct ProtoConfig {
     pub disk: DiskEmu,
     /// LARD parameters.
     pub lard: LardParams,
-    /// Minimum wall-clock spacing between disk-queue refreshes pushed
-    /// into the dispatcher (`Duration::ZERO` = refresh on every
-    /// decision). See [`FrontEnd::with_disk_report_interval`].
-    pub disk_report_interval: Duration,
     /// Cache-coherent mapping feedback: when `true`, every back-end gets
     /// a real control session (a loopback stream to the front-end) over
     /// which it reports its cache admission/eviction deltas, and the
@@ -94,9 +86,6 @@ pub struct ProtoConfig {
     /// Minimum spacing between a node's feedback reports (the
     /// control-session cadence; the staleness/traffic trade-off knob).
     pub feedback_interval: Duration,
-    /// A node flushes a report early once this many events are pending,
-    /// bounding report size under heavy eviction churn.
-    pub feedback_batch: usize,
     /// Idle timeout of a client or peer connection (bounds a
     /// connection's lifetime after its client goes silent).
     pub read_timeout: Duration,
@@ -105,12 +94,11 @@ pub struct ProtoConfig {
     /// next change to that package.
     pub io_model: IoModel,
     /// Number of reactor event-loop shards (one per core on a real
-    /// host). Each shard owns its own poller, accept socket(s) (an
-    /// `SO_REUSEPORT` group per front-end address, falling back to a
-    /// round-robin acceptor handoff where the group bind is
-    /// unavailable), connection slab, timer heap, lateral session pools,
-    /// and its share of the peer listeners and control sessions; shards
-    /// share only the lock-sharded dispatcher. 0 is a [`ConfigError`].
+    /// host). Each shard owns its own poller, accept socket(s) (with
+    /// several shards, an `SO_REUSEPORT` group per front-end address),
+    /// connection slab, timer heap, lateral session pools, and its share
+    /// of the peer listeners and control sessions; shards share only the
+    /// lock-sharded dispatcher. 0 is a [`ConfigError`].
     pub reactor_shards: usize,
     /// Idle persistent lateral connections retained per peer pool (per
     /// shard, and per node for [`NodeState::lateral_fetch`]).
@@ -118,11 +106,6 @@ pub struct ProtoConfig {
     /// fetch into a fresh dial, defeating the persistent peer sessions
     /// the paper's NFS stand-in depends on.
     pub peer_pool_cap: usize,
-    /// Forces the reactor's round-robin acceptor-handoff accept path
-    /// even where `SO_REUSEPORT` listener groups are available
-    /// (diagnostics/tests; normally the handoff is auto-selected only
-    /// when the group bind fails).
-    pub force_accept_handoff: bool,
     /// Per-node cache eviction policy. The default,
     /// [`EvictPolicy::GreedyDual`], is GreedyDual-Size — what the paper's
     /// *simulator* runs (its *prototype* left replacement to FreeBSD's
@@ -163,11 +146,12 @@ pub struct ProtoConfig {
     /// Circuit-breaker parameters for the per-node health gates on
     /// every front-end (trip threshold, cooldown, probation quota).
     pub health: phttp_core::HealthConfig,
-    /// Spacing between breaker cooldown ticks: every interval, each
-    /// front-end's `Open` breakers advance one tick toward `HalfOpen`
-    /// probation. `Duration::ZERO` disables the timer — breakers then
-    /// only relax through an explicit [`Cluster::join_node`] handshake
-    /// or a test's own [`FrontEnd::health_tick`] calls.
+    /// Spacing between breaker cooldown ticks: every interval, reactor
+    /// shard 0 advances each front-end's `Open` breakers one tick toward
+    /// `HalfOpen` probation. `Duration::ZERO` disables the ticks —
+    /// breakers then only relax through an explicit
+    /// [`Cluster::join_node`] handshake or a test's own
+    /// [`FrontEnd::health_tick`] calls.
     pub health_tick_interval: Duration,
     /// Number of loopback addresses the front-end listens on
     /// (`127.0.0.1..127.0.0.k`). HTTP/1.0 load opens one TCP connection per
@@ -189,15 +173,12 @@ impl Default for ProtoConfig {
             cache_bytes: 2 * 1024 * 1024,
             disk: DiskEmu::default(),
             lard: LardParams::default(),
-            disk_report_interval: DEFAULT_DISK_REPORT_INTERVAL,
             cache_feedback: true,
             feedback_interval: Duration::from_millis(5),
-            feedback_batch: 64,
             read_timeout: Duration::from_secs(10),
             io_model: IoModel::default(),
             reactor_shards: 1,
             peer_pool_cap: 8,
-            force_accept_handoff: false,
             cache_policy: EvictPolicy::GreedyDual,
             front_ends: 1,
             gossip_interval: DEFAULT_GOSSIP_INTERVAL,
@@ -220,31 +201,13 @@ pub struct Cluster {
     /// single-front-end cluster constructs no tier machinery at all.
     vip: Option<Arc<Vip>>,
     store: Arc<ContentStore>,
-    stop: Arc<AtomicBool>,
-    /// Blocking acceptors of the acceptor-handoff fallback (none when
-    /// the shards own the listeners).
-    accept_threads: Vec<std::thread::JoinHandle<()>>,
-    /// The event-loop shards; `None` once shutdown begins.
-    reactor: Option<ReactorHandle>,
-    /// Live reactor gauges (outlive `reactor` queries during shutdown).
-    reactor_stats: Arc<ReactorStats>,
-    /// Whether the reactor fell back to acceptor handoff.
-    accept_handoff: bool,
-    /// Addresses whose blocking acceptors need a wake-up connect at
-    /// shutdown.
-    listeners: Vec<SocketAddr>,
+    /// The event-loop shards: the only threads the cluster itself runs.
+    reactor: ReactorHandle,
     /// Whether the control plane exists (`ProtoConfig::cache_feedback`):
     /// with it, joins travel the wire; without, they apply in-process.
     cache_feedback: bool,
     /// Resolved per-slot capacity weights (all 1 when homogeneous).
     weights: Vec<u32>,
-    /// Control-session readers installed by [`join_node`](Self::join_node)
-    /// after start (a dynamically joined node's session is drained by a
-    /// blocking reader thread — see ARCHITECTURE.md), joined at
-    /// shutdown.
-    dynamic_control_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// The periodic breaker cooldown ticker, if enabled.
-    health_thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Cluster {
@@ -256,8 +219,9 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if sockets cannot be bound on loopback or the event loops
-    /// cannot start.
+    /// Panics if sockets cannot be bound on loopback — with several
+    /// reactor shards, that includes each front-end address's
+    /// `SO_REUSEPORT` group — or the event loops cannot start.
     pub fn start(config: ProtoConfig, trace: &Trace) -> Result<Cluster, ConfigError> {
         if config.nodes == 0 {
             return Err(ConfigError::ZeroNodes);
@@ -300,7 +264,6 @@ impl Cluster {
         {
             return Err(ConfigError::TargetExceedsBodyLimit { size });
         }
-        let stop = Arc::new(AtomicBool::new(false));
 
         // Bind every peer listener first so all addresses are known —
         // standby slots included, so a later join changes no node's view
@@ -327,7 +290,6 @@ impl Cluster {
                     .with_cache_policy(config.cache_policy)
                     .with_feedback(FeedbackConfig {
                         enabled: config.cache_feedback,
-                        batch: config.feedback_batch,
                         min_interval: config.feedback_interval,
                     }),
                 )
@@ -340,16 +302,13 @@ impl Cluster {
         // connections across them and they gossip state peer-to-peer.
         let fes: Vec<Arc<FrontEnd>> = (0..config.front_ends)
             .map(|_| {
-                Ok(Arc::new(
-                    FrontEnd::with_health(
-                        config.policy,
-                        config.mechanism,
-                        config.lard,
-                        config.health,
-                        nodes.clone(),
-                    )?
-                    .with_disk_report_interval(config.disk_report_interval),
-                ))
+                Ok(Arc::new(FrontEnd::with_health(
+                    config.policy,
+                    config.mechanism,
+                    config.lard,
+                    config.health,
+                    nodes.clone(),
+                )?))
             })
             .collect::<Result<_, ConfigError>>()?;
         let frontend = fes[0].clone();
@@ -367,144 +326,65 @@ impl Cluster {
         }
         let vip = (config.front_ends > 1).then(|| Vip::start(fes.clone(), config.gossip_interval));
 
-        // Control sessions (§7.1): one loopback stream per back-end over
-        // which the node pushes framed disk-queue and cache-feedback
-        // reports. The node side attaches to the NodeState; the front-end
-        // side is drained by the reactor shards' pollers as registered
-        // readiness sources. Frames carry the node id; the receive side is
-        // additionally tagged with it so an unexpected EOF can name the
-        // failed node.
-        let mut control_rx: Vec<(usize, TcpStream)> = Vec::new();
-        if config.cache_feedback {
-            let ctl_listener = TcpListener::bind("127.0.0.1:0").expect("bind control listener");
-            let ctl_addr = ctl_listener.local_addr().expect("control addr");
-            // Serving nodes only: a standby slot gets its session from
-            // its Join handshake.
-            for (i, node) in nodes.iter().enumerate().take(config.nodes) {
-                let tx = TcpStream::connect(ctl_addr).expect("connect control session");
-                let (rx, _) = ctl_listener.accept().expect("accept control session");
-                node.attach_control(tx);
-                control_rx.push((i, rx));
-            }
-        }
-
-        // The event-loop shards own every listener outright: the
-        // front-end accept sockets, the peer lateral servers, and the
-        // control sessions are all registered readiness sources — no
-        // acceptor threads and no per-connection threads. Shutdown goes
-        // through the shard wakers instead of wake-up connects.
+        // The event-loop shards own every socket: the front-end accept
+        // sockets, the peer lateral servers and the control sessions are
+        // all registered readiness sources — no acceptor threads and no
+        // per-connection threads. Per-shard front-end accept sockets:
+        // with one shard the plain listeners suffice; with several, each
+        // address is an SO_REUSEPORT group with one member per shard, so
+        // the kernel spreads accepts with no cross-shard traffic. Tier or
+        // not: a shard admits what it accepts over its own admission
+        // links.
         let shards = config.reactor_shards;
         let mut fe_addrs = Vec::new();
-        // Per-shard front-end accept sockets. With one shard the plain
-        // listeners suffice; with several, each address is an
-        // SO_REUSEPORT group with one member per shard, so the kernel
-        // spreads accepts with no cross-shard traffic. Tier or not: a
-        // shard admits what it accepts over its own admission links.
         let mut groups: Vec<Vec<mio::net::TcpListener>> = (0..shards).map(|_| Vec::new()).collect();
-        let mut handoff = config.force_accept_handoff;
-        let mut std_fe_listeners = Vec::new();
-        // Addresses whose *blocking* accept loops need a wake-up connect
-        // at shutdown (only the acceptor-handoff fallback has any).
-        let mut listeners = Vec::new();
-        if shards == 1 && !handoff {
+        if shards == 1 {
             for l in bind_std_frontends(config.fe_listeners) {
                 fe_addrs.push(l.local_addr().expect("front-end addr"));
                 groups[0].push(mio::net::TcpListener::from_std(l));
             }
-        } else if !handoff {
-            'bind: for i in 0..config.fe_listeners.max(1) {
-                match bind_reuseport_group(i, shards) {
-                    Ok((addr, group)) => {
-                        fe_addrs.push(addr);
-                        for (s, l) in group.into_iter().enumerate() {
-                            groups[s].push(l);
-                        }
-                    }
-                    Err(_) => {
-                        // The shim can't express the group here: fall
-                        // back to acceptor handoff for every address
-                        // (mixed modes would complicate shutdown for no
-                        // benefit).
-                        handoff = true;
-                        break 'bind;
-                    }
+        } else {
+            for i in 0..config.fe_listeners.max(1) {
+                let (addr, group) =
+                    bind_reuseport_group(i, shards).expect("bind SO_REUSEPORT front-end group");
+                fe_addrs.push(addr);
+                for (s, l) in group.into_iter().enumerate() {
+                    groups[s].push(l);
                 }
             }
         }
-        if handoff {
-            fe_addrs.clear();
-            groups = (0..shards).map(|_| Vec::new()).collect();
-            for l in bind_std_frontends(config.fe_listeners) {
-                let addr = l.local_addr().expect("front-end addr");
-                fe_addrs.push(addr);
-                listeners.push(addr);
-                std_fe_listeners.push(l);
-            }
-        }
-        let handle = reactor::spawn(
+        let reactor = reactor::spawn(
             ReactorConfig {
                 migration_delay: config.migration_delay,
                 read_timeout: config.read_timeout,
                 shards,
                 peer_pool_cap: config.peer_pool_cap,
+                health_tick: config.health_tick_interval,
             },
             fes.clone(),
             vip.clone(),
             store.clone(),
             groups,
             peer_listeners,
-            control_rx,
-            stop.clone(),
         )
         .expect("start reactor event loops");
-        // Acceptor-handoff fallback: blocking acceptors hand each accepted
-        // stream, untouched, to the next shard round-robin (staggered per
-        // listener so one hot address still spreads).
-        let mut accept_threads = Vec::new();
-        if handoff {
-            let injectors = handle.injectors();
-            for (i, fe_listener) in std_fe_listeners.into_iter().enumerate() {
-                let stop = stop.clone();
-                let injectors = injectors.clone();
-                accept_threads.push(std::thread::spawn(move || {
-                    for (n, incoming) in fe_listener.incoming().enumerate() {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let Ok(stream) = incoming else { break };
-                        injectors[(i + n) % injectors.len()].push(stream);
-                    }
-                }));
+
+        // Control sessions (§7.1): one loopback stream per back-end over
+        // which the node pushes framed disk-queue and cache-feedback
+        // reports. The node side attaches to the NodeState; the
+        // front-end side goes to the node's reactor shard, the same way
+        // a later join's session does. Serving nodes only: a standby
+        // slot gets its session from its Join handshake.
+        if config.cache_feedback {
+            let ctl_listener = TcpListener::bind("127.0.0.1:0").expect("bind control listener");
+            let ctl_addr = ctl_listener.local_addr().expect("control addr");
+            for (i, node) in nodes.iter().enumerate().take(config.nodes) {
+                let tx = TcpStream::connect(ctl_addr).expect("connect control session");
+                let (rx, _) = ctl_listener.accept().expect("accept control session");
+                node.attach_control(tx);
+                reactor.install_control(i, rx);
             }
         }
-        let reactor_stats = handle.stats();
-
-        // Breaker cooldown timer: Open breakers advance toward HalfOpen
-        // probation once per interval, on every front-end.
-        let health_thread = (config.health_tick_interval > Duration::ZERO).then(|| {
-            let fes = fes.clone();
-            let stop = stop.clone();
-            let interval = config.health_tick_interval;
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval.min(Duration::from_millis(5)));
-                    // Accumulate short sleeps up to the interval so
-                    // shutdown never waits out a long tick.
-                    let mut slept = interval.min(Duration::from_millis(5));
-                    while slept < interval && !stop.load(Ordering::Relaxed) {
-                        let step = (interval - slept).min(Duration::from_millis(5));
-                        std::thread::sleep(step);
-                        slept += step;
-                    }
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    for fe in &fes {
-                        fe.health_tick();
-                    }
-                }
-            })
-        });
 
         Ok(Cluster {
             fe_addrs,
@@ -512,19 +392,9 @@ impl Cluster {
             fes,
             vip,
             store,
-            stop,
-            accept_threads,
-            reactor: Some(handle),
-            reactor_stats,
-            accept_handoff: handoff,
-            listeners,
+            reactor,
             cache_feedback: config.cache_feedback,
             weights,
-            dynamic_control_threads: Mutex::new_classed(
-                LockClass::other("dynamic-control-threads"),
-                Vec::new(),
-            ),
-            health_thread,
         })
     }
 
@@ -593,10 +463,9 @@ impl Cluster {
     /// listeners run from cluster start either way — joining is a
     /// control-plane admission, not a process launch.
     ///
-    /// Dynamically installed sessions are drained by a dedicated
-    /// blocking reader thread (the reactor's registered control sources
-    /// are fixed at spawn; see ARCHITECTURE.md). Returns `false` for an
-    /// out-of-range slot.
+    /// The session is drained by the node's reactor shard, like every
+    /// session opened at start. Returns `false` for an out-of-range
+    /// slot.
     pub fn join_node(&self, i: usize) -> bool {
         let nodes = self.frontend.nodes();
         if i >= nodes.len() {
@@ -621,10 +490,7 @@ impl Cluster {
         // flush path — cached content invisible to every mirror.
         node.attach_control_with_join(tx, self.weights[i])
             .expect("write join announcement");
-        let fes = self.fes.clone();
-        let stop = self.stop.clone();
-        let handle = std::thread::spawn(move || run_control_reader(rx, &fes, NodeId(i), &stop));
-        self.dynamic_control_threads.lock().push(handle);
+        self.reactor.install_control(i, rx);
         true
     }
 
@@ -686,15 +552,6 @@ impl Cluster {
         self.join_node(i)
     }
 
-    /// Advances every front-end's Open breakers one cooldown tick (the
-    /// periodic timer does this automatically unless
-    /// [`ProtoConfig::health_tick_interval`] is zero).
-    pub fn health_tick(&self) {
-        for fe in &self.fes {
-            fe.health_tick();
-        }
-    }
-
     /// Waits (up to `timeout`) for every client connection's policy state
     /// to unwind. Load generators return as soon as the last response
     /// arrives, which can be a beat before the event loop observes
@@ -726,15 +583,7 @@ impl Cluster {
     /// `Option` stays only because the benchmark package names this
     /// signature, and goes with the next change to that package.
     pub fn reactor_stats(&self) -> Option<&ReactorStats> {
-        Some(&self.reactor_stats)
-    }
-
-    /// Whether the reactor accepted via round-robin handoff rather than
-    /// `SO_REUSEPORT` listener groups. Diagnostics: lets tests assert
-    /// the accept path they meant to exercise is the one that actually
-    /// ran.
-    pub fn used_accept_handoff(&self) -> bool {
-        self.accept_handoff
+        Some(self.reactor.stats())
     }
 
     /// Per-node statistics snapshot.
@@ -764,36 +613,17 @@ impl Cluster {
     /// `epoll_wait` cannot observe the stop flag on its own, and open
     /// client connections must unwind their dispatcher state rather
     /// than being abandoned to the kernel.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(reactor) = self.reactor.take() {
-            reactor.shutdown();
-        }
-        // Wake every blocked accept with a throwaway connection.
-        for addr in &self.listeners {
-            let _ = TcpStream::connect(addr);
-        }
-        for t in self.accept_threads.drain(..) {
-            let _ = t.join();
-        }
-        // Control sessions last: traffic has stopped, so flush whatever
-        // feedback is still pending (the quiescent flush), then close the
-        // node-side streams — the joined nodes' blocking readers see EOF
-        // after draining the final frames and exit without any timeout.
+    pub fn shutdown(self) {
+        self.reactor.shutdown();
+        // The node sides of the control sessions close only once the
+        // loops that read them have exited, so no close reads as a node
+        // failure.
         for node in self.frontend.nodes() {
-            node.flush_feedback();
             node.close_control();
-        }
-        let dynamic: Vec<_> = std::mem::take(&mut *self.dynamic_control_threads.lock());
-        for t in dynamic {
-            let _ = t.join();
-        }
-        if let Some(t) = self.health_thread.take() {
-            let _ = t.join();
         }
         // The tier last: every serving path has drained, so no more
         // admissions or releases are coming.
-        if let Some(vip) = self.vip.take() {
+        if let Some(vip) = self.vip {
             vip.shutdown();
         }
     }
@@ -819,8 +649,6 @@ fn bind_std_frontends(count: usize) -> Vec<TcpListener> {
 
 /// Binds front-end alias `alias` as an `SO_REUSEPORT` group with
 /// `shards` members: the first bind picks the port, the rest join it.
-/// Any error means the shim cannot express the group here; the caller
-/// falls back to acceptor handoff.
 fn bind_reuseport_group(
     alias: usize,
     shards: usize,
@@ -840,63 +668,6 @@ fn bind_reuseport_group(
         )?);
     }
     Ok((addr, group))
-}
-
-/// Drains one node's control session: decodes frames and applies them
-/// to every front-end until EOF or a framing error ends the stream —
-/// feedback describes the *node's* cache, which all front-ends in a
-/// tier dispatch against, so each keeps its own belief current. An
-/// EOF (or poisoned stream) while the cluster is **not** shutting down
-/// is a node failure: the node's believed mappings are evicted. The
-/// quiescent-flush EOF of a clean `Cluster::shutdown` never evicts —
-/// the stop flag is set before the node-side streams close.
-fn run_control_reader(
-    mut stream: TcpStream,
-    fes: &[Arc<FrontEnd>],
-    node: NodeId,
-    stop: &AtomicBool,
-) {
-    let mut decoder = FrameDecoder::new();
-    let mut buf = [0u8; 16 * 1024];
-    let fail = |fes: &[Arc<FrontEnd>]| {
-        if !stop.load(Ordering::Relaxed) {
-            for fe in fes {
-                fe.evict_node(node);
-            }
-        }
-    };
-    loop {
-        let n = match stream.read(&mut buf) {
-            Ok(0) => {
-                // EOF: the node side closed. Crash unless shutting down.
-                fail(fes);
-                return;
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                fail(fes);
-                return;
-            }
-        };
-        decoder.feed(&buf[..n]);
-        loop {
-            match decoder.next() {
-                Ok(Some(msg)) => {
-                    for fe in fes {
-                        fe.apply_control(msg.clone());
-                    }
-                }
-                Ok(None) => break,
-                // Framing has no resync point; treat a poisoned session
-                // like a dead node.
-                Err(_) => {
-                    fail(fes);
-                    return;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -35,9 +35,8 @@
 //! [`MAX_FRAME`] so a corrupt peer cannot make the receiver buffer
 //! unboundedly. The [`FrameDecoder`] is incremental: feed it whatever
 //! bytes arrived, pop complete messages — the same parser shape as the
-//! HTTP side, so it works identically as a registered readiness source
-//! on a reactor shard's poller and on the blocking reader thread that
-//! drains a node joined after start.
+//! HTTP side, so a reactor shard drains it as a registered readiness
+//! source, for the sessions opened at start and by later joins alike.
 
 use phttp_core::{CacheEvent, NodeId, StateDelta};
 use phttp_trace::TargetId;

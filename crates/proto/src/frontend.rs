@@ -288,9 +288,8 @@ impl FrontEnd {
     }
 
     /// Applies one decoded control-session message to the dispatcher.
-    /// Every control stream funnels here: the reactor shards' registered
-    /// control-channel readiness sources, and the blocking reader thread
-    /// of each node joined after start.
+    /// Every control stream funnels here, from the reactor shard that
+    /// drains it.
     pub fn apply_control(&self, msg: ControlMsg) {
         match msg {
             ControlMsg::DiskQueue { node, depth } => {

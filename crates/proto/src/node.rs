@@ -86,9 +86,6 @@ pub struct FeedbackConfig {
     /// Whether the node tracks and reports its cache admission/eviction
     /// deltas over the control session at all.
     pub enabled: bool,
-    /// Flush a report as soon as this many events are pending, even
-    /// inside the interval (bounds report size under churn).
-    pub batch: usize,
     /// Minimum spacing between reports otherwise (the paper's periodic
     /// control-session cadence).
     pub min_interval: Duration,
@@ -98,11 +95,15 @@ impl Default for FeedbackConfig {
     fn default() -> Self {
         FeedbackConfig {
             enabled: true,
-            batch: 64,
             min_interval: Duration::from_millis(5),
         }
     }
 }
+
+/// A node flushes a feedback report as soon as this many events are
+/// pending, even inside its reporting interval — bounding report size
+/// under heavy eviction churn.
+const FEEDBACK_BATCH: usize = 64;
 
 /// Outbound bytes a dead-reader control session may queue before the
 /// node declares the session lost and stops reporting.
@@ -111,8 +112,7 @@ const MAX_CONTROL_BACKLOG: usize = 4 * 1024 * 1024;
 /// Events per encoded feedback frame. One event costs 5 wire bytes, so
 /// 4096 events is ~20 KiB — comfortably under the protocol's
 /// [`MAX_FRAME`](crate::control::MAX_FRAME) bound however large the
-/// pending backlog (or the `feedback_batch` knob) grows; a flush emits
-/// as many frames as it needs.
+/// pending backlog grows; a flush emits as many frames as it needs.
 const FEEDBACK_EVENTS_PER_FRAME: usize = 4096;
 
 /// Node-side state of the control session: pending (unencoded) events,
@@ -367,8 +367,9 @@ impl NodeState {
     }
 
     /// Drops the node side of the control session; the front-end's
-    /// reader observes EOF. Called by `Cluster::shutdown` so blocking
-    /// control readers unwind without timeouts.
+    /// reader observes EOF. `Cluster::kill_node` uses it as the node's
+    /// failure, and `Cluster::shutdown` to release the streams once the
+    /// readers have stopped.
     pub fn close_control(&self) {
         let mut tx = self.control.lock();
         tx.stream = None;
@@ -379,8 +380,8 @@ impl NodeState {
     /// Encodes and (non-blockingly) sends everything pending on the
     /// control session, regardless of batch size or interval. Used by
     /// the front-end's periodic tick to sweep out stragglers on idle
-    /// nodes, by `Cluster::shutdown` for the final quiescent flush, and
-    /// by tests that want the dispatcher's belief settled *now*.
+    /// nodes and by tests that want the dispatcher's belief settled
+    /// *now*.
     pub fn flush_feedback(&self) {
         if !self.feedback.enabled {
             return;
@@ -444,7 +445,7 @@ impl NodeState {
             return;
         }
         let due = force
-            || tx.pending.len() >= self.feedback.batch
+            || tx.pending.len() >= FEEDBACK_BATCH
             || tx
                 .last_flush
                 .is_none_or(|at| at.elapsed() >= self.feedback.min_interval);
@@ -462,7 +463,7 @@ impl NodeState {
         if !tx.pending.is_empty() {
             let events = std::mem::take(&mut tx.pending);
             // Chunked so no single frame can exceed MAX_FRAME, whatever
-            // the backlog or the configured batch size.
+            // the backlog.
             for chunk in events.chunks(FEEDBACK_EVENTS_PER_FRAME) {
                 let report = encode(&ControlMsg::CacheFeedback {
                     node: self.id,

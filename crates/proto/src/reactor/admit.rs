@@ -158,14 +158,10 @@ impl Admitter {
     }
 
     /// Starts admitting the connection parked in `slot`. It resolves
-    /// through `out` — now if no live link can take it (or it has no
-    /// `client` 4-tuple to key a route on), otherwise when its ack is
-    /// decoded.
-    pub fn admit(&mut self, slot: SlotRef, client: Option<ClientKey>, out: &mut Vec<Admitted>) {
-        match client {
-            Some(client) => self.offer(slot, client, self.vip.cursor(), out),
-            None => out.push(self.untracked(slot)),
-        }
+    /// through `out` — now if no live link can take it, otherwise when
+    /// its ack is decoded.
+    pub fn admit(&mut self, slot: SlotRef, client: ClientKey, out: &mut Vec<Admitted>) {
+        self.offer(slot, client, self.vip.cursor(), out);
     }
 
     /// `slot` served on any live front-end, holding no ticket.
@@ -409,8 +405,7 @@ mod tests {
     impl Shard {
         /// A client from `port` connects and parks in slot `idx`.
         fn admit(&mut self, idx: usize, port: u16) {
-            self.admitter
-                .admit(slot(idx), Some(key(port)), &mut self.out);
+            self.admitter.admit(slot(idx), key(port), &mut self.out);
         }
 
         /// One loop turn: flush what is queued, wait for readiness,

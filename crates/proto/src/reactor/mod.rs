@@ -15,17 +15,19 @@
 //! content store; there are **no cross-shard channels on the data
 //! path**. Accept distribution uses `SO_REUSEPORT` listener groups
 //! (each shard binds its own socket on every front-end address; the
-//! kernel spreads connections across the group's accept queues), with
-//! a round-robin acceptor-handoff fallback where the reuseport bind is
-//! unavailable.
+//! kernel spreads connections across the group's accept queues).
 //!
 //! Lateral **serving** is event-driven too: each node's peer listener
 //! is a registered source on one shard, and accepted peer connections
 //! run the same incremental-parse → serve → strictly-ordered write-out
-//! machine as client connections (minus the dispatcher). A
-//! reactor-mode cluster therefore runs zero per-client and zero
-//! per-peer-connection threads — its thread count is `reactor_shards`,
-//! independent of connection count.
+//! machine as client connections (minus the dispatcher). So are the
+//! back-ends' control sessions, whether opened at start or by a later
+//! join: `ReactorHandle::install_control` queues one on shard
+//! `node % shards`, whose waker takes it in. Shard 0 also keeps the
+//! breakers' cooldown clock. A cluster therefore runs no per-client,
+//! per-peer-connection, per-node or timer thread: it runs
+//! `reactor_shards` threads (plus a tier's gossip threads), however
+//! many connections it serves and nodes it joins.
 //!
 //! The policy engine needs no adaptation: PR 1/PR 2 shaped
 //! [`phttp_core::ConcurrentDispatcher`] so decisions run inline on
@@ -77,13 +79,13 @@
 //! A control session that hits EOF (or a framing/read error) while the
 //! cluster is **not** shutting down is a node-failure signal: the shard
 //! deregisters the source and calls [`crate::FrontEnd::evict_node`] for
-//! that node, dropping every believed mapping that references it. The
-//! quiescent-flush EOF of a clean `Cluster::shutdown` is distinguished
-//! by the stop flag (set before the node-side streams close) and never
-//! evicts. A peer session that dies mid-fetch (dial, write, or read
-//! failure — e.g. the remote lateral server crashed) degrades that
-//! fetch to local service, so the awaiting pipeline slot always
-//! resolves and the client still sees a complete, ordered response.
+//! that node, dropping every believed mapping that references it. A
+//! clean `Cluster::shutdown` closes the node sides only after the loops
+//! have exited on the stop flag, so it never evicts. A peer session
+//! that dies mid-fetch (dial, write, or read failure — e.g. the remote
+//! lateral server crashed) degrades that fetch to local service, so the
+//! awaiting pipeline slot always resolves and the client still sees a
+//! complete, ordered response.
 //!
 //! Shutdown is cooperative: `ReactorHandle::shutdown` sets the stop
 //! flag and wakes every shard's poller (a blocked `epoll_wait` would
@@ -96,7 +98,7 @@ mod conn;
 mod disk;
 mod peer;
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -201,6 +203,8 @@ pub(crate) struct ReactorConfig {
     pub shards: usize,
     /// Idle lateral sessions retained per peer, per shard.
     pub peer_pool_cap: usize,
+    /// Spacing of shard 0's breaker cooldown ticks (`ZERO`: none).
+    pub health_tick: Duration,
 }
 
 /// Live gauges of one shard, shared with the cluster for diagnostics.
@@ -269,40 +273,26 @@ impl ReactorStats {
     }
 }
 
-/// Shared queue of fallback-handoff connections for one shard.
-type InjectorQueue = Arc<Mutex<VecDeque<std::net::TcpStream>>>;
+/// One shard's inbox of control sessions handed over from outside its
+/// loop, each tagged with its node; taken in when the shard's waker
+/// fires.
+type ControlInbox = Arc<Mutex<Vec<(usize, std::net::TcpStream)>>>;
 
-/// Hands accepted connections to one shard (the round-robin fallback
-/// when `SO_REUSEPORT` listener groups are unavailable): the stream is
-/// queued and the shard's poller woken to register it.
-#[derive(Clone)]
-pub(crate) struct ConnInjector {
-    q: InjectorQueue,
-    waker: Arc<Waker>,
-}
-
-impl ConnInjector {
-    /// Queues `stream` for the shard and wakes its poller. The shard
-    /// treats it exactly like a connection it accepted itself.
-    pub fn push(&self, stream: std::net::TcpStream) {
-        self.q.lock().push_back(stream);
-        let _ = self.waker.wake();
-    }
-}
-
-/// Handle held by `Cluster` to stop the loops from outside.
+/// Handle held by `Cluster` to hand the loops control sessions and to
+/// stop them.
 pub(crate) struct ReactorHandle {
+    stop: Arc<AtomicBool>,
     wakers: Vec<Arc<Waker>>,
     joins: Vec<std::thread::JoinHandle<()>>,
-    injectors: Vec<ConnInjector>,
+    inboxes: Vec<ControlInbox>,
     stats: Arc<ReactorStats>,
 }
 
 impl ReactorHandle {
-    /// Wakes every shard's poller (the stop flag must already be set)
-    /// and joins the loop threads after each has drained every
-    /// registered connection.
+    /// Sets the stop flag, wakes every shard's poller and joins the loop
+    /// threads after each has drained every registered connection.
     pub fn shutdown(mut self) {
+        self.stop.store(true, Ordering::Relaxed);
         for w in &self.wakers {
             let _ = w.wake();
         }
@@ -311,14 +301,18 @@ impl ReactorHandle {
         }
     }
 
-    /// One injector per shard, for acceptor-handoff fallback mode.
-    pub fn injectors(&self) -> Vec<ConnInjector> {
-        self.injectors.clone()
+    /// Hands node `node`'s control session (its front-end side) to
+    /// shard `node % shards`, which registers it when its waker fires.
+    /// A session the node already had there is drained and replaced.
+    pub fn install_control(&self, node: usize, stream: std::net::TcpStream) {
+        let shard = node % self.inboxes.len();
+        self.inboxes[shard].lock().push((node, stream));
+        let _ = self.wakers[shard].wake();
     }
 
     /// The shared live-source gauges.
-    pub fn stats(&self) -> Arc<ReactorStats> {
-        self.stats.clone()
+    pub fn stats(&self) -> &ReactorStats {
+        &self.stats
     }
 }
 
@@ -326,11 +320,10 @@ impl ReactorHandle {
 /// errors surface synchronously) and runs each loop on its own thread.
 ///
 /// `fe_listeners[s]` is shard `s`'s own group of front-end accept
-/// sockets (empty in acceptor-handoff fallback mode); `peer_listeners`
-/// are the back-ends' lateral-server listeners in node order and
-/// `controls` the front-end sides of the control sessions tagged with
-/// their node — both are distributed across shards by `node % shards`.
-#[allow(clippy::too_many_arguments)] // construction-time plumbing, one caller
+/// sockets; `peer_listeners` are the back-ends' lateral-server
+/// listeners in node order, distributed across shards by
+/// `node % shards` (control sessions follow the same rule through
+/// [`ReactorHandle::install_control`]).
 pub(crate) fn spawn(
     cfg: ReactorConfig,
     fes: Vec<Arc<FrontEnd>>,
@@ -338,8 +331,6 @@ pub(crate) fn spawn(
     store: Arc<ContentStore>,
     fe_listeners: Vec<Vec<mio::net::TcpListener>>,
     peer_listeners: Vec<std::net::TcpListener>,
-    controls: Vec<(usize, std::net::TcpStream)>,
-    stop: Arc<AtomicBool>,
 ) -> io::Result<ReactorHandle> {
     // `fes[0]` keeps the shared-node-access role everywhere the shard
     // does not act for a specific connection (nodes, semantics, and
@@ -348,17 +339,13 @@ pub(crate) fn spawn(
     let shards = cfg.shards;
     debug_assert_eq!(fe_listeners.len(), shards, "one listener group per shard");
     let stats = Arc::new(ReactorStats::new(shards));
+    let stop = Arc::new(AtomicBool::new(false));
 
     // Round-robin the per-node sources across shards.
     let mut peer_groups: Vec<Vec<(usize, std::net::TcpListener)>> =
         (0..shards).map(|_| Vec::new()).collect();
     for (node, l) in peer_listeners.into_iter().enumerate() {
         peer_groups[node % shards].push((node, l));
-    }
-    let mut control_groups: Vec<Vec<(usize, std::net::TcpStream)>> =
-        (0..shards).map(|_| Vec::new()).collect();
-    for (node, s) in controls {
-        control_groups[node % shards].push((node, s));
     }
 
     let nodes = fe.nodes().len();
@@ -367,23 +354,15 @@ pub(crate) fn spawn(
 
     let mut wakers = Vec::with_capacity(shards);
     let mut joins = Vec::with_capacity(shards);
-    let mut injectors = Vec::with_capacity(shards);
-    for (shard_idx, (fe_group, (peers, ctrls))) in fe_listeners
-        .into_iter()
-        .zip(peer_groups.into_iter().zip(control_groups))
-        .enumerate()
-    {
+    let mut inboxes = Vec::with_capacity(shards);
+    for (shard_idx, (fe_group, peers)) in fe_listeners.into_iter().zip(peer_groups).enumerate() {
         let poll = Poll::new()?;
-        let waker = Arc::new(Waker::new(poll.registry(), WAKER)?);
-        let inbox: InjectorQueue = Arc::new(Mutex::new_classed(
-            LockClass::other("accept-inbox"),
-            VecDeque::new(),
+        wakers.push(Arc::new(Waker::new(poll.registry(), WAKER)?));
+        let inbox: ControlInbox = Arc::new(Mutex::new_classed(
+            LockClass::other("control-inbox"),
+            Vec::new(),
         ));
-        injectors.push(ConnInjector {
-            q: inbox.clone(),
-            waker: waker.clone(),
-        });
-        wakers.push(waker);
+        inboxes.push(inbox.clone());
 
         let mut listeners = Vec::with_capacity(fe_group.len());
         for (i, mut l) in fe_group.into_iter().enumerate() {
@@ -399,28 +378,13 @@ pub(crate) fn spawn(
                 .register(&mut l, Token(peer_base + i), Interest::READABLE)?;
             peer_lns.push((node, l));
         }
-        // The control sessions are ordinary readiness sources on the
-        // same poller: the loop decodes their frames itself, with no
-        // reader thread per node.
+        // Node `n`'s control session, once installed, is token
+        // `control_base + n`: ordinary readiness sources on the same
+        // poller, decoded by the loop itself.
         let control_base = peer_base + peer_lns.len();
-        let mut chans = Vec::with_capacity(ctrls.len());
-        for (i, (node, s)) in ctrls.into_iter().enumerate() {
-            let mut chan = ControlChan {
-                node,
-                stream: mio::net::TcpStream::from_std(s),
-                decoder: FrameDecoder::new(),
-                open: true,
-            };
-            poll.registry().register(
-                &mut chan.stream,
-                Token(control_base + i),
-                Interest::READABLE,
-            )?;
-            chans.push(chan);
-        }
         // The tier's admission links: this shard's own loopback session
         // per front-end, both ends readiness sources like the rest.
-        let link_base = control_base + chans.len();
+        let link_base = control_base + nodes;
         let admitter = match &vip {
             Some(vip) => Some(Admitter::new(vip.clone(), poll.registry(), link_base)?),
             None => None,
@@ -437,7 +401,7 @@ pub(crate) fn spawn(
             peer_base,
             peer_listeners: peer_lns,
             control_base,
-            controls: chans,
+            controls: (0..nodes).map(|_| None).collect(),
             link_base,
             admitter,
             admitted: Vec::new(),
@@ -457,6 +421,9 @@ pub(crate) fn spawn(
             migration_delay: cfg.migration_delay,
             read_timeout: cfg.read_timeout,
             peer_pool_cap: cfg.peer_pool_cap,
+            health_tick: cfg.health_tick,
+            next_health_tick: (shard_idx == 0 && cfg.health_tick > Duration::ZERO)
+                .then(|| Instant::now() + cfg.health_tick),
             last_sweep: Instant::now(),
             scratch: vec![0u8; 16 * 1024].into_boxed_slice(),
             batch: Vec::new(),
@@ -469,23 +436,18 @@ pub(crate) fn spawn(
         );
     }
     Ok(ReactorHandle {
+        stop,
         wakers,
         joins,
-        injectors,
+        inboxes,
         stats,
     })
 }
 
 /// One registered control-session stream plus its frame decoder.
 struct ControlChan {
-    /// The back-end this session belongs to (sessions are created in
-    /// node order; the index is needed for EOF-driven eviction).
-    node: usize,
     stream: mio::net::TcpStream,
     decoder: FrameDecoder,
-    /// Cleared on EOF or a framing error; the channel stays in the
-    /// vector (token layout is positional) but is ignored thereafter.
-    open: bool,
 }
 
 /// One event-loop shard: owns its poller, all its registered sources,
@@ -502,8 +464,8 @@ struct Reactor {
     fes: Vec<Arc<FrontEnd>>,
     store: Arc<ContentStore>,
     stop: Arc<AtomicBool>,
-    /// This shard's own front-end accept sockets (reuseport group
-    /// members, or empty in acceptor-handoff fallback mode).
+    /// This shard's own front-end accept sockets (the plain listeners
+    /// on one shard, reuseport group members on several).
     listeners: Vec<mio::net::TcpListener>,
     /// First peer-listener token: `LISTENER_BASE + listeners.len()`.
     peer_base: usize,
@@ -512,9 +474,10 @@ struct Reactor {
     peer_listeners: Vec<(usize, mio::net::TcpListener)>,
     /// First control-channel token: `peer_base + peer_listeners.len()`.
     control_base: usize,
-    /// This shard's share of the registered control sessions (empty
-    /// when cache feedback is disabled).
-    controls: Vec<ControlChan>,
+    /// The control sessions this shard drains, indexed by node (only
+    /// nodes `n % shards == shard` are ever installed; all `None` when
+    /// cache feedback is disabled).
+    controls: Vec<Option<ControlChan>>,
     /// First admission-link token: `control_base + controls.len()`.
     link_base: usize,
     /// The tier's admission links as this shard drives them (`None`
@@ -526,8 +489,8 @@ struct Reactor {
     admitted: Vec<Admitted>,
     /// First slab token: `link_base + 2 * front_ends` under a tier.
     slab_base: usize,
-    /// Accepted connections handed off by fallback acceptor threads.
-    inbox: InjectorQueue,
+    /// Control sessions handed to this shard, taken in on wake-up.
+    inbox: ControlInbox,
     /// Shared live-source gauges (this shard writes `shards[shard]`).
     stats: Arc<ReactorStats>,
     slots: Vec<SlabSlot>,
@@ -555,6 +518,13 @@ struct Reactor {
     migration_delay: Duration,
     read_timeout: Duration,
     peer_pool_cap: usize,
+    /// Spacing of the breakers' cooldown ticks.
+    health_tick: Duration,
+    /// When shard 0 next ticks every front-end's breakers (`None` on
+    /// other shards, or with ticking disabled). A deadline the poll
+    /// timeout honours, not a timer-heap entry: the heap must drain to
+    /// zero once traffic stops.
+    next_health_tick: Option<Instant>,
     last_sweep: Instant,
     /// The shard's one socket-read buffer: every read on the loop lands
     /// here and is fed to a parser or decoder before the next.
@@ -628,7 +598,7 @@ impl Reactor {
             for ev in events.iter() {
                 let Token(t) = ev.token();
                 if t == WAKER.0 {
-                    continue; // inbox drained below, stop checked above
+                    self.drain_inbox(); // the stop flag was checked above
                 } else if t < self.peer_base {
                     self.accept_all(t - LISTENER_BASE);
                 } else if t < self.control_base {
@@ -641,10 +611,11 @@ impl Reactor {
                     self.handle_slot(t - self.slab_base);
                 }
             }
-            self.drain_inbox();
             self.fire_timers();
             self.drain_pumps();
-            self.maybe_sweep_idle();
+            let now = Instant::now();
+            self.maybe_health_tick(now);
+            self.maybe_sweep_idle(now);
             self.flush_links();
             self.stats.shards[self.shard]
                 .timers
@@ -652,13 +623,18 @@ impl Reactor {
         }
     }
 
-    /// Next poll timeout: the earliest timer or admission-ack
-    /// deadline, capped by the idle-sweep tick.
+    /// Next poll timeout: the earliest timer, admission-ack or breaker
+    /// tick deadline, capped by the idle-sweep tick.
     fn poll_timeout(&self) -> Duration {
         let tick = Duration::from_millis(200);
         let timer = self.timers.peek().map(|t| t.at);
         let ack = self.admitter.as_ref().and_then(Admitter::next_deadline);
-        match timer.into_iter().chain(ack).min() {
+        match timer
+            .into_iter()
+            .chain(ack)
+            .chain(self.next_health_tick)
+            .min()
+        {
             Some(at) => at.saturating_duration_since(Instant::now()).min(tick),
             None => tick,
         }
@@ -717,7 +693,7 @@ impl Reactor {
     fn accept_all(&mut self, listener: usize) {
         loop {
             match self.listeners[listener].accept() {
-                Ok((stream, peer)) => self.admit_client(stream, Ok(peer)),
+                Ok((stream, peer)) => self.admit_client(stream, peer),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break, // transient accept failure; retry on next event
@@ -731,7 +707,7 @@ impl Reactor {
     /// handshake crosses this shard's admission link, and starts
     /// serving when [`activate`](Self::activate) learns which front-end
     /// acknowledged it.
-    fn admit_client(&mut self, stream: mio::net::TcpStream, peer: io::Result<SocketAddr>) {
+    fn admit_client(&mut self, stream: mio::net::TcpStream, peer: SocketAddr) {
         let gauge = self.body_gauge();
         if self.admitter.is_none() {
             self.register_client(ClientConn::new(stream, gauge));
@@ -740,7 +716,7 @@ impl Reactor {
         let idx = self.insert_slot(Slot::Client(ClientConn::admitting(stream, gauge)));
         let slot = self.slot_ref(idx);
         let admitter = self.admitter.as_mut().expect("checked above");
-        admitter.admit(slot, peer.ok().map(client_key), &mut self.admitted);
+        admitter.admit(slot, client_key(peer), &mut self.admitted);
         self.activate_admitted();
     }
 
@@ -840,64 +816,63 @@ impl Reactor {
         }
     }
 
-    /// Takes in connections handed off by fallback acceptor threads.
+    // ---- control sessions -----------------------------------------------
+
+    /// Takes in the control sessions handed to this shard since its
+    /// last wake-up, in the order they were handed over.
     fn drain_inbox(&mut self) {
-        loop {
-            let Some(stream) = self.inbox.lock().pop_front() else {
-                return;
-            };
-            let peer = stream.peer_addr();
-            self.admit_client(mio::net::TcpStream::from_std(stream), peer);
+        let sessions = std::mem::take(&mut *self.inbox.lock());
+        for (node, stream) in sessions {
+            self.install_control(node, stream);
         }
     }
 
-    // ---- control sessions -----------------------------------------------
+    /// Registers `stream` as node `node`'s control session. A session
+    /// the node still has here is drained first, so its last frames —
+    /// or the EOF that evicts the node — apply before the new session's
+    /// `Join`; then it is dropped. A session that cannot be registered
+    /// is as dead as one that hit EOF.
+    fn install_control(&mut self, node: usize, stream: std::net::TcpStream) {
+        self.drain_control(node);
+        if let Some(mut old) = self.controls[node].take() {
+            let _ = self.poll.registry().deregister(&mut old.stream);
+        }
+        let mut stream = mio::net::TcpStream::from_std(stream);
+        let token = Token(self.control_base + node);
+        match self
+            .poll
+            .registry()
+            .register(&mut stream, token, Interest::READABLE)
+        {
+            Ok(()) => {
+                self.controls[node] = Some(ControlChan {
+                    stream,
+                    decoder: FrameDecoder::new(),
+                });
+                self.drain_control(node);
+            }
+            Err(_) => self.close_control(node),
+        }
+    }
 
-    /// Drains one control session as far as readiness allows, applying
-    /// every decoded frame to every front-end — the event-loop analogue
-    /// of the blocking reader a node joined after start gets
-    /// (feedback describes the node's cache, which all the tier's
-    /// dispatchers decide against). A session that dies while the
-    /// cluster is not shutting down is a node-failure signal: the
-    /// node's believed mappings are evicted from every front-end.
-    fn drain_control(&mut self, idx: usize) {
-        // Field-split the borrows: the channel is driven mutably while
-        // frames are applied through `fes` and deregistration goes
-        // through `poll` — disjoint fields of `self`.
+    /// Drains node `node`'s control session as far as readiness allows,
+    /// applying every decoded frame to every front-end (feedback
+    /// describes the node's cache, which all the tier's dispatchers
+    /// decide against). EOF, a read error or a framing error closes the
+    /// session (see [`close_control`](Self::close_control)).
+    fn drain_control(&mut self, node: usize) {
         let Reactor {
             controls,
             fes,
-            poll,
-            stop,
             scratch: buf,
             ..
         } = self;
-        let Some(chan) = controls.get_mut(idx) else {
+        let Some(chan) = controls[node].as_mut() else {
             return;
         };
-        if !chan.open {
-            return;
-        }
-        // Closes the channel; outside a clean shutdown this is a crash
-        // EOF (or a poisoned stream) and the node's mappings go with it.
-        let fail = |chan: &mut ControlChan| {
-            chan.open = false;
-            let _ = poll.registry().deregister(&mut chan.stream);
-            if !stop.load(Ordering::Relaxed) {
-                for fe in fes.iter() {
-                    fe.evict_node(NodeId(chan.node));
-                }
-            }
-        };
-        loop {
+        let alive = 'read: loop {
             match chan.stream.read(buf) {
-                Ok(0) => {
-                    // Node side closed while the cluster is live: the
-                    // node is gone (clean shutdown never reaches here —
-                    // the loop exits on the stop flag first).
-                    fail(chan);
-                    return;
-                }
+                Ok(0) => break false,
                 Ok(n) => {
                     chan.decoder.feed(&buf[..n]);
                     loop {
@@ -908,23 +883,49 @@ impl Reactor {
                                 }
                             }
                             Ok(None) => break,
-                            Err(_) => {
-                                // Framing has no resync point; treat a
-                                // poisoned session like a dead node.
-                                fail(chan);
-                                return;
-                            }
+                            // Framing has no resync point; treat a
+                            // poisoned session like a dead node.
+                            Err(_) => break 'read false,
                         }
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    fail(chan);
-                    return;
-                }
+                Err(_) => break false,
+            }
+        };
+        if !alive {
+            self.close_control(node);
+        }
+    }
+
+    /// Drops node `node`'s session. While the cluster is live this is a
+    /// node failure: the node's believed mappings are evicted from every
+    /// front-end. (A clean `Cluster::shutdown` never gets here: the
+    /// loops exit on the stop flag before the node sides close.)
+    fn close_control(&mut self, node: usize) {
+        if let Some(mut chan) = self.controls[node].take() {
+            let _ = self.poll.registry().deregister(&mut chan.stream);
+        }
+        if !self.stop.load(Ordering::Relaxed) {
+            for fe in &self.fes {
+                fe.evict_node(NodeId(node));
             }
         }
+    }
+
+    /// Shard 0's breaker cooldown clock: once per `health_tick`, every
+    /// front-end's `Open` breakers advance one tick toward `HalfOpen`
+    /// probation.
+    fn maybe_health_tick(&mut self, now: Instant) {
+        match self.next_health_tick {
+            Some(at) if at <= now => {}
+            _ => return,
+        }
+        for fe in &self.fes {
+            fe.health_tick();
+        }
+        self.next_health_tick = Some(now + self.health_tick);
     }
 
     // ---- event dispatch -------------------------------------------------
@@ -1870,8 +1871,7 @@ impl Reactor {
     /// also what guarantees the slab drains to zero sources after
     /// traffic stops (the soak-test invariant): pooled lateral sessions
     /// and idle peer-server connections do not linger forever.
-    fn maybe_sweep_idle(&mut self) {
-        let now = Instant::now();
+    fn maybe_sweep_idle(&mut self, now: Instant) {
         if now.duration_since(self.last_sweep) < self.read_timeout.min(Duration::from_secs(1)) {
             return;
         }

@@ -93,18 +93,14 @@ impl ContentStore {
         move |i| (seed.wrapping_add(i as u32).wrapping_mul(40503) >> 8) as u8
     }
 
-    /// Generates the target's body: `pattern` at every offset, stepped
-    /// (`(seed + i)·m = seed·m + i·m` mod 2³²) so the fill is an add over
-    /// a presized buffer and vectorizes — generation is the emulation's
-    /// own cost, billed to whichever thread serves the miss.
+    /// Generates the target's body: `pattern` at every offset, collected
+    /// straight into the shared buffer — one allocation, no staging
+    /// copy. Generation is the emulation's own cost, billed to whichever
+    /// thread serves the miss.
     pub fn body(&self, target: TargetId) -> Bytes {
-        let mut v = vec![0u8; self.size(target) as usize];
-        let mut x = target.0.wrapping_mul(2654435761).wrapping_mul(40503);
-        for b in &mut v {
-            *b = (x >> 8) as u8;
-            x = x.wrapping_add(40503);
-        }
-        Bytes::from(v)
+        (0..self.size(target) as usize)
+            .map(Self::pattern(target))
+            .collect()
     }
 
     /// Verifies that `body` is exactly the target's generated content.

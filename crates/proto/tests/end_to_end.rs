@@ -650,10 +650,15 @@ fn reactor_disk_deadlines_are_sub_millisecond() {
     const MISSES: u32 = 40;
     let (cluster, mut stream) = cold_miss_cluster(MISSES);
     let mut parser = phttp_http::ResponseParser::new();
+    // Each miss's own latency, so a failure shows whether one
+    // descheduling or uniform lateness broke the bound.
+    let mut latencies = Vec::with_capacity(MISSES as usize);
     let started = std::time::Instant::now();
     for t in 0..MISSES {
+        let sent = std::time::Instant::now();
         write!(stream, "GET /t/{t} HTTP/1.1\r\n\r\n").unwrap();
         read_ok_responses(&mut stream, &mut parser, 1);
+        latencies.push(sent.elapsed());
     }
     let took = started.elapsed();
     let reads: u64 = cluster.node_stats().iter().map(|s| s.disk_reads).sum();
@@ -666,10 +671,19 @@ fn reactor_disk_deadlines_are_sub_millisecond() {
     // fallen back to whole milliseconds (rounded up, so the lower bound
     // above still holds) and there is no upper bound to check.
     if mio::timeouts_are_exact() {
+        latencies.sort();
+        let over_1ms = latencies
+            .iter()
+            .filter(|&&l| l > Duration::from_millis(1))
+            .count();
         assert!(
             took < Duration::from_millis(MISSES as u64),
             "{MISSES} sequential 300 us misses took {took:?}: \
-             deadlines are being rounded up to milliseconds"
+             deadlines are being rounded up to milliseconds \
+             (per miss: min {:?}, median {:?}, max {:?}; {over_1ms} over 1 ms)",
+            latencies[0],
+            latencies[latencies.len() / 2],
+            latencies[latencies.len() - 1],
         );
     }
     cluster.shutdown();

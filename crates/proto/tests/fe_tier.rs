@@ -18,8 +18,7 @@
 //! failover contract.
 //!
 //! The shards admit what they accept over their own admission links,
-//! on the event loop. The tests therefore also pin the accept path (no
-//! acceptor thread where `SO_REUSEPORT` binds), count one handshake per
+//! on the event loop. The tests therefore also count one handshake per
 //! connection, and attack the *admitting* state from outside: clients
 //! that reset before they are served, front-ends killed under an
 //! admission storm, and a shutdown that lands on connections still
@@ -71,17 +70,8 @@ fn config(front_ends: usize, shards: usize) -> ProtoConfig {
 /// and returns the transcript.
 fn run_tier(config: ProtoConfig) -> Vec<Vec<Vec<u8>>> {
     let front_ends = config.front_ends;
-    let forced_handoff = config.force_accept_handoff;
     let (trace, conns) = workload();
     let cluster = Cluster::start(config, &trace).expect("start cluster");
-    // A tier forces no acceptor threads: the shards own the listeners
-    // (this host binds reuseport groups) unless the fallback is asked
-    // for by name.
-    assert_eq!(
-        cluster.used_accept_handoff(),
-        forced_handoff,
-        "{front_ends} FEs"
-    );
     let transcript = play_capture(cluster.frontend_addrs(), &conns, cluster.store(), 0);
     assert!(
         cluster.quiesce(Duration::from_secs(10)),
@@ -125,9 +115,8 @@ fn run_tier(config: ProtoConfig) -> Vec<Vec<Vec<u8>>> {
 /// shards — each shard then runs its own link to each front-end.
 const TIER_MATRIX: [(usize, usize); 3] = [(1, 1), (2, 1), (2, 2)];
 
-/// Every cell of the matrix, and the acceptor-handoff fallback, serves
-/// the transcript the store predicts — what the single-front-end
-/// cluster must serve.
+/// Every cell of the matrix serves the transcript the store predicts —
+/// what the single-front-end cluster must serve.
 #[test]
 fn tier_matrix_matches_single_frontend_oracle() {
     let (trace, conns) = workload();
@@ -139,16 +128,6 @@ fn tier_matrix_matches_single_frontend_oracle() {
             "transcripts diverge from the store ({front_ends} front-ends, {shards} shards)"
         );
     }
-    // The acceptor-handoff fallback hands the shards raw streams; they
-    // admit them exactly as they admit their own accepts.
-    let fallback = run_tier(ProtoConfig {
-        force_accept_handoff: true,
-        ..config(2, 2)
-    });
-    assert!(
-        fallback == expected,
-        "transcripts diverge under acceptor handoff"
-    );
 }
 
 /// Killing a front-end mid-traffic: its partition is re-owned, new

@@ -2,36 +2,33 @@
 //! pipelined batch through the borrowing view, resolving each URI and
 //! taking each response head from the store are counted by a global
 //! allocator and must read zero once the parser's buffer has grown to
-//! its working size.
+//! its working size. A miss's body generation allocates exactly once.
 //!
-//! This binary holds one test on purpose: the allocator is process-wide,
-//! and it counts only on the thread that switches counting on.
+//! The allocator is process-wide, but each thread keeps its own count,
+//! so the tests here cannot see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use phttp_http::{RequestParser, Version};
 use phttp_proto::ContentStore;
+use phttp_trace::TargetId;
 
 struct Counting;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's allocations while it counts (`None`: not counting).
+    static COUNT: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 fn note_allocation() {
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    }
+    let _ = COUNT.try_with(|c| c.set(c.get().map(|n| n + 1)));
 }
 
 // SAFETY: every method forwards to `System` with the caller's own
 // arguments, so `System`'s guarantees are this allocator's; the
-// counting beside it touches only an atomic and a const-initialised
-// thread-local, neither of which allocates.
+// counting beside it touches only a const-initialised thread-local,
+// which does not allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note_allocation();
@@ -62,11 +59,9 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations `f` makes on this thread.
 fn allocations_in(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTING.with(|c| c.set(true));
+    COUNT.with(|c| c.set(Some(0)));
     f();
-    COUNTING.with(|c| c.set(false));
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    COUNT.with(Cell::take).expect("counting was on")
 }
 
 #[test]
@@ -105,4 +100,20 @@ fn parsing_a_pipelined_batch_and_taking_its_heads_allocates_nothing() {
         assert!(parser.next().expect("parses").is_some());
     });
     assert!(owned > 0, "the counting allocator saw nothing");
+}
+
+/// A generated body is collected straight into its shared buffer: one
+/// allocation, with no staging `Vec` copied into a second one.
+#[test]
+fn generating_a_body_allocates_once() {
+    let sizes = vec![100, 8 * 1024, 2 * 1024 * 1024];
+    let store = ContentStore::from_sizes(sizes.clone());
+    for (t, size) in sizes.into_iter().enumerate() {
+        let target = TargetId(t as u32);
+        let mut body = bytes::Bytes::new();
+        let n = allocations_in(|| body = store.body(target));
+        assert_eq!(n, 1, "a {size} B body took {n} allocations");
+        assert_eq!(body.len() as u64, size);
+        assert!(store.verify(target, &body), "a {size} B body is corrupt");
+    }
 }

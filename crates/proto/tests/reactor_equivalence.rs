@@ -53,12 +53,7 @@ fn config(mechanism: Mechanism, shards: usize) -> ProtoConfig {
 /// store and the cluster's unwinding, and returns the node stats.
 fn run_cell(cfg: ProtoConfig, cell: &str) -> Vec<phttp_proto::NodeStatsSnapshot> {
     let (trace, conns) = workload();
-    let handoff = cfg.force_accept_handoff;
     let cluster = Cluster::start(cfg, &trace).expect("start cluster");
-    // This host supports reuseport groups (the shim test proves it); a
-    // silent fallback here would quietly skip the accept path this
-    // matrix exists to exercise.
-    assert_eq!(cluster.used_accept_handoff(), handoff, "{cell}");
     let store = cluster.store().clone();
     let transcript = play_capture(cluster.frontend_addrs(), &conns, &store, 0);
     // Final load-tracker state: every connection's charge unwound to
@@ -162,18 +157,4 @@ fn reactor_shard_matrix_matches_store_with_coalescing() {
 #[test]
 fn reactor_shard_matrix_matches_store_multiple_handoff() {
     shard_matrix_against_store(Mechanism::MultipleHandoff);
-}
-
-/// The acceptor-handoff fallback (round-robin injection into the shard
-/// loops) must serve exactly what the reuseport accept path does — it
-/// is the degradation mode on hosts where the shim cannot express the
-/// listener group.
-#[test]
-fn acceptor_handoff_fallback_matches_store() {
-    let cfg = ProtoConfig {
-        force_accept_handoff: true,
-        ..config(Mechanism::BackendForwarding, 2)
-    };
-    let stats = run_cell(cfg, "acceptor handoff");
-    assert_routes(&stats, Mechanism::BackendForwarding, "acceptor handoff");
 }

@@ -121,6 +121,21 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
+impl FromIterator<u8> for Bytes {
+    /// Collects through `Arc<[u8]>`'s own `FromIterator`, which
+    /// allocates once, at the exact size, when the iterator knows its
+    /// length (`(0..n).map(..)`) — no staging `Vec`, no second copy.
+    fn from_iter<I: IntoIterator<Item = u8>>(iter: I) -> Self {
+        let data: Arc<[u8]> = iter.into_iter().collect();
+        let end = data.len();
+        Bytes {
+            data,
+            start: 0,
+            end,
+        }
+    }
+}
+
 impl From<String> for Bytes {
     fn from(s: String) -> Self {
         Bytes::from(s.into_bytes())

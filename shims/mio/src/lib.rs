@@ -29,8 +29,8 @@
 //!   mio does not carry (there it comes via `socket2`): a raw
 //!   `socket`/`setsockopt SO_REUSEPORT`/`bind`/`listen` sequence so the
 //!   reactor's shards can each bind their own accept socket on one
-//!   shared address. IPv4 only; callers use the error as the signal to
-//!   fall back to an acceptor handoff.
+//!   shared address. IPv4 only; the cluster treats the error as fatal at
+//!   start, like any other failed bind.
 //! * **`net::TcpStream::write_vectored`** is an inherent method over a
 //!   raw `writev(2)` binding (upstream defers to std's `Write`
 //!   implementation): scatter-gather output for the zero-copy response
@@ -569,8 +569,7 @@ pub mod net {
         /// address and have the kernel spread incoming connections
         /// across their accept queues. IPv4 only (the reactor binds
         /// loopback aliases); an IPv6 address is an `InvalidInput`
-        /// error, which callers treat as "the shim can't express it"
-        /// and fall back to an acceptor handoff.
+        /// error.
         ///
         /// Extension over upstream mio (which exposes reuseport via
         /// `socket2`, unavailable offline); see `shims/README.md`.

@@ -22,6 +22,10 @@
 //!   builds no response head (`Response::ok(`, `.head_bytes(`,
 //!   `Response::ok_head(`): a `200` head comes from the content store's
 //!   per-target table, so a cache hit allocates none.
+//! * **thread-spawn** — non-test code in `crates/proto/src/` starts
+//!   threads (`thread::spawn(`, `thread::Builder`) only in
+//!   `reactor/mod.rs` (the shards) and `tier.rs` (the tier's gossip):
+//!   sockets, control sessions and ticks belong to the event loops.
 //! * **doc-hygiene** — the `tools/check_links.sh` rules, natively:
 //!   markdown links and backticked repo paths / `BENCH_*.json` /
 //!   `UPPER.md` references in the top-level docs must exist.
@@ -419,6 +423,35 @@ fn rule_reactor_head(rel: &str, masked: &str) -> Vec<Finding> {
     findings
 }
 
+/// Rule `thread-spawn`: non-test code in `crates/proto/src/` starts
+/// threads only where the reactor spawns its shards and the tier its
+/// gossip; scoped threads (`thread::scope`) are not counted.
+fn rule_thread_spawn(rel: &str, masked: &str) -> Vec<Finding> {
+    const ALLOWED: [&str; 2] = [
+        "crates/proto/src/reactor/mod.rs",
+        "crates/proto/src/tier.rs",
+    ];
+    if !rel.starts_with("crates/proto/src/") || ALLOWED.contains(&rel) {
+        return Vec::new();
+    }
+    const SPAWNERS: [&str; 2] = ["thread::spawn(", "thread::Builder"];
+    let mut findings = Vec::new();
+    for (line, text) in live_lines(masked) {
+        for s in SPAWNERS.iter().filter(|s| text.contains(*s)) {
+            findings.push(Finding {
+                file: rel.to_string(),
+                line,
+                rule: "thread-spawn",
+                msg: format!(
+                    "`{s}` starts a thread outside the reactor shards and the tier — \
+                     make it a readiness source or a deadline on a shard's loop"
+                ),
+            });
+        }
+    }
+    findings
+}
+
 /// Runs every code rule on one file. `rel` is the repo-relative path
 /// with forward slashes.
 fn check_file(rel: &str, raw: &str) -> Vec<Finding> {
@@ -427,6 +460,7 @@ fn check_file(rel: &str, raw: &str) -> Vec<Finding> {
     out.extend(rule_std_sync(rel, &masked));
     out.extend(rule_guard_blocking(rel, &masked));
     out.extend(rule_reactor_head(rel, &masked));
+    out.extend(rule_thread_spawn(rel, &masked));
     out
 }
 
@@ -731,6 +765,29 @@ mod tests {
         // Building a head is fine anywhere else (the store builds its
         // table with `Response::ok_head`).
         assert!(rule_reactor_head("crates/proto/src/store.rs", &masked).is_empty());
+    }
+
+    #[test]
+    fn thread_spawn_rule_fires_outside_the_shards_and_the_tier_only() {
+        let raw = fixture("thread_spawn.rs");
+        let masked = mask_code(&raw);
+        let f = rule_thread_spawn("crates/proto/src/cluster.rs", &masked);
+        let lines: Vec<usize> = f.iter().map(|x| x.line).collect();
+        assert_eq!(
+            lines,
+            vec![6, 10, 11],
+            "{:?}",
+            f.iter().map(|x| x.to_string()).collect::<Vec<_>>()
+        );
+        assert!(f.iter().all(|x| x.rule == "thread-spawn"));
+        // The two spawners, and code outside the proto crate, are exempt.
+        for rel in [
+            "crates/proto/src/reactor/mod.rs",
+            "crates/proto/src/tier.rs",
+            "crates/bench/src/lib.rs",
+        ] {
+            assert!(rule_thread_spawn(rel, &masked).is_empty(), "{rel}");
+        }
     }
 
     #[test]
