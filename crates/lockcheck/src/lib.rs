@@ -66,8 +66,6 @@ pub enum LockGroup {
     VipMachine,
     /// A per-front-end gossip publish serializer.
     GossipPublish,
-    /// A per-(origin, peer) gossip stream write half.
-    GossipTx,
     /// The tier's consistent-hash ownership ring.
     Ring,
     /// A per-front-end gossip view (`TierView`).
@@ -105,7 +103,6 @@ impl LockGroup {
             LockGroup::AdmitSession => "AdmitSession",
             LockGroup::VipMachine => "VipMachine",
             LockGroup::GossipPublish => "GossipPublish",
-            LockGroup::GossipTx => "GossipTx",
             LockGroup::Ring => "Ring",
             LockGroup::TierView => "TierView",
             LockGroup::ConnShard => "ConnShard",
@@ -201,11 +198,6 @@ impl LockClass {
     /// Front-end `f`'s gossip publish serializer.
     pub const fn gossip_publish(f: u32) -> Self {
         Self::new(LockGroup::GossipPublish, f)
-    }
-
-    /// The gossip stream write half toward peer `g`.
-    pub const fn gossip_tx(g: u32) -> Self {
-        Self::new(LockGroup::GossipTx, g)
     }
 
     /// Front-end `f`'s admission link (blocking driver).

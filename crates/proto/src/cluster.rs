@@ -36,7 +36,7 @@ use crate::frontend::{ConfigError, FrontEnd};
 use crate::node::{DiskEmu, FeedbackConfig, NodeState, NodeStatsSnapshot};
 use crate::reactor::{self, ReactorConfig, ReactorHandle, ReactorStats};
 use crate::store::ContentStore;
-use crate::tier::{Vip, DEFAULT_GOSSIP_INTERVAL};
+use crate::tier::Vip;
 
 /// The I/O model the front-end runs client connections on. The reactor
 /// is the only one; the enum (and [`ProtoConfig::io_model`]) stays
@@ -122,14 +122,9 @@ pub struct ProtoConfig {
     /// [`FrontEnd`] dispatchers over real handoff control sessions,
     /// mapping/coherence authority is partitioned across them by a
     /// consistent-hash ring, and the instances gossip dispatcher state
-    /// peer-to-peer every [`gossip_interval`](Self::gossip_interval).
-    /// Zero is a [`ConfigError`].
+    /// peer-to-peer every [`GOSSIP_INTERVAL`](crate::tier::GOSSIP_INTERVAL),
+    /// delivered by reactor shard 0. Zero is a [`ConfigError`].
     pub front_ends: usize,
-    /// Spacing between front-end tier gossip rounds (ignored when
-    /// `front_ends == 1`). Smaller means fresher non-owner views and
-    /// more control traffic — the tier analogue of
-    /// [`feedback_interval`](Self::feedback_interval).
-    pub gossip_interval: Duration,
     /// Extra back-end slots allocated — listeners bound, peer addresses
     /// known to every node, dispatcher slots reserved — but **not**
     /// serving at start: their circuit breakers begin `Open` on every
@@ -181,7 +176,6 @@ impl Default for ProtoConfig {
             peer_pool_cap: 8,
             cache_policy: EvictPolicy::GreedyDual,
             front_ends: 1,
-            gossip_interval: DEFAULT_GOSSIP_INTERVAL,
             standby_nodes: 0,
             node_weights: Vec::new(),
             health: phttp_core::HealthConfig::default(),
@@ -324,7 +318,7 @@ impl Cluster {
                 fe.health().force_open(NodeId(i));
             }
         }
-        let vip = (config.front_ends > 1).then(|| Vip::start(fes.clone(), config.gossip_interval));
+        let vip = (config.front_ends > 1).then(|| Vip::new(fes.clone()));
 
         // The event-loop shards own every socket: the front-end accept
         // sockets, the peer lateral servers and the control sessions are
@@ -620,11 +614,6 @@ impl Cluster {
         // failure.
         for node in self.frontend.nodes() {
             node.close_control();
-        }
-        // The tier last: every serving path has drained, so no more
-        // admissions or releases are coming.
-        if let Some(vip) = self.vip {
-            vip.shutdown();
         }
     }
 }

@@ -59,4 +59,4 @@ pub use node::{DiskEmu, FeedbackConfig, NodeState, NodeStatsSnapshot};
 pub use phttp_simcore::EvictPolicy;
 pub use reactor::ReactorStats;
 pub use store::ContentStore;
-pub use tier::{Vip, DEFAULT_GOSSIP_INTERVAL};
+pub use tier::Vip;

@@ -26,16 +26,16 @@
 //!   write.
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mio::{Interest, Registry, Token};
+use mio::{Registry, Token};
 use phttp_core::ConnId;
 use phttp_handoff::ClientKey;
 
-use super::SlotRef;
+use super::{End, SlotRef};
 use crate::tier::{loopback_pair, Ack, AdmissionLink, Cursor, Vip, ADMIT_TIMEOUT};
 
 /// How an admission ended: serve `slot` on front-end `fe_idx`, holding
@@ -55,57 +55,6 @@ struct Waiting {
     client: ClientKey,
     /// Where its walk over the tier continues if this front-end fails.
     cursor: Cursor,
-}
-
-/// One registered stream end of a link.
-struct End {
-    stream: mio::net::TcpStream,
-    token: Token,
-    /// `WRITABLE` is armed: the last flush left a residue.
-    armed: bool,
-}
-
-impl End {
-    /// One non-blocking write of `out`; returns how much the socket
-    /// took and (re)arms `WRITABLE` exactly while a residue remains.
-    fn send(&mut self, out: &[u8], registry: &Registry) -> io::Result<usize> {
-        if out.is_empty() {
-            return Ok(0);
-        }
-        let n = loop {
-            match self.stream.write(out) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => break n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break 0,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        };
-        let residue = n < out.len();
-        if residue != self.armed {
-            let want = if residue {
-                Interest::READABLE | Interest::WRITABLE
-            } else {
-                Interest::READABLE
-            };
-            registry.reregister(&mut self.stream, self.token, want)?;
-            self.armed = residue;
-        }
-        Ok(n)
-    }
-
-    /// One non-blocking read; `Ok(0)` means nothing there yet.
-    fn recv(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            match self.stream.read(buf) {
-                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-                Ok(n) => return Ok(n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(0),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-    }
 }
 
 /// One front-end's link as this shard drives it.
@@ -133,19 +82,10 @@ impl Admitter {
         let mut links = Vec::with_capacity(m);
         for f in 0..m {
             let (vip_end, endpoint_end) = loopback_pair(&listener)?;
-            let end = |stream, off| -> io::Result<End> {
-                let mut end = End {
-                    stream: mio::net::TcpStream::from_std(stream),
-                    token: Token(base + off + f),
-                    armed: false,
-                };
-                registry.register(&mut end.stream, end.token, Interest::READABLE)?;
-                Ok(end)
-            };
             links.push(ShardLink {
                 link: AdmissionLink::new(f, vip.machine()),
-                vip_end: end(vip_end, 0)?,
-                endpoint_end: end(endpoint_end, m)?,
+                vip_end: End::register(vip_end, Token(base + f), registry)?,
+                endpoint_end: End::register(endpoint_end, Token(base + m + f), registry)?,
                 waiting: VecDeque::new(),
             });
         }
@@ -374,7 +314,8 @@ impl Admitter {
 mod tests {
     use super::*;
     use crate::tier::tests::{key, tier};
-    use mio::{Events, Poll};
+    use mio::{Events, Interest, Poll};
+    use std::io::Read;
 
     /// An [`Admitter`] on a poller of its own, turned by hand.
     struct Shard {
@@ -515,14 +456,7 @@ mod tests {
         let poll = Poll::new().unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let (ours, mut peer) = loopback_pair(&listener).unwrap();
-        let mut end = End {
-            stream: mio::net::TcpStream::from_std(ours),
-            token: Token(1),
-            armed: false,
-        };
-        poll.registry()
-            .register(&mut end.stream, end.token, Interest::READABLE)
-            .unwrap();
+        let mut end = End::register(ours, Token(1), poll.registry()).unwrap();
         // Larger than any socket buffer pair a host is configured with.
         let out = vec![0xA5u8; 64 << 20];
         let mut sent = end.send(&out, poll.registry()).unwrap();

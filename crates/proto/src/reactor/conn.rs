@@ -372,21 +372,30 @@ impl ClientConn {
         self.entries.push_back(Entry { seq, state });
     }
 
-    /// Resolves slot `seq` with `state` (no-op if the slot is gone,
-    /// e.g. a completion racing a teardown). O(1): entries hold
+    /// Pipeline slot `seq`, unless it is gone (already staged and
+    /// popped, or a completion racing a teardown). O(1): entries hold
     /// consecutive sequence numbers (every `alloc_seq` is paired with
     /// exactly one `push_entry`) and only pop from the front, so the
     /// slot's position is its offset from the front's seq.
+    fn entry_mut(&mut self, seq: u64) -> Option<&mut Entry> {
+        let off = seq.checked_sub(self.entries.front()?.seq)?;
+        let e = self.entries.get_mut(off as usize)?;
+        debug_assert_eq!(e.seq, seq, "pipeline seqs must be consecutive");
+        Some(e)
+    }
+
+    /// Resolves slot `seq` with `state` (no-op if the slot is gone).
     pub fn resolve(&mut self, seq: u64, state: EntryState) {
-        let Some(front_seq) = self.entries.front().map(|e| e.seq) else {
-            return;
-        };
-        let Some(off) = seq.checked_sub(front_seq) else {
-            return; // already staged and popped
-        };
-        if let Some(e) = self.entries.get_mut(off as usize) {
-            debug_assert_eq!(e.seq, seq, "pipeline seqs must be consecutive");
+        if let Some(e) = self.entry_mut(seq) {
             e.state = state;
+        }
+    }
+
+    /// Slot `seq`'s splice, if the slot is still queued and streaming.
+    pub fn streaming_mut(&mut self, seq: u64) -> Option<&mut StreamEntry> {
+        match &mut self.entry_mut(seq)?.state {
+            EntryState::Streaming(s) => Some(s),
+            _ => None,
         }
     }
 

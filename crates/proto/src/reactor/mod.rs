@@ -24,10 +24,11 @@
 //! back-ends' control sessions, whether opened at start or by a later
 //! join: `ReactorHandle::install_control` queues one on shard
 //! `node % shards`, whose waker takes it in. Shard 0 also keeps the
-//! breakers' cooldown clock. A cluster therefore runs no per-client,
-//! per-peer-connection, per-node or timer thread: it runs
-//! `reactor_shards` threads (plus a tier's gossip threads), however
-//! many connections it serves and nodes it joins.
+//! breakers' cooldown clock and, under a front-end tier, owns the
+//! gossip mesh between the front-ends (`gossip::Gossiper`). A cluster
+//! therefore runs no per-client, per-peer-connection, per-node, gossip
+//! or timer thread: it runs `reactor_shards` threads, however many
+//! connections it serves, nodes it joins and front-ends it tiers.
 //!
 //! The policy engine needs no adaptation: PR 1/PR 2 shaped
 //! [`phttp_core::ConcurrentDispatcher`] so decisions run inline on
@@ -96,6 +97,7 @@
 mod admit;
 mod conn;
 mod disk;
+mod gossip;
 mod peer;
 
 use std::collections::{BinaryHeap, HashMap};
@@ -106,7 +108,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use mio::{Events, Interest, Poll, Token, Waker};
+use mio::{Events, Interest, Poll, Registry, Token, Waker};
 use parking_lot::{LockClass, Mutex};
 use phttp_core::{Assignment, ForwardSemantics, NodeId};
 use phttp_http::{ParseError, Request, Response, Version};
@@ -120,6 +122,7 @@ use crate::tier::{client_key, Vip};
 use admit::{Admitted, Admitter};
 use conn::{ClientConn, Entry, EntryState, StreamEntry, HIGH_WATER};
 use disk::{DiskJob, DiskSched, Waiter};
+use gossip::Gossiper;
 use peer::{LateralJob, PeerSession, StreamIn};
 
 /// Token of the cross-thread waker.
@@ -129,10 +132,11 @@ const WAKER: Token = Token(0);
 /// front-end listeners (`Reactor::peer_base`), control-channel tokens
 /// follow those (`Reactor::control_base`), the tier's admission-link
 /// ends follow those (`Reactor::link_base`, two per front-end, none
-/// without a tier) and slab tokens follow those (`Reactor::slab_base`);
-/// all bases are computed from the configured counts, so the ranges can
-/// never collide however many listeners, nodes, control sessions, or
-/// front-ends a shard serves.
+/// without a tier), shard 0's gossip-session ends follow those
+/// (`Reactor::gossip_base`, two per pair of front-ends) and slab tokens
+/// follow those (`Reactor::slab_base`); all bases are computed from the
+/// configured counts, so the ranges can never collide however many
+/// listeners, nodes, control sessions, or front-ends a shard serves.
 const LISTENER_BASE: usize = 1;
 
 /// A slab slot reference that stays valid across slot reuse: the
@@ -195,7 +199,9 @@ impl Ord for TimerEntry {
     }
 }
 
-/// Reactor configuration subset of `ProtoConfig`.
+/// Reactor configuration subset of `ProtoConfig`. A tier's gossip
+/// cadence is not configured: shard 0 runs a round every
+/// [`GOSSIP_INTERVAL`](crate::tier::GOSSIP_INTERVAL).
 pub(crate) struct ReactorConfig {
     pub migration_delay: Duration,
     pub read_timeout: Duration,
@@ -389,7 +395,16 @@ pub(crate) fn spawn(
             Some(vip) => Some(Admitter::new(vip.clone(), poll.registry(), link_base)?),
             None => None,
         };
-        let slab_base = link_base + admitter.as_ref().map_or(0, Admitter::tokens);
+        // Shard 0 also owns the tier's gossip mesh, both ends of every
+        // session registered here.
+        let gossip_base = link_base + admitter.as_ref().map_or(0, Admitter::tokens);
+        let gossiper = match &vip {
+            Some(vip) if shard_idx == 0 => {
+                Some(Gossiper::new(vip.clone(), poll.registry(), gossip_base)?)
+            }
+            _ => None,
+        };
+        let slab_base = gossip_base + gossiper.as_ref().map_or(0, Gossiper::tokens);
         let reactor = Reactor {
             shard: shard_idx,
             poll,
@@ -405,6 +420,8 @@ pub(crate) fn spawn(
             link_base,
             admitter,
             admitted: Vec::new(),
+            gossip_base,
+            gossiper,
             slab_base,
             inbox,
             stats: stats.clone(),
@@ -444,10 +461,97 @@ pub(crate) fn spawn(
     })
 }
 
-/// One registered control-session stream plus its frame decoder.
-struct ControlChan {
+/// One registered end of a loopback session the shard reads: a node's
+/// control session, or an end of an admission link or gossip session —
+/// the two the shard also writes, while it is the only reader of their
+/// other end, so a write here must never wait.
+struct End {
     stream: mio::net::TcpStream,
+    token: Token,
+    /// `WRITABLE` is armed: the last send left a residue.
+    armed: bool,
+}
+
+impl End {
+    /// Registers `stream` for reads as `token`.
+    fn register(stream: std::net::TcpStream, token: Token, registry: &Registry) -> io::Result<End> {
+        let mut end = End {
+            stream: mio::net::TcpStream::from_std(stream),
+            token,
+            armed: false,
+        };
+        registry.register(&mut end.stream, token, Interest::READABLE)?;
+        Ok(end)
+    }
+
+    /// One non-blocking write of `out`; returns how much the socket
+    /// took and (re)arms `WRITABLE` exactly while a residue remains.
+    fn send(&mut self, out: &[u8], registry: &Registry) -> io::Result<usize> {
+        if out.is_empty() {
+            return Ok(0);
+        }
+        let n = loop {
+            match self.stream.write(out) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => break n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break 0,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        };
+        let residue = n < out.len();
+        if residue != self.armed {
+            let want = if residue {
+                Interest::READABLE | Interest::WRITABLE
+            } else {
+                Interest::READABLE
+            };
+            registry.reregister(&mut self.stream, self.token, want)?;
+            self.armed = residue;
+        }
+        Ok(n)
+    }
+
+    /// One non-blocking read; `Ok(0)` means nothing there yet, EOF is
+    /// an error.
+    fn recv(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => return Ok(n),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(0),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
+/// One registered control session plus its frame decoder.
+struct ControlChan {
+    end: End,
     decoder: FrameDecoder,
+}
+
+impl ControlChan {
+    /// Reads the session dry, applying every decoded frame to every
+    /// front-end (feedback describes the node's cache, which all the
+    /// tier's dispatchers decide against). EOF, a read error or a
+    /// framing error — which has no resync point — is an error.
+    fn drain(&mut self, fes: &[Arc<FrontEnd>], buf: &mut [u8]) -> io::Result<()> {
+        loop {
+            let n = self.end.recv(buf)?;
+            if n == 0 {
+                return Ok(());
+            }
+            self.decoder.feed(&buf[..n]);
+            while let Some(msg) = self.decoder.next()? {
+                for fe in fes {
+                    fe.apply_control(msg.clone());
+                }
+            }
+        }
+    }
 }
 
 /// One event-loop shard: owns its poller, all its registered sources,
@@ -487,7 +591,13 @@ struct Reactor {
     /// Admissions resolved and not yet activated (scratch, drained by
     /// [`Reactor::activate_admitted`]).
     admitted: Vec<Admitted>,
-    /// First slab token: `link_base + 2 * front_ends` under a tier.
+    /// First gossip-session token: `link_base + 2 * front_ends` under a
+    /// tier.
+    gossip_base: usize,
+    /// The tier's gossip sessions (shard 0 under a tier; `None`
+    /// elsewhere).
+    gossiper: Option<Gossiper>,
+    /// First slab token: `gossip_base` plus two per gossip session.
     slab_base: usize,
     /// Control sessions handed to this shard, taken in on wake-up.
     inbox: ControlInbox,
@@ -605,8 +715,12 @@ impl Reactor {
                     self.accept_peers(t - self.peer_base);
                 } else if t < self.link_base {
                     self.drain_control(t - self.control_base);
-                } else if t < self.slab_base {
+                } else if t < self.gossip_base {
                     self.on_link_event(t - self.link_base);
+                } else if t < self.slab_base {
+                    if let Some(gossiper) = self.gossiper.as_mut() {
+                        gossiper.on_event(t - self.gossip_base, self.poll.registry());
+                    }
                 } else {
                     self.handle_slot(t - self.slab_base);
                 }
@@ -615,6 +729,9 @@ impl Reactor {
             self.drain_pumps();
             let now = Instant::now();
             self.maybe_health_tick(now);
+            if let Some(gossiper) = self.gossiper.as_mut() {
+                gossiper.round(now);
+            }
             self.maybe_sweep_idle(now);
             self.flush_links();
             self.stats.shards[self.shard]
@@ -623,16 +740,18 @@ impl Reactor {
         }
     }
 
-    /// Next poll timeout: the earliest timer, admission-ack or breaker
-    /// tick deadline, capped by the idle-sweep tick.
+    /// Next poll timeout: the earliest timer, admission-ack, breaker
+    /// tick or gossip round deadline, capped by the idle-sweep tick.
     fn poll_timeout(&self) -> Duration {
         let tick = Duration::from_millis(200);
         let timer = self.timers.peek().map(|t| t.at);
         let ack = self.admitter.as_ref().and_then(Admitter::next_deadline);
+        let gossip = self.gossiper.as_ref().map(Gossiper::next_deadline);
         match timer
             .into_iter()
             .chain(ack)
             .chain(self.next_health_tick)
+            .chain(gossip)
             .min()
         {
             Some(at) => at.saturating_duration_since(Instant::now()).min(tick),
@@ -728,14 +847,17 @@ impl Reactor {
         self.activate_admitted();
     }
 
-    /// Sends the frames this turn queued on the admission links: one
-    /// write per direction per link, however many connections opened
-    /// or closed.
+    /// Sends the frames this turn queued on the admission links and
+    /// gossip sessions: one write per direction per link and per
+    /// session end, however many connections opened or closed.
     fn flush_links(&mut self) {
         if let Some(admitter) = self.admitter.as_mut() {
             admitter.flush(self.poll.registry(), &mut self.admitted);
         }
         self.activate_admitted();
+        if let Some(gossiper) = self.gossiper.as_mut() {
+            gossiper.flush(self.poll.registry());
+        }
     }
 
     /// Activates every admission the links have resolved.
@@ -835,18 +957,13 @@ impl Reactor {
     fn install_control(&mut self, node: usize, stream: std::net::TcpStream) {
         self.drain_control(node);
         if let Some(mut old) = self.controls[node].take() {
-            let _ = self.poll.registry().deregister(&mut old.stream);
+            let _ = self.poll.registry().deregister(&mut old.end.stream);
         }
-        let mut stream = mio::net::TcpStream::from_std(stream);
         let token = Token(self.control_base + node);
-        match self
-            .poll
-            .registry()
-            .register(&mut stream, token, Interest::READABLE)
-        {
-            Ok(()) => {
+        match End::register(stream, token, self.poll.registry()) {
+            Ok(end) => {
                 self.controls[node] = Some(ControlChan {
-                    stream,
+                    end,
                     decoder: FrameDecoder::new(),
                 });
                 self.drain_control(node);
@@ -855,46 +972,14 @@ impl Reactor {
         }
     }
 
-    /// Drains node `node`'s control session as far as readiness allows,
-    /// applying every decoded frame to every front-end (feedback
-    /// describes the node's cache, which all the tier's dispatchers
-    /// decide against). EOF, a read error or a framing error closes the
-    /// session (see [`close_control`](Self::close_control)).
+    /// Drains node `node`'s control session as far as readiness allows
+    /// ([`ControlChan::drain`]); an error closes the session (see
+    /// [`close_control`](Self::close_control)).
     fn drain_control(&mut self, node: usize) {
-        let Reactor {
-            controls,
-            fes,
-            scratch: buf,
-            ..
-        } = self;
-        let Some(chan) = controls[node].as_mut() else {
+        let Some(chan) = self.controls[node].as_mut() else {
             return;
         };
-        let alive = 'read: loop {
-            match chan.stream.read(buf) {
-                Ok(0) => break false,
-                Ok(n) => {
-                    chan.decoder.feed(&buf[..n]);
-                    loop {
-                        match chan.decoder.next() {
-                            Ok(Some(msg)) => {
-                                for fe in fes.iter() {
-                                    fe.apply_control(msg.clone());
-                                }
-                            }
-                            Ok(None) => break,
-                            // Framing has no resync point; treat a
-                            // poisoned session like a dead node.
-                            Err(_) => break 'read false,
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break true,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break false,
-            }
-        };
-        if !alive {
+        if chan.drain(&self.fes, &mut self.scratch).is_err() {
             self.close_control(node);
         }
     }
@@ -905,7 +990,7 @@ impl Reactor {
     /// loops exit on the stop flag before the node sides close.)
     fn close_control(&mut self, node: usize) {
         if let Some(mut chan) = self.controls[node].take() {
-            let _ = self.poll.registry().deregister(&mut chan.stream);
+            let _ = self.poll.registry().deregister(&mut chan.end.stream);
         }
         if !self.stop.load(Ordering::Relaxed) {
             for fe in &self.fes {
@@ -1282,27 +1367,28 @@ impl Reactor {
     /// Resolves pipeline slot `seq` of a (possibly already gone)
     /// connection and pushes the pipeline forward.
     fn deliver(&mut self, conn: SlotRef, seq: u64, state: EntryState) {
-        let Some(slab) = self.slots.get_mut(conn.idx) else {
-            return;
-        };
-        if slab.gen != conn.gen {
-            return; // the connection died; completion outlived it
-        }
-        let Some(slot) = slab.val.take() else {
-            return; // being driven higher up the stack (cannot happen: single-threaded)
-        };
-        match slot {
-            Slot::Client(mut c) => {
-                c.resolve(seq, state);
-                if self.advance_client(conn.idx, &mut c) {
-                    self.slots[conn.idx].val = Some(Slot::Client(c));
-                } else {
-                    self.release_client(conn.idx, c);
+        self.with_client(conn, |c| c.resolve(seq, state));
+    }
+
+    /// Runs `f` on client connection `conn` unless it died meanwhile
+    /// (the completion outlived it), then pushes it forward — stage,
+    /// write, interests — releasing it if it closes.
+    fn with_client(&mut self, conn: SlotRef, f: impl FnOnce(&mut ClientConn)) {
+        let mut c = match self.slots.get_mut(conn.idx) {
+            Some(slab) if slab.gen == conn.gen => match slab.val.take() {
+                Some(Slot::Client(c)) => c,
+                other => {
+                    slab.val = other;
+                    return;
                 }
-            }
-            other => {
-                self.slots[conn.idx].val = Some(other);
-            }
+            },
+            _ => return,
+        };
+        f(&mut c);
+        if self.advance_client(conn.idx, &mut c) {
+            self.slots[conn.idx].val = Some(Slot::Client(c));
+        } else {
+            self.release_client(conn.idx, c);
         }
     }
 
@@ -1668,70 +1754,29 @@ impl Reactor {
     }
 
     /// How many more spliced bytes the leader's entry can absorb.
-    fn splice_room(&self, conn: SlotRef, seq: u64) -> Room {
-        let Some(slab) = self.slots.get(conn.idx) else {
-            return Room::Gone;
+    fn splice_room(&mut self, conn: SlotRef, seq: u64) -> Room {
+        let splice = match self.slots.get_mut(conn.idx) {
+            Some(SlabSlot {
+                gen,
+                val: Some(Slot::Client(c)),
+            }) if *gen == conn.gen => c.streaming_mut(seq),
+            _ => None,
         };
-        if slab.gen != conn.gen {
-            return Room::Gone;
-        }
-        let Some(Slot::Client(c)) = slab.val.as_ref() else {
-            return Room::Gone;
-        };
-        let Some(front_seq) = c.entries.front().map(|e| e.seq) else {
-            return Room::Gone;
-        };
-        let Some(off) = seq.checked_sub(front_seq) else {
-            return Room::Gone;
-        };
-        match c.entries.get(off as usize).map(|e| &e.state) {
-            Some(EntryState::Streaming(s)) => {
-                let room = HIGH_WATER.saturating_sub(s.buffered);
-                if room == 0 {
-                    Room::Blocked
-                } else {
-                    Room::Available(room)
-                }
-            }
-            _ => Room::Gone,
+        match splice.map(|s| HIGH_WATER.saturating_sub(s.buffered)) {
+            None => Room::Gone,
+            Some(0) => Room::Blocked,
+            Some(room) => Room::Available(room),
         }
     }
 
     /// Appends a received body slice to the leader's streaming entry
     /// and pushes the connection forward (stage + write + interests).
     fn splice_chunk(&mut self, conn: SlotRef, seq: u64, chunk: Bytes) {
-        let Some(slab) = self.slots.get_mut(conn.idx) else {
-            return;
-        };
-        if slab.gen != conn.gen {
-            return;
-        }
-        let Some(slot) = slab.val.take() else {
-            return;
-        };
-        match slot {
-            Slot::Client(mut c) => {
-                if let Some(front_seq) = c.entries.front().map(|e| e.seq) {
-                    if let Some(off) = seq.checked_sub(front_seq) {
-                        if let Some(Entry {
-                            state: EntryState::Streaming(s),
-                            ..
-                        }) = c.entries.get_mut(off as usize)
-                        {
-                            s.push_body(chunk);
-                        }
-                    }
-                }
-                if self.advance_client(conn.idx, &mut c) {
-                    self.slots[conn.idx].val = Some(Slot::Client(c));
-                } else {
-                    self.release_client(conn.idx, c);
-                }
+        self.with_client(conn, |c| {
+            if let Some(s) = c.streaming_mut(seq) {
+                s.push_body(chunk);
             }
-            other => {
-                self.slots[conn.idx].val = Some(other);
-            }
-        }
+        });
     }
 
     /// A spliced response has fully arrived: retire the flight and
@@ -1776,41 +1821,14 @@ impl Reactor {
     /// Completes a truncated splice from the store (see
     /// [`abort_stream`](Self::abort_stream)).
     fn complete_stream_locally(&mut self, job: LateralJob) {
-        let Some(slab) = self.slots.get_mut(job.conn.idx) else {
-            return;
-        };
-        if slab.gen != job.conn.gen {
-            return;
-        }
-        let Some(slot) = slab.val.take() else {
-            return;
-        };
-        match slot {
-            Slot::Client(mut c) => {
-                if let Some(front_seq) = c.entries.front().map(|e| e.seq) {
-                    if let Some(off) = job.seq.checked_sub(front_seq) {
-                        if let Some(Entry {
-                            state: EntryState::Streaming(s),
-                            ..
-                        }) = c.entries.get_mut(off as usize)
-                        {
-                            if !s.finished_receiving() {
-                                let rest = self.store.body(job.target).slice(s.pushed..);
-                                s.push_body(rest);
-                            }
-                        }
-                    }
-                }
-                if self.advance_client(job.conn.idx, &mut c) {
-                    self.slots[job.conn.idx].val = Some(Slot::Client(c));
-                } else {
-                    self.release_client(job.conn.idx, c);
+        let store = self.store.clone();
+        self.with_client(job.conn, |c| {
+            if let Some(s) = c.streaming_mut(job.seq) {
+                if !s.finished_receiving() {
+                    s.push_body(store.body(job.target).slice(s.pushed..));
                 }
             }
-            other => {
-                self.slots[job.conn.idx].val = Some(other);
-            }
-        }
+        });
     }
 
     /// Closes a lateral session; an in-flight fetch degrades to local

@@ -29,13 +29,17 @@
 //!   tier's unit tests and the benchmark package's replay — and go
 //!   with the next change to that package.
 //! * **Gossip** — front-ends exchange dispatcher state peer-to-peer:
-//!   every gossip tick each front-end publishes a
+//!   every [`GOSSIP_INTERVAL`] each front-end publishes a
 //!   [`phttp_core::StateDelta`] (its own loads plus the believed
 //!   mapping for the targets it *owns* — the whole share on its first
 //!   round and after a ring change, otherwise only the targets whose
 //!   belief changed since its previous round) as
 //!   [`ControlMsg::StateDelta`] frames on pairwise loopback sessions.
-//!   Receivers fold deltas into a per-front-end [`TierView`]
+//!   Reactor shard 0 owns both ends of every session and delivers the
+//!   rounds from its loop (`reactor/gossip.rs`); this module builds
+//!   and applies the deltas (`Vip::make_delta_frame`,
+//!   `Vip::apply_delta`) and runs no thread. Receivers fold deltas
+//!   into a per-front-end [`TierView`]
 //!   (last-writer-wins per target — the merge is commutative and
 //!   idempotent, so delivery order and duplication cannot diverge the
 //!   views) and adopt the diff into their own dispatcher: mapping
@@ -70,9 +74,10 @@ use phttp_trace::TargetId;
 use crate::control::{encode, ControlMsg, DecodeError, FrameDecoder};
 use crate::frontend::FrontEnd;
 
-/// Default spacing between gossip rounds
-/// ([`ProtoConfig::gossip_interval`](crate::ProtoConfig)).
-pub const DEFAULT_GOSSIP_INTERVAL: Duration = Duration::from_millis(2);
+/// Spacing between gossip rounds: fresher non-owner views against more
+/// control traffic, the tier analogue of
+/// [`ProtoConfig::feedback_interval`](crate::ProtoConfig).
+pub const GOSSIP_INTERVAL: Duration = Duration::from_millis(2);
 
 /// How long an admission handshake may wait for its ack. Loopback
 /// round-trips are microseconds; hitting this means the endpoint died.
@@ -473,40 +478,32 @@ pub struct Vip {
     /// session under it.
     links: Vec<Mutex<BlockingLink>>,
     tiers: Vec<FeTier>,
-    /// Gossip write halves: `gossip_tx[f][g]` carries `f`'s deltas to
-    /// `g` (`None` on the diagonal).
-    gossip_tx: Vec<Vec<Option<Mutex<TcpStream>>>>,
-    /// Bytes written to gossip sessions (lifetime counter).
+    /// Bytes the gossip sessions' sockets have taken (lifetime counter).
     gossip_bytes: AtomicU64,
     rr: AtomicUsize,
     handoffs: AtomicU64,
     fe_kills: AtomicU64,
-    stop: Arc<AtomicBool>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Every stream with a blocked reader thread, for shutdown.
-    shutdown_streams: Mutex<Vec<TcpStream>>,
 }
 
 impl Vip {
-    /// Builds the tier plumbing over `fes` and starts its service
-    /// threads: one gossip reader per directed pair and the gossip
-    /// driver. Admission runs on its callers' threads.
+    /// Builds the tier plumbing over `fes`. It starts nothing: reactor
+    /// shards admit over links of their own, and shard 0 carries the
+    /// gossip.
     ///
     /// # Panics
     ///
     /// Panics if `fes.len() < 2` (a tier of one is the plain
     /// single-front-end cluster and must not pay any of this) or if
     /// loopback sockets cannot be bound.
-    pub fn start(fes: Vec<Arc<FrontEnd>>, gossip_interval: Duration) -> Arc<Vip> {
+    pub fn new(fes: Vec<Arc<FrontEnd>>) -> Arc<Vip> {
         let m = fes.len();
         assert!(m >= 2, "a front-end tier needs at least two front-ends");
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind tier listener");
-        let pair = || loopback_pair(&listener).expect("connect tier session");
-
         let machine = VipMachine::new();
         let links = (0..m)
             .map(|f| {
-                let (vip_end, endpoint_end) = pair();
+                let (vip_end, endpoint_end) =
+                    loopback_pair(&listener).expect("connect tier session");
                 for end in [&vip_end, &endpoint_end] {
                     end.set_read_timeout(Some(ADMIT_TIMEOUT))
                         .expect("set tier session timeout");
@@ -522,32 +519,8 @@ impl Vip {
             })
             .collect();
 
-        let mut shutdown_streams = Vec::new();
-
-        // Gossip mesh: one duplex loopback session per unordered pair.
-        let mut gossip_tx: Vec<Vec<Option<Mutex<TcpStream>>>> =
-            (0..m).map(|_| (0..m).map(|_| None).collect()).collect();
-        let mut gossip_readers = Vec::new(); // (receiving fe, read half)
-        #[allow(clippy::needless_range_loop)] // f/g index two mirrored cells
-        for f in 0..m {
-            for g in (f + 1)..m {
-                let (end_f, end_g) = pair();
-                shutdown_streams.push(end_f.try_clone().expect("clone tier stream"));
-                shutdown_streams.push(end_g.try_clone().expect("clone tier stream"));
-                // Bytes written on `end_f` arrive on `end_g`: `g` reads
-                // `f`'s deltas there, and symmetrically.
-                gossip_readers.push((g, end_g.try_clone().expect("clone tier stream")));
-                gossip_readers.push((f, end_f.try_clone().expect("clone tier stream")));
-                // Classed by receiving peer; the publish loop takes tx
-                // locks one at a time, so no two GossipTx instances are
-                // ever held together.
-                gossip_tx[f][g] = Some(Mutex::new_classed(LockClass::gossip_tx(g as u32), end_f));
-                gossip_tx[g][f] = Some(Mutex::new_classed(LockClass::gossip_tx(f as u32), end_g));
-            }
-        }
-
         let num_nodes = fes[0].nodes().len();
-        let vip = Arc::new(Vip {
+        Arc::new(Vip {
             alive: (0..m).map(|_| AtomicBool::new(true)).collect(),
             ring: RwLock::new_classed(LockClass::ring(), Ring::new(m)),
             machine,
@@ -564,35 +537,12 @@ impl Vip {
                     admitted: AtomicU64::new(0),
                 })
                 .collect(),
-            gossip_tx,
             gossip_bytes: AtomicU64::new(0),
             rr: AtomicUsize::new(0),
             handoffs: AtomicU64::new(0),
             fe_kills: AtomicU64::new(0),
-            stop: Arc::new(AtomicBool::new(false)),
-            threads: Mutex::new_classed(LockClass::other("vip-threads"), Vec::new()),
-            shutdown_streams: Mutex::new_classed(
-                LockClass::other("vip-shutdown-streams"),
-                shutdown_streams,
-            ),
             fes,
-        });
-
-        let mut threads = Vec::new();
-        for (f, stream) in gossip_readers {
-            let vip = vip.clone();
-            threads.push(spawn_named(format!("phttp-vip-gossip-{f}"), move || {
-                vip.run_gossip_reader(f, stream);
-            }));
-        }
-        {
-            let vip = vip.clone();
-            threads.push(spawn_named("phttp-vip-driver".into(), move || {
-                vip.run_driver(gossip_interval);
-            }));
-        }
-        *vip.threads.lock() = threads;
-        vip
+        })
     }
 
     /// Number of front-ends in the tier (killed ones included).
@@ -646,6 +596,11 @@ impl Vip {
     /// and is not counted).
     pub fn gossip_bytes(&self) -> u64 {
         self.gossip_bytes.load(Ordering::Relaxed)
+    }
+
+    /// A gossip session's socket took `n` more bytes.
+    pub(crate) fn count_gossip_bytes(&self, n: usize) {
+        self.gossip_bytes.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Routes a new client connection: picks a live front-end round
@@ -803,31 +758,12 @@ impl Vip {
         true
     }
 
-    /// Publishes front-end `f`'s current state delta to every live
-    /// peer over the gossip sessions.
-    fn publish(&self, f: usize) {
-        let Some(frame) = self.make_delta_frame(f) else {
-            return;
-        };
-        for g in 0..self.fes.len() {
-            if g == f || !self.alive[g].load(Ordering::Relaxed) {
-                continue;
-            }
-            if let Some(tx) = &self.gossip_tx[f][g] {
-                if tx.lock().write_all(&frame).is_ok() {
-                    self.gossip_bytes
-                        .fetch_add(frame.len() as u64, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-
     /// Builds `f`'s next encoded [`ControlMsg::StateDelta`] frame: its
     /// loads and what changed in its owned share since its previous
     /// frame, or the whole share when a resync is due (`None` once `f`
     /// is dead — a killed origin must stop publishing, or survivors
     /// would resurrect its authority).
-    fn make_delta_frame(&self, f: usize) -> Option<Vec<u8>> {
+    pub(crate) fn make_delta_frame(&self, f: usize) -> Option<Vec<u8>> {
         if !self.alive[f].load(Ordering::Relaxed) {
             return None;
         }
@@ -844,7 +780,7 @@ impl Vip {
 
     /// Folds a received delta into front-end `f`'s view and adopts
     /// the diff into its dispatcher.
-    fn apply_delta(&self, f: usize, delta: &phttp_core::StateDelta) {
+    pub(crate) fn apply_delta(&self, f: usize, delta: &phttp_core::StateDelta) {
         let (outcome, loads) = {
             let mut view = self.tiers[f].view.lock();
             let outcome = view.merge(delta);
@@ -895,85 +831,6 @@ impl Vip {
         self.sync_now();
         true
     }
-
-    /// Stops the gossip threads and closes their sessions. Call after
-    /// the serving paths have drained.
-    pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        for s in self.shutdown_streams.lock().drain(..) {
-            let _ = s.shutdown(std::net::Shutdown::Both);
-        }
-        let threads = std::mem::take(&mut *self.threads.lock());
-        for t in threads {
-            t.thread().unpark(); // the driver parks between rounds
-            let _ = t.join();
-        }
-    }
-
-    // ---- service threads -------------------------------------------------
-
-    /// Reader of one gossip session end owned by front-end `f`:
-    /// merges every arriving peer delta into `f`'s view.
-    fn run_gossip_reader(&self, f: usize, stream: TcpStream) {
-        self.read_frames(stream, |vip, msg| {
-            if let ControlMsg::StateDelta(delta) = msg {
-                vip.apply_delta(f, &delta);
-            }
-        });
-    }
-
-    /// The gossip driver: publishes every live front-end's delta each
-    /// interval.
-    fn run_driver(&self, interval: Duration) {
-        loop {
-            let due = Instant::now() + interval;
-            while let Some(left) = due.checked_duration_since(Instant::now()) {
-                if self.stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                std::thread::park_timeout(left);
-            }
-            if self.stop.load(Ordering::Relaxed) {
-                return;
-            }
-            for f in 0..self.fes.len() {
-                self.publish(f);
-            }
-        }
-    }
-
-    /// Shared frame-decoding read loop: runs `apply` on every decoded
-    /// message until EOF, a framing error, or shutdown.
-    fn read_frames(&self, mut stream: TcpStream, mut apply: impl FnMut(&Vip, ControlMsg)) {
-        let mut decoder = FrameDecoder::new();
-        let mut buf = [0u8; 8 * 1024];
-        loop {
-            let n = match stream.read(&mut buf) {
-                Ok(0) => return,
-                Ok(n) => n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            };
-            if self.stop.load(Ordering::Relaxed) {
-                return;
-            }
-            decoder.feed(&buf[..n]);
-            loop {
-                match decoder.next() {
-                    Ok(Some(msg)) => apply(self, msg),
-                    Ok(None) => break,
-                    Err(_) => return, // poisoned tier session
-                }
-            }
-        }
-    }
-}
-
-fn spawn_named(name: String, f: impl FnOnce() + Send + 'static) -> std::thread::JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(f)
-        .expect("spawn tier thread")
 }
 
 #[cfg(test)]
@@ -981,20 +838,13 @@ pub(crate) mod tests {
     use super::*;
     use crate::node::DiskEmu;
     use crate::node::NodeState;
+    use crate::reactor::{self, ReactorConfig, ReactorHandle};
     use crate::store::ContentStore;
     use phttp_core::{LardParams, Mechanism, PolicyKind};
 
+    /// A tier of `m` front-ends over `nodes` nodes. Nothing runs it: a
+    /// delta is built only when the test asks for one.
     pub(crate) fn tier(m: usize, nodes: usize) -> (Arc<Vip>, Vec<Arc<FrontEnd>>) {
-        tier_gossiping_every(m, nodes, Duration::from_millis(1))
-    }
-
-    /// A tier whose driver publishes every `interval`; with an hour, a
-    /// delta is built only when the test calls `make_delta_frame`.
-    fn tier_gossiping_every(
-        m: usize,
-        nodes: usize,
-        interval: Duration,
-    ) -> (Arc<Vip>, Vec<Arc<FrontEnd>>) {
         let store = Arc::new(ContentStore::from_sizes(vec![1024; 32]));
         let node_states: Vec<Arc<NodeState>> = (0..nodes)
             .map(|i| {
@@ -1020,7 +870,29 @@ pub(crate) mod tests {
                 )
             })
             .collect();
-        (Vip::start(fes.clone(), interval), fes)
+        (Vip::new(fes.clone()), fes)
+    }
+
+    /// A tier whose gossip runs on a real reactor shard — one shard, no
+    /// listeners, no peer listeners — until the handle shuts down.
+    fn gossiping_tier(m: usize, nodes: usize) -> (Arc<Vip>, Vec<Arc<FrontEnd>>, ReactorHandle) {
+        let (vip, fes) = tier(m, nodes);
+        let shard = reactor::spawn(
+            ReactorConfig {
+                migration_delay: Duration::ZERO,
+                read_timeout: Duration::from_secs(5),
+                shards: 1,
+                peer_pool_cap: 1,
+                health_tick: Duration::ZERO,
+            },
+            fes.clone(),
+            Some(vip.clone()),
+            fes[0].nodes()[0].store.clone(),
+            vec![Vec::new()],
+            Vec::new(),
+        )
+        .expect("spawn a shard");
+        (vip, fes, shard)
     }
 
     pub(crate) fn key(port: u16) -> ClientKey {
@@ -1054,7 +926,6 @@ pub(crate) mod tests {
             vip.release(f, conn);
         }
         assert!(vip.quiesce(Duration::from_secs(2)), "closes must drain");
-        vip.shutdown();
     }
 
     /// A release has crossed the wire and unwound the route by the
@@ -1073,7 +944,6 @@ pub(crate) mod tests {
         assert_eq!(vip.tracked(), 1, "a stale release took a live route");
         vip.release(g, other);
         assert_eq!(vip.tracked(), 0);
-        vip.shutdown();
     }
 
     /// A refusing endpoint passes the connection on round the tier;
@@ -1104,7 +974,6 @@ pub(crate) mod tests {
         vip.release(d.0, d.1);
         assert_eq!(vip.tracked(), 0);
         assert!(endpoints_empty(&vip));
-        vip.shutdown();
     }
 
     /// A session whose wire breaks is skipped from then on, and a
@@ -1133,7 +1002,6 @@ pub(crate) mod tests {
         }
         assert_eq!(vip.tracked(), 0);
         assert!(endpoints_empty(&vip));
-        vip.shutdown();
     }
 
     /// A release is what finds the session broken: the endpoint has let
@@ -1151,7 +1019,6 @@ pub(crate) mod tests {
         vip.release(a.0, a.1);
         assert_eq!(vip.tracked(), 0, "the lost close left its route");
         assert!(vip.links[a.0].lock().link.is_dead());
-        vip.shutdown();
     }
 
     /// An endpoint that never answers: the handshake gives up at the
@@ -1175,7 +1042,6 @@ pub(crate) mod tests {
         assert_eq!(vip.tracked(), 1, "the timed-out handshake left a route");
         vip.release(f, conn);
         assert_eq!(vip.tracked(), 0);
-        vip.shutdown();
     }
 
     #[test]
@@ -1201,12 +1067,11 @@ pub(crate) mod tests {
             settled.abs() < 1e-9,
             "after close + sync the bias must settle to zero, got {settled}"
         );
-        vip.shutdown();
     }
 
     #[test]
     fn wire_gossip_converges_without_sync_now() {
-        let (vip, fes) = tier(2, 2);
+        let (_vip, fes, shard) = gossiping_tier(2, 2);
         let c = fes[0].alloc_conn();
         fes[0].open_connection(c, TargetId(0));
         let deadline = Instant::now() + Duration::from_secs(2);
@@ -1221,7 +1086,7 @@ pub(crate) mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         fes[0].close_connection(c);
-        vip.shutdown();
+        shard.shutdown();
     }
 
     #[test]
@@ -1259,7 +1124,6 @@ pub(crate) mod tests {
         // Cannot kill down to zero.
         assert!(vip.kill_frontend(0));
         assert!(!vip.kill_frontend(2), "last front-end must survive");
-        vip.shutdown();
     }
 
     /// Regression for the `kill_frontend` vs in-flight admission race:
@@ -1309,7 +1173,6 @@ pub(crate) mod tests {
             vip.release(f, conn);
         }
         assert!(vip.quiesce(Duration::from_secs(2)));
-        vip.shutdown();
     }
 
     /// Decodes front-end `f`'s next delta frame.
@@ -1336,7 +1199,7 @@ pub(crate) mod tests {
     /// changed in it; a ring change makes the survivors resync.
     #[test]
     fn deltas_carry_the_share_once_then_only_changes() {
-        let (vip, fes) = tier_gossiping_every(3, 2, Duration::from_secs(3600));
+        let (vip, fes) = tier(3, 2);
         for t in 0..32 {
             fes[0]
                 .mapping()
@@ -1369,7 +1232,6 @@ pub(crate) mod tests {
         assert_eq!(resync.mapping, owned_share(&vip, &fes, 0));
         assert!(resync.mapping.len() > first.mapping.len());
         assert!(!next_delta(&vip, 0).full);
-        vip.shutdown();
     }
 
     /// Over the wire, with mappings churning on every front-end and one
@@ -1377,7 +1239,7 @@ pub(crate) mod tests {
     /// converges to exactly that peer's owned share.
     #[test]
     fn wire_gossip_views_converge_to_owner_shares() {
-        let (vip, fes) = tier(3, 2);
+        let (vip, fes, shard) = gossiping_tier(3, 2);
         let churn = |round: usize| {
             for (f, fe) in fes.iter().enumerate() {
                 for t in (0..32)
@@ -1413,13 +1275,13 @@ pub(crate) mod tests {
             churn(round);
             wait(&[0, 1]);
         }
-        vip.shutdown();
+        shard.shutdown();
     }
 
     /// At steady state a round costs the loads, not the share.
     #[test]
     fn steady_state_gossip_costs_loads_not_the_share() {
-        let (vip, fes) = tier(2, 2);
+        let (vip, fes, shard) = gossiping_tier(2, 2);
         for fe in &fes {
             for t in 0..32 {
                 fe.mapping()
@@ -1445,6 +1307,6 @@ pub(crate) mod tests {
             b1 - b0,
             r1 - r0
         );
-        vip.shutdown();
+        shard.shutdown();
     }
 }

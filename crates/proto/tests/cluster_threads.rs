@@ -2,7 +2,8 @@
 //! adds exactly `reactor_shards` threads, joining and rejoining nodes
 //! adds none (their control sessions are drained by the shards, like
 //! the sessions opened at start), the breakers' cooldown ticks run on
-//! shard 0, and shutdown takes every thread back.
+//! shard 0, a front-end tier adds none either (shard 0 delivers its
+//! gossip), and shutdown takes every thread back.
 //!
 //! This binary holds one test on purpose: it counts the threads of the
 //! whole process (`/proc/self/task`), which a second test running
@@ -133,6 +134,45 @@ fn the_reactor_shards_are_the_only_threads_a_cluster_runs() {
     assert!(
         eventually(|| threads() == before),
         "shutdown must take back every thread it started: {} running, {before} before",
+        threads()
+    );
+
+    // A tier of three front-ends: its admission links and its gossip
+    // mesh all run on the shards.
+    let tier = ProtoConfig {
+        nodes: 2,
+        reactor_shards: SHARDS,
+        front_ends: 3,
+        ..ProtoConfig::default()
+    };
+    let cluster = Cluster::start(tier, &trace).expect("start tier cluster");
+    assert!(
+        eventually(|| threads() == running),
+        "a tier must add only the {SHARDS} reactor shards: {} threads, {before} before",
+        threads()
+    );
+    let vip = cluster.vip().expect("front_ends > 1 builds a Vip");
+    let seqs: Vec<u64> = (0..3).map(|f| vip.gossip_seq(f)).collect();
+    assert!(
+        eventually(|| (0..3).all(|f| vip.gossip_seq(f) > seqs[f])),
+        "a front-end stopped gossiping: {seqs:?} then {:?}",
+        (0..3).map(|f| vip.gossip_seq(f)).collect::<Vec<_>>()
+    );
+    // Load on front-end 0 reaches front-end 1 over the wire, not
+    // through `sync_now`.
+    let fes = cluster.front_ends();
+    let c = fes[0].alloc_conn();
+    fes[0].open_connection(c, TargetId(0));
+    assert!(
+        eventually(|| fes[1].loads().iter().sum::<f64>() > 0.0),
+        "front-end 1 never saw front-end 0's load"
+    );
+    fes[0].close_connection(c);
+    serve_verified_batch(&cluster);
+    cluster.shutdown();
+    assert!(
+        eventually(|| threads() == before),
+        "tier shutdown must take back every thread it started: {} running, {before} before",
         threads()
     );
 }

@@ -61,7 +61,6 @@ fn config(front_ends: usize, shards: usize) -> ProtoConfig {
         },
         read_timeout: Duration::from_secs(5),
         front_ends,
-        gossip_interval: Duration::from_millis(1),
         ..ProtoConfig::default()
     }
 }

@@ -1,5 +1,5 @@
 // Lint fixture (never compiled): proto code starting threads of its
-// own — three findings; scoped threads, comments, strings and the test
+// own — four findings; scoped threads, comments, strings and the test
 // module are allowed.
 
 fn reader(stream: TcpStream) -> JoinHandle<()> {
@@ -14,6 +14,14 @@ fn ticker() {
 fn scoped() {
     // Not `thread::spawn(`, and "thread::Builder" is only a string.
     std::thread::scope(|s| s.spawn(play));
+}
+
+// A test-only item is not the test module: code after it is live.
+#[cfg(test)]
+fn capped() {}
+
+fn late() {
+    std::thread::spawn(late_loop); // finding 4
 }
 
 #[cfg(test)]
