@@ -315,7 +315,7 @@ fn demo(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
     for (i, s) in cluster.node_stats().iter().enumerate() {
         println!(
-            "  be{i}: served={:<6} hit={:>5.1}% lateral={}/{} migrations={} reads={} delayed={}",
+            "  be{i}: served={:<6} hit={:>5.1}% lateral={}/{} migrations={} reads={} delayed={} rejected={}",
             s.served,
             if s.served > 0 {
                 100.0 * s.hits as f64 / s.served as f64
@@ -326,7 +326,8 @@ fn demo(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             s.lateral_in,
             s.migrations_in,
             s.disk_reads,
-            s.coalesced_waits
+            s.coalesced_waits,
+            s.admissions_rejected
         );
     }
     cluster.shutdown();

@@ -11,7 +11,10 @@
 //! peer sessions (standing in for the paper's NFS cross-mounts —
 //! DESIGN.md §6.3). Remotely fetched content is never inserted into the
 //! fetching node's cache, mirroring the paper's disabled NFS client
-//! caching.
+//! caching. A full cache admits a just-read document only if this node
+//! has served it more often, lately, than the entry it would evict
+//! ([`NodeCache`]'s TinyLFU gate), so an incidental read does not
+//! displace the node's hot set.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -129,6 +132,102 @@ struct ControlTx {
     last_flush: Option<Instant>,
 }
 
+/// Ceiling of a [`Demand`] counter: TinyLFU's 4-bit counters.
+const DEMAND_MAX: u8 = 15;
+
+/// Accesses per cached entry between two halvings of every [`Demand`]
+/// counter — TinyLFU's sample size over cache size, W/C = 10.
+const DEMAND_WINDOW_PER_ENTRY: u64 = 10;
+
+/// The entry count the halving window assumes while the cache holds
+/// fewer entries, so a cold cache does not halve on every access.
+const DEMAND_WINDOW_MIN_ENTRIES: u64 = 64;
+
+/// TinyLFU's frequency half (Einziger et al., ACM ToS 2017): one small
+/// saturating counter per target of the (dense) corpus, counting this
+/// node's serves, every counter halved each time the window's accesses
+/// have been counted — so a count is recent demand, not all-time
+/// popularity. Exact rather than a count-min sketch: the corpus is
+/// known up front and small.
+#[derive(Debug)]
+struct Demand {
+    counts: Vec<u8>,
+    /// Accesses counted since the last halving.
+    since_halving: u64,
+}
+
+impl Demand {
+    fn new(targets: usize) -> Self {
+        Demand {
+            counts: vec![0; targets],
+            since_halving: 0,
+        }
+    }
+
+    /// Counts one serve of `target` by a cache holding `entries`.
+    /// Allocates nothing: a halving rewrites the counters in place.
+    fn record(&mut self, target: TargetId, entries: usize) {
+        if let Some(c) = self.counts.get_mut(target.0 as usize) {
+            *c = (*c + 1).min(DEMAND_MAX);
+        }
+        self.since_halving += 1;
+        let window = DEMAND_WINDOW_PER_ENTRY * (entries as u64).max(DEMAND_WINDOW_MIN_ENTRIES);
+        if self.since_halving >= window {
+            self.since_halving = 0;
+            for c in &mut self.counts {
+                *c >>= 1;
+            }
+        }
+    }
+
+    fn count(&self, target: TargetId) -> u8 {
+        self.counts.get(target.0 as usize).copied().unwrap_or(0)
+    }
+
+    fn clear(&mut self) {
+        self.counts.fill(0);
+        self.since_halving = 0;
+    }
+}
+
+/// A node's file cache and the demand its TinyLFU gate admits by,
+/// under one lock: counting a serve rides the cache probe's critical
+/// section, so the hit path takes no second lock.
+#[derive(Debug)]
+pub struct NodeCache {
+    /// The byte-budget cache. Entries carry the body as a refcounted
+    /// [`Bytes`] slice, so a hit clones a handle (O(1)) instead of
+    /// regenerating the document; the cache is the body's sole
+    /// long-term owner — serve paths hold extra handles only while
+    /// bytes are in flight toward a socket.
+    pub lru: LruCache<TargetId, Bytes>,
+    demand: Demand,
+}
+
+impl NodeCache {
+    fn new(cache_bytes: u64, targets: usize) -> Self {
+        NodeCache {
+            lru: LruCache::new(cache_bytes),
+            demand: Demand::new(targets),
+        }
+    }
+
+    /// The gate a just-read `size`-byte `target` passes before its
+    /// insert. While the cache has room every read is admitted (as is a
+    /// refresh, and an oversized target the insert refuses by itself).
+    /// Once it is full, the target must have been served more often
+    /// than the entry the insert would evict next; a tie keeps the
+    /// incumbent, as in TinyLFU.
+    fn admits(&mut self, target: TargetId, size: u64) -> bool {
+        let lru = &mut self.lru;
+        if lru.contains(target) || size > lru.budget() || lru.used() + size <= lru.budget() {
+            return true;
+        }
+        lru.peek_victim()
+            .is_none_or(|victim| self.demand.count(target) > self.demand.count(victim))
+    }
+}
+
 /// Per-node counters (all monotonic).
 #[derive(Debug, Default)]
 pub struct NodeStats {
@@ -150,6 +249,9 @@ pub struct NodeStats {
     /// Requests that parked on an already-in-flight fetch for their
     /// target — delayed hits — instead of fetching redundantly.
     pub coalesced_waits: AtomicU64,
+    /// Disk reads the full cache's admission gate turned away (served,
+    /// but not cached).
+    pub admissions_rejected: AtomicU64,
 }
 
 /// Snapshot of [`NodeStats`].
@@ -171,6 +273,8 @@ pub struct NodeStatsSnapshot {
     pub disk_reads: u64,
     /// Requests parked on in-flight fetches (delayed hits).
     pub coalesced_waits: u64,
+    /// Disk reads the admission gate kept out of the cache.
+    pub admissions_rejected: u64,
 }
 
 impl NodeStats {
@@ -185,6 +289,7 @@ impl NodeStats {
             bytes: self.bytes.load(Ordering::Relaxed),
             disk_reads: self.disk_reads.load(Ordering::Relaxed),
             coalesced_waits: self.coalesced_waits.load(Ordering::Relaxed),
+            admissions_rejected: self.admissions_rejected.load(Ordering::Relaxed),
         }
     }
 }
@@ -193,12 +298,8 @@ impl NodeStats {
 pub struct NodeState {
     /// This node's index.
     pub id: NodeId,
-    /// Main-memory file cache. Entries carry the body as a refcounted
-    /// [`Bytes`] slice, so a hit clones a handle (O(1)) instead of
-    /// regenerating the document; the cache is the body's sole long-term
-    /// owner — serve paths hold extra handles only while bytes are in
-    /// flight toward a socket.
-    pub cache: Mutex<LruCache<TargetId, Bytes>>,
+    /// Main-memory file cache and its admission gate's demand counts.
+    pub cache: Mutex<NodeCache>,
     /// The spindle [`serve_local`](Self::serve_local)'s reads queue on
     /// (the reactor keeps one per shard and node in its disk scheduler).
     disk: Mutex<Spindle>,
@@ -242,8 +343,8 @@ impl NodeState {
             .map(|p| Mutex::new_classed(LockClass::peer_pool(p as u32), Vec::new()))
             .collect();
         let feedback = FeedbackConfig::default();
-        let mut cache: LruCache<TargetId, Bytes> = LruCache::new(cache_bytes);
-        cache.set_journal(feedback.enabled);
+        let mut cache = NodeCache::new(cache_bytes, store.len());
+        cache.lru.set_journal(feedback.enabled);
         NodeState {
             id,
             cache: Mutex::new_classed(LockClass::cache(nid), cache),
@@ -264,7 +365,7 @@ impl NodeState {
     /// Overrides the cache-feedback behaviour (builder style, before the
     /// node is shared).
     pub fn with_feedback(mut self, cfg: FeedbackConfig) -> Self {
-        self.cache.get_mut().set_journal(cfg.enabled);
+        self.cache.get_mut().lru.set_journal(cfg.enabled);
         self.feedback = cfg;
         self
     }
@@ -279,7 +380,7 @@ impl NodeState {
     /// Selects the cache victim-selection policy (builder style) — strict
     /// LRU or GreedyDual-Size costed by measured miss delay.
     pub fn with_cache_policy(mut self, policy: EvictPolicy) -> Self {
-        self.cache.get_mut().set_policy(policy);
+        self.cache.get_mut().lru.set_policy(policy);
         self
     }
 
@@ -344,6 +445,7 @@ impl NodeState {
         let cache = self.cache.lock();
         let mut tx = self.control.lock();
         let events = cache
+            .lru
             .contents_lru_order()
             .into_iter()
             .map(|(t, _)| CacheEvent::Admit(t))
@@ -402,8 +504,9 @@ impl NodeState {
         self.maybe_flush(&mut tx, false);
     }
 
-    /// Inserts a just-read document into the cache and records the
-    /// resulting admission/eviction delta for the next feedback report.
+    /// Inserts a just-read document into the cache — if the full
+    /// cache's admission gate lets it in — and records the resulting
+    /// admission/eviction delta for the next feedback report.
     /// Events are appended while the cache lock is still held (lock
     /// order: `cache` → `control`), so the per-node event order on the
     /// wire is exactly the cache's own mutation order — the property
@@ -415,19 +518,29 @@ impl NodeState {
     /// the just-read document slice the cache takes (shared) ownership of.
     fn cache_insert_reporting(&self, target: TargetId, size: u64, agg_delay_us: u64, body: Bytes) {
         let mut cache = self.cache.lock();
-        let admitted = cache.insert_valued_with_delay(target, size, body, agg_delay_us);
+        let admitted = if cache.admits(target, size) {
+            cache
+                .lru
+                .insert_valued_with_delay(target, size, body, agg_delay_us)
+        } else {
+            self.stats
+                .admissions_rejected
+                .fetch_add(1, Ordering::Relaxed);
+            false
+        };
         if !self.feedback.enabled {
             return;
         }
-        let evicted = cache.drain_evictions();
-        let rejected = !admitted && !cache.contains(target);
+        let evicted = cache.lru.drain_evictions();
+        let rejected = !admitted && !cache.lru.contains(target);
         let mut tx = self.control.lock();
         drop(cache);
         if admitted {
             tx.pending.push(CacheEvent::Admit(target));
         } else if rejected {
-            // Oversized target the cache refused: report it as "not
-            // cached" so a belief about it cannot diverge forever.
+            // A target the gate turned away, or an oversized one the
+            // cache refused: report it as "not cached" so a belief
+            // about it cannot diverge forever.
             tx.pending.push(CacheEvent::Evict(target));
         }
         tx.pending
@@ -506,13 +619,15 @@ impl NodeState {
         }
     }
 
-    /// Wipes the cache — a node restarting with cold memory — keeping
-    /// its configuration, and drops any pending feedback events (they
+    /// Wipes the cache and its demand counts — a node restarting with
+    /// cold memory — keeping its configuration, and drops any pending
+    /// feedback events (they
     /// describe contents that no longer exist; the rejoin handshake's
     /// [`join_msg`](Self::join_msg) supersedes them).
     pub fn reset_cache(&self) {
         let mut cache = self.cache.lock();
-        cache.clear();
+        cache.lru.clear();
+        cache.demand.clear();
         let mut tx = self.control.lock();
         drop(cache);
         tx.pending.clear();
@@ -526,6 +641,7 @@ impl NodeState {
     pub fn cache_snapshot_events(&self) -> Vec<CacheEvent> {
         self.cache
             .lock()
+            .lru
             .contents_lru_order()
             .into_iter()
             .map(|(t, _)| CacheEvent::Admit(t))
@@ -572,8 +688,9 @@ impl NodeState {
         self.finish_disk_read(target, delay)
     }
 
-    /// Non-blocking first half of serving `target`: probes the cache and
-    /// records the serve/bytes/hit counters. A hit returns the body — a
+    /// Non-blocking first half of serving `target`: counts the serve
+    /// toward the target's demand, probes the cache and records the
+    /// serve/bytes/hit counters. A hit returns the body — a
     /// clone of the cached slice (zero-copy; the rare metadata-only entry
     /// regenerates). On a miss (`None`) the disk-queue depth is already
     /// incremented (the request is now "queued on the disk" as far as
@@ -585,9 +702,11 @@ impl NodeState {
     pub fn begin_serve_body(&self, target: TargetId) -> Option<Bytes> {
         let size = self.store.size(target);
         let cached = {
-            let mut cache = self.cache.lock();
-            if cache.touch(target) {
-                Some(cache.get(target).cloned())
+            let mut guard = self.cache.lock();
+            let NodeCache { lru, demand } = &mut *guard;
+            demand.record(target, lru.len());
+            if lru.touch(target) {
+                Some(lru.get(target).cloned())
             } else {
                 None
             }
@@ -608,10 +727,12 @@ impl NodeState {
 
     /// Completes a miss started by [`begin_serve_body`](Self::begin_serve_body):
     /// pops the disk queue and inserts the document into the cache (the
-    /// OS caches what it reads). `stalled` — the read's measured
-    /// delay plus the wait of every request coalesced onto it — is the
-    /// insert's cost sample. Returns the body so callers serve the very
-    /// slice the cache now owns.
+    /// OS caches what it reads) unless the full cache's admission gate
+    /// turns it away. `stalled` — the read's measured delay plus the
+    /// wait of every request coalesced onto it — is the insert's cost
+    /// sample. Returns the body, so the leader and every coalesced
+    /// waiter are served either way — when it was admitted, with the
+    /// very slice the cache now owns.
     pub fn finish_disk_read(&self, target: TargetId, stalled: Duration) -> Bytes {
         self.disk_queue.fetch_sub(1, Ordering::Relaxed);
         self.stats.disk_reads.fetch_add(1, Ordering::Relaxed);
@@ -624,7 +745,7 @@ impl NodeState {
     /// A clone of the cached body slice for `target`, if present, without
     /// touching recency (delayed-hit delivery is not an access of its own).
     pub fn cached_body(&self, target: TargetId) -> Option<Bytes> {
-        self.cache.lock().get(target).cloned()
+        self.cache.lock().lru.get(target).cloned()
     }
 
     /// Refcount-hygiene audit: the strong count of every cached body
@@ -634,6 +755,7 @@ impl NodeState {
     pub fn cached_body_refcounts(&self) -> Vec<(TargetId, usize)> {
         self.cache
             .lock()
+            .lru
             .iter_values()
             .map(|(t, b)| (t, b.strong_count()))
             .collect()
@@ -780,9 +902,144 @@ mod tests {
         let n = node(); // 4096-byte cache
         n.serve_local(TargetId(0)); // 1000
         n.serve_local(TargetId(1)); // 2000
-        n.serve_local(TargetId(2)); // 3000 -> evicts 0 (and 1)
-        assert!(!n.cache.lock().contains(TargetId(0)));
-        assert!(n.cache.lock().contains(TargetId(2)));
+        n.serve_local(TargetId(2)); // 3000: served once, as often as 0 -> rejected
+        n.serve_local(TargetId(2)); // served twice -> evicts 0 (and 1)
+        assert!(!n.cache.lock().lru.contains(TargetId(0)));
+        assert!(n.cache.lock().lru.contains(TargetId(2)));
+    }
+
+    #[test]
+    fn every_read_is_admitted_while_the_cache_has_room() {
+        let n = node(); // 4096-byte cache
+        for _ in 0..3 {
+            n.serve_local(TargetId(0)); // 1000, served 3 times
+        }
+        // Served once, less often than t0, and still admitted: there is
+        // room, so the gate is not consulted.
+        n.serve_local(TargetId(1)); // 2000
+        let cache = n.cache.lock();
+        assert!(cache.lru.contains(TargetId(0)) && cache.lru.contains(TargetId(1)));
+        assert_eq!(n.stats.snapshot().admissions_rejected, 0);
+    }
+
+    #[test]
+    fn a_full_cache_admits_only_what_out_serves_its_victim() {
+        for policy in [EvictPolicy::Lru, EvictPolicy::GreedyDual] {
+            let n = node().with_cache_policy(policy); // 4096-byte cache
+            for t in [0, 0, 1, 1] {
+                n.serve_local(TargetId(t)); // t0 and t1 served twice each
+            }
+            // Read once, then twice: no more than the victim, whichever
+            // of t0 and t1 the policy would evict — turned away, yet
+            // served in full both times.
+            for _ in 0..2 {
+                assert_eq!(n.serve_local(TargetId(2)).len(), 3000, "{policy:?}");
+                let cache = n.cache.lock();
+                assert!(!cache.lru.contains(TargetId(2)), "{policy:?}");
+                assert!(cache.lru.contains(TargetId(0)) && cache.lru.contains(TargetId(1)));
+            }
+            // A third serve out-serves the victim: in, and room is made.
+            let victim = n.cache.lock().lru.peek_victim().expect("a full cache");
+            n.serve_local(TargetId(2));
+            let cache = n.cache.lock();
+            assert!(cache.lru.contains(TargetId(2)), "{policy:?}");
+            assert!(!cache.lru.contains(victim), "{policy:?}");
+            assert!(cache.lru.evictions() > 0, "{policy:?}");
+            let s = n.stats.snapshot();
+            assert_eq!(s.admissions_rejected, 2, "{policy:?}");
+            assert_eq!(
+                s.disk_reads, 5,
+                "{policy:?}: a rejected target is read again"
+            );
+        }
+    }
+
+    #[test]
+    fn demand_saturates_and_halves_each_window() {
+        let mut d = Demand::new(2);
+        for _ in 0..100 {
+            d.record(TargetId(0), 1);
+        }
+        assert_eq!(d.count(TargetId(0)), DEMAND_MAX, "saturates");
+        let window = DEMAND_WINDOW_PER_ENTRY * DEMAND_WINDOW_MIN_ENTRIES;
+        d.since_halving = window - 2;
+        d.record(TargetId(1), 1);
+        assert_eq!(
+            (d.count(TargetId(0)), d.count(TargetId(1))),
+            (DEMAND_MAX, 1)
+        );
+        d.record(TargetId(1), 1); // the window's last access halves all
+        assert_eq!(
+            (d.count(TargetId(0)), d.count(TargetId(1))),
+            (DEMAND_MAX / 2, 1)
+        );
+        // A bigger cache waits 10 accesses per entry.
+        d.since_halving = 0;
+        for _ in 0..window {
+            d.record(TargetId(1), 100);
+        }
+        assert_eq!(
+            d.count(TargetId(0)),
+            DEMAND_MAX / 2,
+            "1000-access window still open"
+        );
+        // Out-of-corpus targets count nothing and read 0.
+        d.record(TargetId(9), 1);
+        assert_eq!(d.count(TargetId(9)), 0);
+    }
+
+    #[test]
+    fn a_rejected_read_reaches_the_mirror_as_evict() {
+        use crate::control::FrameDecoder;
+        use crate::frontend::FrontEnd;
+        use phttp_core::{LardParams, Mechanism, PolicyKind};
+        use std::net::TcpListener;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let n = Arc::new(node());
+        n.attach_control(TcpStream::connect(listener.local_addr().unwrap()).unwrap());
+        let (mut rx, _) = listener.accept().unwrap();
+        rx.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let fe = FrontEnd::new(
+            PolicyKind::Lard,
+            Mechanism::BackendForwarding,
+            LardParams::default(),
+            vec![n.clone()],
+        )
+        .unwrap();
+        // Each serve follows a connection that maps its target to the
+        // node: the dispatcher believes all three are cached there.
+        for t in [0, 0, 1, 1, 2] {
+            let c = fe.alloc_conn();
+            fe.open_connection(c, TargetId(t));
+            fe.close_connection(c);
+            n.serve_local(TargetId(t));
+        }
+        assert_eq!(n.stats.snapshot().admissions_rejected, 1);
+        assert_eq!(fe.mapping_divergence(), 3, "no report applied yet");
+        n.flush_feedback();
+        let (mut dec, mut buf, mut events) = (FrameDecoder::new(), [0u8; 4096], Vec::new());
+        while events.len() < 3 {
+            let got = rx.read(&mut buf).unwrap();
+            assert!(got > 0, "control session closed");
+            dec.feed(&buf[..got]);
+            while let Some(msg) = dec.next().unwrap() {
+                if let ControlMsg::CacheFeedback { events: e, .. } = &msg {
+                    events.extend_from_slice(e);
+                }
+                fe.apply_control(msg);
+            }
+        }
+        assert_eq!(
+            events,
+            [
+                CacheEvent::Admit(TargetId(0)),
+                CacheEvent::Admit(TargetId(1)),
+                CacheEvent::Evict(TargetId(2)),
+            ]
+        );
+        assert_eq!(fe.mapping_divergence(), 0);
+        assert!(!fe.mapping().nodes(TargetId(2)).contains(&NodeId(0)));
     }
 
     #[test]
@@ -794,7 +1051,7 @@ mod tests {
         assert_eq!(n.disk_queue_len(), 1);
         n.finish_disk_read(TargetId(0), n.disk_read_time(TargetId(0)));
         assert_eq!(n.disk_queue_len(), 0);
-        assert!(n.cache.lock().contains(TargetId(0)));
+        assert!(n.cache.lock().lru.contains(TargetId(0)));
         // Hit: resolved synchronously, depth untouched.
         assert!(n.begin_serve_body(TargetId(0)).is_some());
         assert_eq!(n.disk_queue_len(), 0);
@@ -833,14 +1090,14 @@ mod tests {
             other => panic!("expected Join, got {other:?}"),
         }
         n.reset_cache();
-        assert!(n.cache.lock().is_empty());
+        assert!(n.cache.lock().lru.is_empty());
         match n.join_msg(1) {
             ControlMsg::Join { events, .. } => assert!(events.is_empty(), "cold join"),
             other => panic!("expected Join, got {other:?}"),
         }
         // The wiped cache keeps working (and journalling) afterwards.
         n.serve_local(TargetId(2));
-        assert!(n.cache.lock().contains(TargetId(2)));
+        assert!(n.cache.lock().lru.contains(TargetId(2)));
     }
 
     #[test]
@@ -982,7 +1239,7 @@ mod tests {
         assert!(took < read * 5, "4 queued reads took {took:?}");
         let cache = node.cache.lock();
         let mut scores: Vec<u64> = (0..4)
-            .map(|t| cache.mad_score(TargetId(t)).unwrap())
+            .map(|t| cache.lru.mad_score(TargetId(t)).unwrap())
             .collect();
         scores.sort_unstable();
         let read_us = read.as_micros() as u64;

@@ -128,6 +128,14 @@ pub(crate) const HIGH_WATER: usize = 256 * 1024;
 /// equivalent.
 pub(crate) const MAX_PIPELINE: usize = 256;
 
+/// Iovecs one `writev` gathers, into a stack array so that a write
+/// allocates nothing; a longer queue drains over several calls, like a
+/// kernel short write. A response is a head and a body, so this is 32
+/// responses — far past a pipelined batch — and zero-filling the array
+/// costs a fraction of a 1 024-entry (`IOV_MAX`) one.
+const WRITEV_GATHER: usize = 64;
+const _: () = assert!(WRITEV_GATHER <= IOV_MAX);
+
 /// The staged-response output queue: ordered shared byte slices
 /// awaiting the socket, written with `writev` so a queued body slice is
 /// never copied into a contiguous buffer. [`len`](Self::len) charges
@@ -176,18 +184,17 @@ impl OutQueue {
         self.segs.push_back(seg);
     }
 
-    /// Fills `bufs` with iovec views of the unsent bytes, at most
-    /// `IOV_MAX` of them (the rest wait for the next call, exactly like
-    /// a kernel short write).
-    pub fn fill_slices<'a>(&'a self, bufs: &mut Vec<io::IoSlice<'a>>) {
-        for (i, seg) in self.segs.iter().take(IOV_MAX).enumerate() {
-            let s = if i == 0 {
-                &seg[self.front_off..]
-            } else {
-                &seg[..]
-            };
-            bufs.push(io::IoSlice::new(s));
+    /// Fills the front of `bufs` with iovec views of the unsent bytes,
+    /// at most `IOV_MAX` of them (the rest wait for the next call,
+    /// exactly like a kernel short write), and returns how many.
+    pub fn fill_slices<'a>(&'a self, bufs: &mut [io::IoSlice<'a>]) -> usize {
+        let mut n = 0;
+        for (slot, seg) in bufs.iter_mut().zip(self.segs.iter().take(IOV_MAX)) {
+            let from = if n == 0 { self.front_off } else { 0 };
+            *slot = io::IoSlice::new(&seg[from..]);
+            n += 1;
         }
+        n
     }
 
     /// Consumes `n` accepted bytes, possibly landing mid-segment: the
@@ -238,17 +245,18 @@ impl VectoredWrite for mio::net::TcpStream {
     }
 }
 
-/// Writes queued segments with gathered `writev` calls until the queue
-/// drains or the socket would block. Partial writes resume mid-iovec on
-/// the next call; `Err` means the connection is dead.
+/// Writes queued segments with gathered `writev` calls, up to
+/// [`WRITEV_GATHER`] iovecs each, until the queue drains or the socket
+/// would block. Partial writes resume mid-iovec on the next call; `Err`
+/// means the connection is dead.
 pub(crate) fn write_queue<W: VectoredWrite>(stream: &mut W, out: &mut OutQueue) -> io::Result<()> {
     loop {
         if out.is_empty() {
             return Ok(());
         }
-        let mut bufs: Vec<io::IoSlice<'_>> = Vec::new();
-        out.fill_slices(&mut bufs);
-        match stream.writev(&bufs) {
+        let mut bufs = [io::IoSlice::new(&[]); WRITEV_GATHER];
+        let n = out.fill_slices(&mut bufs);
+        match stream.writev(&bufs[..n]) {
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::WriteZero,
@@ -602,9 +610,8 @@ mod tests {
         out.push(Bytes::new());
         out.push(Bytes::from_static(b"x"));
         out.push(Bytes::new());
-        let mut bufs = Vec::new();
-        out.fill_slices(&mut bufs);
-        assert_eq!(bufs.len(), 1);
+        let mut bufs = [io::IoSlice::new(&[]); 4];
+        assert_eq!(out.fill_slices(&mut bufs), 1);
         assert_eq!(out.len(), 1);
     }
 
@@ -619,14 +626,20 @@ mod tests {
             expect.push(b);
             out.push(Bytes::from(vec![b]));
         }
-        let mut bufs = Vec::new();
-        out.fill_slices(&mut bufs);
-        assert_eq!(bufs.len(), IOV_MAX, "one call offers at most IOV_MAX");
+        let mut bufs = vec![io::IoSlice::new(&[]); n];
+        assert_eq!(
+            out.fill_slices(&mut bufs),
+            IOV_MAX,
+            "one call offers at most IOV_MAX"
+        );
         let mut stream = ScriptedStream::new(Vec::new());
         write_queue(&mut stream, &mut out).unwrap();
         assert!(out.is_empty());
         assert_eq!(stream.sink, expect);
-        assert_eq!(stream.max_bufs_seen, IOV_MAX);
+        assert_eq!(
+            stream.max_bufs_seen, WRITEV_GATHER,
+            "one writev gathers a stack array"
+        );
         assert_eq!(g.load(Ordering::Relaxed), 0);
     }
 
@@ -649,7 +662,8 @@ mod tests {
     }
 
     fn arb_segs() -> impl Strategy<Value = Vec<Vec<u8>>> {
-        proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..200), 0..12)
+        // Up to 4 groups of 40 segments: past one writev's gather.
+        proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..200), 0..40)
     }
 
     fn arb_script() -> impl Strategy<Value = Vec<Ev>> {

@@ -177,10 +177,10 @@ mod tests {
 
         let cache = node.cache.lock();
         let us = |d: Duration| Some(d.as_micros() as u64);
-        assert_eq!(cache.mad_score(TargetId(0)), us(read));
+        assert_eq!(cache.lru.mad_score(TargetId(0)), us(read));
         // Leader and waiters arrived 1, 2, 3, 4 ms after t0.
         let stalled: Duration = (0..=k).map(|w| read * 2 - ms(1 + w as u64)).sum();
-        assert_eq!(cache.mad_score(TargetId(1)), us(stalled));
+        assert_eq!(cache.lru.mad_score(TargetId(1)), us(stalled));
         assert_ne!(stalled, read * (k + 1), "the nominal sample differs");
     }
 }

@@ -541,14 +541,16 @@ impl ControlChan {
     fn drain(&mut self, fes: &[Arc<FrontEnd>], buf: &mut [u8]) -> io::Result<()> {
         loop {
             let n = self.end.recv(buf)?;
-            if n == 0 {
-                return Ok(());
-            }
             self.decoder.feed(&buf[..n]);
             while let Some(msg) = self.decoder.next()? {
                 for fe in fes {
                     fe.apply_control(msg.clone());
                 }
+            }
+            // A short read emptied the socket; level-triggered
+            // readiness reports whatever lands after it.
+            if n < buf.len() {
+                return Ok(());
             }
         }
     }
@@ -1598,15 +1600,24 @@ impl Reactor {
         if self.flush_peer(idx, p).is_err() {
             return false;
         }
+        let mut drained = false;
         loop {
             match self.pump_peer(idx, p) {
                 Pump::Dead => return false,
                 Pump::Paused => return self.pause_peer(idx, p),
                 Pump::More => {}
             }
+            // A short read emptied the socket; level-triggered
+            // readiness reports whatever (or a FIN) lands after it.
+            if drained {
+                return true;
+            }
             match p.stream.read(&mut self.scratch) {
                 Ok(0) => return false, // peer closed (idle timeout or death)
-                Ok(n) => p.parser.feed(&self.scratch[..n]),
+                Ok(n) => {
+                    p.parser.feed(&self.scratch[..n]);
+                    drained = n < self.scratch.len();
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return false,

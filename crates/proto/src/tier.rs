@@ -758,12 +758,12 @@ impl Vip {
         true
     }
 
-    /// Builds `f`'s next encoded [`ControlMsg::StateDelta`] frame: its
+    /// Builds `f`'s next [`StateDelta`](phttp_core::StateDelta): its
     /// loads and what changed in its owned share since its previous
-    /// frame, or the whole share when a resync is due (`None` once `f`
+    /// delta, or the whole share when a resync is due (`None` once `f`
     /// is dead — a killed origin must stop publishing, or survivors
     /// would resurrect its authority).
-    pub(crate) fn make_delta_frame(&self, f: usize) -> Option<Vec<u8>> {
+    fn make_delta(&self, f: usize) -> Option<phttp_core::StateDelta> {
         if !self.alive[f].load(Ordering::Relaxed) {
             return None;
         }
@@ -771,11 +771,15 @@ impl Vip {
         let _g = tier.publish.lock();
         let seq = tier.seq.fetch_add(1, Ordering::Relaxed) + 1;
         let full = tier.resync.swap(false, Ordering::SeqCst);
-        let delta = {
-            let ring = self.ring.read();
-            self.fes[f].gossip_delta(FeId(f), seq, full, &ring)
-        };
-        Some(encode(&ControlMsg::StateDelta(delta)))
+        let ring = self.ring.read();
+        Some(self.fes[f].gossip_delta(FeId(f), seq, full, &ring))
+    }
+
+    /// [`make_delta`](Self::make_delta), encoded as the
+    /// [`ControlMsg::StateDelta`] frame the gossip mesh carries.
+    pub(crate) fn make_delta_frame(&self, f: usize) -> Option<Vec<u8>> {
+        self.make_delta(f)
+            .map(|delta| encode(&ControlMsg::StateDelta(delta)))
     }
 
     /// Folds a received delta into front-end `f`'s view and adopts
@@ -801,13 +805,8 @@ impl Vip {
     pub fn sync_now(&self) {
         let m = self.fes.len();
         for f in 0..m {
-            let Some(frame) = self.make_delta_frame(f) else {
+            let Some(delta) = self.make_delta(f) else {
                 continue;
-            };
-            let mut dec = FrameDecoder::new();
-            dec.feed(&frame);
-            let Ok(Some(ControlMsg::StateDelta(delta))) = dec.next() else {
-                unreachable!("just encoded a state delta");
             };
             for g in 0..m {
                 if g != f && self.alive[g].load(Ordering::Relaxed) {

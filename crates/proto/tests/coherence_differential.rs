@@ -12,7 +12,9 @@
 //!
 //! The contract is about journalled victims, not about which entry the
 //! cache picks, so the convergence half runs under both eviction
-//! policies — the default GreedyDual and the strict-LRU baseline.
+//! policies — the default GreedyDual and the strict-LRU baseline — and
+//! with the prototype's admission gate turning reads away, each of which
+//! must reach the mirror as an eviction.
 
 use std::time::{Duration, Instant};
 
@@ -57,7 +59,7 @@ fn true_divergence(cluster: &Cluster) -> u64 {
     let fe = cluster.frontend();
     let mut diverged = 0;
     fe.mapping().for_each_pair(|target, node| {
-        if !fe.nodes()[node.0].cache.lock().contains(target) {
+        if !fe.nodes()[node.0].cache.lock().lru.contains(target) {
             diverged += 1;
         }
     });
@@ -145,6 +147,14 @@ fn divergence_converges_to_zero_under(policy: EvictPolicy) {
         0,
         "{policy:?}: belief not ⊆ caches"
     );
+    // Converged although the admission gate turned reads away: each
+    // rejection reached the mirror as an eviction.
+    let rejected: u64 = cluster
+        .node_stats()
+        .iter()
+        .map(|s| s.admissions_rejected)
+        .sum();
+    assert!(rejected > 0, "{policy:?}: churn never consulted the gate");
     cluster.shutdown();
 }
 

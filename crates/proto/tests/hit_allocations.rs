@@ -2,7 +2,8 @@
 //! pipelined batch through the borrowing view, resolving each URI and
 //! taking each response head from the store are counted by a global
 //! allocator and must read zero once the parser's buffer has grown to
-//! its working size. A miss's body generation allocates exactly once.
+//! its working size, and so must a node's cache hit. A miss's body
+//! generation allocates exactly once.
 //!
 //! The allocator is process-wide, but each thread keeps its own count,
 //! so the tests here cannot see each other's allocations.
@@ -10,8 +11,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use std::sync::Arc;
+
+use phttp_core::NodeId;
 use phttp_http::{RequestParser, Version};
-use phttp_proto::ContentStore;
+use phttp_proto::{ContentStore, DiskEmu, NodeState};
 use phttp_trace::TargetId;
 
 struct Counting;
@@ -100,6 +104,34 @@ fn parsing_a_pipelined_batch_and_taking_its_heads_allocates_nothing() {
         assert!(parser.next().expect("parses").is_some());
     });
     assert!(owned > 0, "the counting allocator saw nothing");
+}
+
+/// A node's cache hit — the demand count its admission gate keeps, the
+/// probe, the body handle and the counters — allocates nothing, across
+/// the counters' halvings too. The lock-order checker records every
+/// acquisition on the heap, so a checked build cannot show it.
+#[test]
+#[cfg_attr(
+    feature = "lockcheck",
+    ignore = "the lock-order checker allocates on every lock acquisition"
+)]
+fn a_node_cache_hit_allocates_nothing() {
+    let store = Arc::new(ContentStore::from_sizes(vec![512; 64]));
+    let node = NodeState::new(NodeId(0), 1 << 20, DiskEmu::default(), store, Vec::new());
+    for t in 0..64 {
+        let target = TargetId(t);
+        assert!(node.begin_serve_body(target).is_none());
+        node.finish_disk_read(target, node.disk_read_time(target));
+    }
+    // 64 entries halve every 640 serves: 10 000 hits cross 15 halvings.
+    let n = allocations_in(|| {
+        for i in 0..10_000u32 {
+            let body = node.begin_serve_body(TargetId(i % 64));
+            assert!(body.is_some(), "a cached target hits");
+        }
+    });
+    assert_eq!(n, 0, "10 000 node cache hits allocated {n} times");
+    assert_eq!(node.stats.snapshot().hits, 10_000);
 }
 
 /// A generated body is collected straight into its shared buffer: one

@@ -53,13 +53,33 @@ const SIZES: [u64; 8] = [
     64,
 ];
 
+/// The lead connection's requests, `(ms, target)`: batches `[6]`,
+/// `[4, 2, 0, 4]`, `[2, 0]` and `[6]` (`LEAD_IN` says why).
+const LEAD: [(u64, u32); 8] = [
+    (0, 6),
+    (1_000, 4),
+    (1_100, 2),
+    (1_200, 0),
+    (1_300, 4),
+    (2_400, 2),
+    (2_500, 0),
+    (3_600, 6),
+];
+
 /// Hand-built workload: 10 clients × 8 requests, spaced so each client
 /// reconstructs to one persistent connection of one leading single
 /// request plus pipelined batches. Every target is requested several
 /// times (hits AND misses on every node), deterministically.
 fn workload() -> (Trace, ConnectionTrace) {
-    let mut requests = Vec::new();
-    for c in 0..10u32 {
+    let mut requests: Vec<phttp_trace::Request> = LEAD
+        .iter()
+        .map(|&(ms, t)| phttp_trace::Request {
+            time: SimTime::from_millis(ms),
+            client: ClientId(0),
+            target: TargetId(t),
+        })
+        .collect();
+    for c in 1..10u32 {
         for k in 0..8u64 {
             requests.push(phttp_trace::Request {
                 // 100 ms spacing keeps all non-first requests of a
@@ -72,18 +92,18 @@ fn workload() -> (Trace, ConnectionTrace) {
     }
     let trace = Trace::new(requests, SIZES.to_vec());
     let conns = reconstruct(&trace, SessionConfig::default());
-    // `LEAD_IN`'s recipe rests on this: the first connection asks
-    // for the three cacheable targets that cannot share one cache.
-    let lead: Vec<TargetId> = conns.connections[0]
+    // `LEAD_IN`'s recipe rests on this: the first connection asks, in
+    // these batches, for the three cacheable targets that cannot share
+    // one cache.
+    let lead: Vec<Vec<u32>> = conns.connections[0]
         .batches
         .iter()
-        .flat_map(|b| b.targets.iter().copied())
+        .map(|b| b.targets.iter().map(|t| t.0).collect())
         .collect();
+    assert_eq!(lead, [vec![6], vec![4, 2, 0, 4], vec![2, 0], vec![6]]);
     let together: u64 = [2, 4, 6].map(|t| SIZES[t]).iter().sum();
-    assert!([2, 4, 6]
-        .iter()
-        .all(|&t| lead.contains(&TargetId(t as u32))));
     assert!(together > CACHE_BYTES && SIZES[2] <= CACHE_BYTES);
+    assert!(SIZES[0] > CACHE_BYTES);
     (trace, conns)
 }
 
@@ -120,11 +140,17 @@ fn config(shards: usize, front_ends: usize) -> ProtoConfig {
 }
 
 /// The first connection plays alone on the cold cluster: nothing is
-/// mapped yet, so each of its targets is a first-ever fetch, read and
-/// cached on its own connection node — and the three cacheable ones
-/// (8 KiB + 512 KiB + 1.5 MiB) do not fit that node's cache together,
-/// so bodies are evicted whatever the eviction policy and however the
-/// rest is timed. The others then play several at a time, so staging
+/// mapped yet, so each of its targets is a first-ever fetch, read on
+/// its own connection node — and the three cacheable ones (8 KiB +
+/// 512 KiB + 1.5 MiB) do not fit that node's cache together. A full
+/// cache admits only a target served more often than its victim, so
+/// the recipe gives the newcomer that demand: t6 and t4 are read into
+/// the room there is (the second t4 parks on the first's flight, and
+/// the oversized t0's reads are never cached); t2, served once like
+/// its victim, is turned away; the next batch serves t2 a second time
+/// and nothing else cached, so its read out-serves the victim and
+/// evicts — whatever the eviction policy and however the rest is
+/// timed. The others then play several at a time, so staging
 /// queues actually back up against HIGH_WATER; they open together on a
 /// loaded cluster, LARD spreads them over the nodes, and each asks for
 /// targets the others fetched first — which, rule 1b being off, are
@@ -163,7 +189,11 @@ fn run_cell(
     );
     let responses: usize = transcript.iter().map(|c| c.len()).sum();
     assert_eq!(responses, trace.len(), "{cell}: lost responses");
-    let evictions: u64 = fe.nodes().iter().map(|n| n.cache.lock().evictions()).sum();
+    let evictions: u64 = fe
+        .nodes()
+        .iter()
+        .map(|n| n.cache.lock().lru.evictions())
+        .sum();
     assert!(evictions > 0, "{cell}: no cached body was ever evicted");
     let stats = cluster.node_stats();
     cluster.shutdown();

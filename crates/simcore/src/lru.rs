@@ -301,6 +301,20 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
         self.map.contains_key(&target)
     }
 
+    /// The entry the next eviction would evict — the LRU tail, or the
+    /// smallest `(H, tick)` under GreedyDual — left in place. Nothing
+    /// observable changes: contents, recency, priorities and `L` stay
+    /// as they were, so the next eviction evicts exactly this entry.
+    /// `&mut` only because the lazy heap is repaired on the way, as an
+    /// eviction would repair it. `None` when the cache is empty.
+    pub fn peek_victim(&mut self) -> Option<K> {
+        let idx = match self.policy {
+            EvictPolicy::Lru => self.tail,
+            EvictPolicy::GreedyDual => self.peek_min()?,
+        };
+        (idx != NIL).then(|| self.slab[idx].target)
+    }
+
     /// Inserts a target of the given size, evicting entries as the
     /// active [`EvictPolicy`] chooses until the budget holds.
     /// Returns `true` iff the target was **newly admitted** — absent
@@ -520,26 +534,40 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
     }
 
     /// Pops the live entry with the smallest `(H, tick)` off the lazy
-    /// heap, repairing what it meets on the way: an item whose entry is
-    /// gone (or was refreshed under a newer item) is dropped; an item
-    /// whose entry was hit since the push — its `H` has moved up — is
-    /// pushed back at the entry's current key. An item that matches its
-    /// entry is the true minimum, because every other live entry's item
-    /// sits at or below that entry's key and above this one.
+    /// heap (see [`peek_min`](Self::peek_min)).
     fn pop_min(&mut self) -> Option<usize> {
-        while let Some(Reverse((_, tick, idx))) = self.heap.pop() {
+        let idx = self.peek_min()?;
+        self.heap.pop();
+        #[cfg(test)]
+        {
+            self.heap_ops += 1;
+        }
+        Some(idx)
+    }
+
+    /// The live entry with the smallest `(H, tick)`, its item left on
+    /// top of the lazy heap, repairing what it meets on the way: an item
+    /// whose entry is gone (or was refreshed under a newer item) is
+    /// dropped; an item whose entry was hit since the push — its `H` has
+    /// moved up — is pushed back at the entry's current key. An item
+    /// that matches its entry is the true minimum, because every other
+    /// live entry's item sits at or below that entry's key and above
+    /// this one.
+    fn peek_min(&mut self) -> Option<usize> {
+        while let Some(&Reverse((_, tick, idx))) = self.heap.peek() {
+            let e = &self.slab[idx];
+            let (live, current) = (e.queued_tick == tick, e.tick == tick);
+            if live && current {
+                return Some(idx);
+            }
+            self.heap.pop();
             #[cfg(test)]
             {
                 self.heap_ops += 1;
             }
-            let e = &self.slab[idx];
-            if e.queued_tick != tick {
-                continue;
+            if live {
+                self.enqueue(idx);
             }
-            if e.tick == tick {
-                return Some(idx);
-            }
-            self.enqueue(idx);
         }
         None
     }
@@ -988,6 +1016,40 @@ mod tests {
         let v2 = c.get(t(1)).unwrap().clone();
         c.clear();
         assert_eq!(Rc::strong_count(&v2), 1);
+    }
+
+    #[test]
+    fn peek_victim_names_the_next_victim_under_both_policies() {
+        for policy in [EvictPolicy::Lru, EvictPolicy::GreedyDual] {
+            let mut c: LruCache<u32> = LruCache::new(300);
+            c.set_policy(policy);
+            c.set_journal(true);
+            assert_eq!(c.peek_victim(), None, "{policy:?}: empty");
+            c.insert_with_delay(t(1), 100, 1_000);
+            c.insert_with_delay(t(2), 100, 50_000);
+            c.insert_with_delay(t(3), 100, 20_000);
+            assert!(c.touch(t(1)));
+            // LRU: t(2) is the tail. GreedyDual: t(1) is cheapest per
+            // byte even after its hit (`L` is still 0).
+            let next = match policy {
+                EvictPolicy::Lru => t(2),
+                EvictPolicy::GreedyDual => t(1),
+            };
+            let before = c.contents_lru_order();
+            assert_eq!(c.peek_victim(), Some(next), "{policy:?}");
+            assert_eq!(
+                c.peek_victim(),
+                Some(next),
+                "{policy:?}: a peek is idempotent"
+            );
+            assert_eq!(
+                c.contents_lru_order(),
+                before,
+                "{policy:?}: recency unchanged"
+            );
+            c.insert_with_delay(t(4), 100, 20_000);
+            assert_eq!(c.drain_evictions(), vec![next], "{policy:?}");
+        }
     }
 
     #[test]

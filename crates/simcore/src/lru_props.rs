@@ -242,6 +242,56 @@ proptest! {
     }
 }
 
+proptest! {
+    /// (g) Under either policy, peeking changes nothing a caller can
+    /// see — a twin that never peeks returns, evicts and orders exactly
+    /// alike over the rest of the history — and the peeked entry is
+    /// the first victim of the next insert that evicts.
+    #[test]
+    fn peek_victim_names_the_next_victim_and_changes_nothing(
+        ops in arb_ops(200),
+        gd in any::<bool>(),
+    ) {
+        let mut cache: LruCache<u32> = LruCache::new(BUDGET);
+        if gd {
+            cache.set_policy(EvictPolicy::GreedyDual);
+        }
+        cache.set_journal(true);
+        let mut twin = cache.clone();
+        for op in ops {
+            let peeked = cache.peek_victim();
+            prop_assert_eq!(peeked.is_none(), cache.is_empty());
+            let fresh = match op {
+                Op::Insert(k, _) | Op::InsertDelay(k, _, _) => !cache.contains(k),
+                _ => false,
+            };
+            for c in [&mut cache, &mut twin] {
+                match op {
+                    Op::Insert(k, size) => {
+                        c.insert(k, size);
+                    }
+                    Op::InsertDelay(k, size, d) => {
+                        c.insert_with_delay(k, size, d);
+                    }
+                    Op::Touch(k) => {
+                        c.touch(k);
+                    }
+                    Op::Remove(k) => {
+                        c.remove(k);
+                    }
+                    Op::Clear => c.clear(),
+                }
+            }
+            let victims = cache.drain_evictions();
+            prop_assert_eq!(&victims, &twin.drain_evictions(), "{:?}", op);
+            prop_assert_eq!(cache.contents_lru_order(), twin.contents_lru_order());
+            if fresh && !victims.is_empty() {
+                prop_assert_eq!(Some(victims[0]), peeked, "{:?}", op);
+            }
+        }
+    }
+}
+
 /// (d) A remove-heavy history — the one way stale items accumulate with
 /// no eviction to pop them — keeps the heap bounded at every step.
 #[test]
