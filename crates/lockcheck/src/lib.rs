@@ -347,11 +347,18 @@ thread_local! {
         RefCell::new(HashSet::new());
 }
 
-fn thread_label() -> String {
-    let t = std::thread::current();
-    match t.name() {
-        Some(name) => format!("{:?} ({name})", t.id()),
-        None => format!("{:?}", t.id()),
+/// The current thread's id and name, written only when displayed — so
+/// an acquisition that neither fails nor records an edge builds no
+/// string.
+struct ThreadLabel;
+
+impl fmt::Display for ThreadLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let t = std::thread::current();
+        match t.name() {
+            Some(name) => write!(f, "{:?} ({name})", t.id()),
+            None => write!(f, "{:?}", t.id()),
+        }
     }
 }
 
@@ -435,12 +442,14 @@ pub fn reset_observed_graph() {
 /// Rule engine: returns the violation message, if any, for acquiring
 /// `class` with `held` on this thread. Pure with respect to the held
 /// stack; records new edges into the global graph as a side effect.
+/// An acquisition that breaks no rule and records no new edge
+/// allocates nothing.
 fn check_rules(
     held: &[Held],
     class: LockClass,
     site: &'static Location<'static>,
 ) -> Option<String> {
-    let me = thread_label();
+    let me = ThreadLabel;
     for h in held {
         if h.class.is_unclassed() {
             continue;
@@ -484,18 +493,13 @@ fn check_rules(
     // Graph pass: one global-lock visit covering declared + observed
     // paths and edge insertion, skipped entirely when every (held →
     // class) edge is already in this thread's seen cache.
-    let new_edges: Vec<&Held> = held
-        .iter()
-        .filter(|h| !h.class.is_unclassed() && h.class.group != class.group)
-        .collect();
-    if new_edges.is_empty() {
-        return None;
-    }
+    let new_edges = || {
+        held.iter()
+            .filter(|h| !h.class.is_unclassed() && h.class.group != class.group)
+    };
     let all_seen = SEEN_EDGES.with(|s| {
         let seen = s.borrow();
-        new_edges
-            .iter()
-            .all(|h| seen.contains(&(h.class.group.key(), class.group.key())))
+        new_edges().all(|h| seen.contains(&(h.class.group.key(), class.group.key())))
     });
     if all_seen {
         return None;
@@ -503,7 +507,7 @@ fn check_rules(
     let mut g = GRAPH.lock().unwrap_or_else(|e| e.into_inner());
     let graph = g.get_or_insert_with(Graph::default);
     let to = class.group.key();
-    for h in &new_edges {
+    for h in new_edges() {
         let from = h.class.group.key();
         if graph.path_exists(to, from) {
             // `class` is ordered before `from` (declared or observed),
@@ -540,13 +544,13 @@ fn check_rules(
             .or_insert_with(|| EdgeWitness {
                 outer_site: h.site,
                 inner_site: site,
-                thread: me.clone(),
+                thread: me.to_string(),
             });
     }
     drop(g);
     SEEN_EDGES.with(|s| {
         let mut seen = s.borrow_mut();
-        for h in &new_edges {
+        for h in new_edges() {
             seen.insert((h.class.group.key(), class.group.key()));
         }
     });

@@ -618,7 +618,7 @@ impl Cluster {
     }
 }
 
-/// Accept-queue depth for the reuseport groups: shards drain accepts
+/// Accept-queue depth for the reuseport groups: shards take accepts
 /// promptly, but soak-scale connect bursts need room to queue.
 const REUSEPORT_BACKLOG: u32 = 4096;
 

@@ -11,10 +11,12 @@
 //! peer sessions (standing in for the paper's NFS cross-mounts —
 //! DESIGN.md §6.3). Remotely fetched content is never inserted into the
 //! fetching node's cache, mirroring the paper's disabled NFS client
-//! caching. A full cache admits a just-read document only if this node
-//! has served it more often, lately, than the entry it would evict
-//! ([`NodeCache`]'s TinyLFU gate), so an incidental read does not
-//! displace the node's hot set.
+//! caching. One recent-demand count per target drives both cache
+//! decisions in hits per byte: eviction is GreedyDual-Size-Frequency
+//! weighted by it, and a full cache admits a just-read document only if
+//! this node has served it more often per byte, lately, than the entry
+//! it would evict ([`NodeCache`]'s TinyLFU gate) — so an incidental read
+//! does not displace the node's hot set.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -190,9 +192,10 @@ impl Demand {
     }
 }
 
-/// A node's file cache and the demand its TinyLFU gate admits by,
-/// under one lock: counting a serve rides the cache probe's critical
-/// section, so the hit path takes no second lock.
+/// A node's file cache and the demand both its eviction and its
+/// TinyLFU gate weigh by, under one lock: counting a serve and passing
+/// the count as the hit's GreedyDual-Size-Frequency weight ride the
+/// cache probe's critical section, so the hit path takes no second lock.
 #[derive(Debug)]
 pub struct NodeCache {
     /// The byte-budget cache. Entries carry the body as a refcounted
@@ -215,16 +218,19 @@ impl NodeCache {
     /// The gate a just-read `size`-byte `target` passes before its
     /// insert. While the cache has room every read is admitted (as is a
     /// refresh, and an oversized target the insert refuses by itself).
-    /// Once it is full, the target must have been served more often
-    /// than the entry the insert would evict next; a tie keeps the
+    /// Once it is full, the target must have been served more often per
+    /// byte than the entry the insert would evict next —
+    /// `count(t)·size(v) > count(v)·size(t)`; a tie keeps the
     /// incumbent, as in TinyLFU.
     fn admits(&mut self, target: TargetId, size: u64) -> bool {
         let lru = &mut self.lru;
         if lru.contains(target) || size > lru.budget() || lru.used() + size <= lru.budget() {
             return true;
         }
-        lru.peek_victim()
-            .is_none_or(|victim| self.demand.count(target) > self.demand.count(victim))
+        lru.peek_victim().is_none_or(|(victim, victim_size)| {
+            u64::from(self.demand.count(target)) * victim_size
+                > u64::from(self.demand.count(victim)) * size
+        })
     }
 }
 
@@ -378,7 +384,8 @@ impl NodeState {
     }
 
     /// Selects the cache victim-selection policy (builder style) — strict
-    /// LRU or GreedyDual-Size costed by measured miss delay.
+    /// LRU, or GreedyDual-Size costed by measured miss delay and
+    /// weighted by demand (GreedyDual-Size-Frequency).
     pub fn with_cache_policy(mut self, policy: EvictPolicy) -> Self {
         self.cache.get_mut().lru.set_policy(policy);
         self
@@ -514,14 +521,16 @@ impl NodeState {
     /// `agg_delay_us` is the measured aggregate miss delay of the fetch
     /// that produced this insert (arrival to completion, summed over
     /// leader and waiters, as `phttp-sim` feeds) — GreedyDual's cost
-    /// sample for the entry; plain LRU records and ignores it. `body` is
-    /// the just-read document slice the cache takes (shared) ownership of.
+    /// sample for the entry, and the target's demand count its weight;
+    /// plain LRU records and ignores both. `body` is the just-read
+    /// document slice the cache takes (shared) ownership of.
     fn cache_insert_reporting(&self, target: TargetId, size: u64, agg_delay_us: u64, body: Bytes) {
         let mut cache = self.cache.lock();
         let admitted = if cache.admits(target, size) {
+            let weight = cache.demand.count(target).into();
             cache
                 .lru
-                .insert_valued_with_delay(target, size, body, agg_delay_us)
+                .insert_valued_weighted(target, size, body, agg_delay_us, weight)
         } else {
             self.stats
                 .admissions_rejected
@@ -689,8 +698,9 @@ impl NodeState {
     }
 
     /// Non-blocking first half of serving `target`: counts the serve
-    /// toward the target's demand, probes the cache and records the
-    /// serve/bytes/hit counters. A hit returns the body — a
+    /// toward the target's demand, probes the cache (a hit weighted by
+    /// that demand) and records the serve/bytes/hit counters. A hit
+    /// returns the body — a
     /// clone of the cached slice (zero-copy; the rare metadata-only entry
     /// regenerates). On a miss (`None`) the disk-queue depth is already
     /// incremented (the request is now "queued on the disk" as far as
@@ -705,7 +715,7 @@ impl NodeState {
             let mut guard = self.cache.lock();
             let NodeCache { lru, demand } = &mut *guard;
             demand.record(target, lru.len());
-            if lru.touch(target) {
+            if lru.touch_weighted(target, demand.count(target).into()) {
                 Some(lru.get(target).cloned())
             } else {
                 None
@@ -902,8 +912,13 @@ mod tests {
         let n = node(); // 4096-byte cache
         n.serve_local(TargetId(0)); // 1000
         n.serve_local(TargetId(1)); // 2000
-        n.serve_local(TargetId(2)); // 3000: served once, as often as 0 -> rejected
-        n.serve_local(TargetId(2)); // served twice -> evicts 0 (and 1)
+
+        // 3000: 1, 2 and 3 serves are no more per byte than the LRU
+        // victim's one serve of 1000 B (3·1000 = 1·3000) -> rejected.
+        for _ in 0..3 {
+            n.serve_local(TargetId(2));
+        }
+        n.serve_local(TargetId(2)); // 4·1000 > 1·3000 -> evicts 0 (and 1)
         assert!(!n.cache.lock().lru.contains(TargetId(0)));
         assert!(n.cache.lock().lru.contains(TargetId(2)));
     }
@@ -922,35 +937,82 @@ mod tests {
         assert_eq!(n.stats.snapshot().admissions_rejected, 0);
     }
 
+    /// Serves `t` once per entry of `serves`, in order.
+    fn serve_all(n: &NodeState, serves: &[u32]) {
+        for &t in serves {
+            n.serve_local(TargetId(t));
+        }
+    }
+
     #[test]
-    fn a_full_cache_admits_only_what_out_serves_its_victim() {
+    fn a_full_cache_admits_a_dense_document_over_a_busier_larger_victim() {
         for policy in [EvictPolicy::Lru, EvictPolicy::GreedyDual] {
-            let n = node().with_cache_policy(policy); // 4096-byte cache
-            for t in [0, 0, 1, 1] {
-                n.serve_local(TargetId(t)); // t0 and t1 served twice each
-            }
-            // Read once, then twice: no more than the victim, whichever
-            // of t0 and t1 the policy would evict — turned away, yet
-            // served in full both times.
+            let n = node().with_cache_policy(policy);
+            // A 4096-byte cache. t2 (3000 B) served 4 times, then t0
+            // (1000 B) twice: t2 is the LRU tail, and under GreedyDual
+            // too its 4·103 µs/3000 B is the smallest weighted cost per
+            // byte (t0: 2·101/1000).
+            serve_all(&n, &[2, 2, 2, 2, 0, 0]);
+            assert_eq!(
+                n.cache.lock().lru.peek_victim(),
+                Some((TargetId(2), 3000)),
+                "{policy:?}"
+            );
+            // t1 (2000 B) does not fit beside them. Served once, then
+            // twice: 1·3000 and 2·3000 are no more than 4·2000 — turned
+            // away, yet served in full both times.
             for _ in 0..2 {
-                assert_eq!(n.serve_local(TargetId(2)).len(), 3000, "{policy:?}");
+                assert_eq!(n.serve_local(TargetId(1)).len(), 2000, "{policy:?}");
                 let cache = n.cache.lock();
-                assert!(!cache.lru.contains(TargetId(2)), "{policy:?}");
-                assert!(cache.lru.contains(TargetId(0)) && cache.lru.contains(TargetId(1)));
+                assert!(!cache.lru.contains(TargetId(1)), "{policy:?}");
+                assert!(cache.lru.contains(TargetId(2)) && cache.lru.contains(TargetId(0)));
             }
-            // A third serve out-serves the victim: in, and room is made.
-            let victim = n.cache.lock().lru.peek_victim().expect("a full cache");
-            n.serve_local(TargetId(2));
+            // Three serves, fewer than the victim's four, but 3·3000 B >
+            // 4·2000 B: more per byte held, so in, at the victim's cost.
+            n.serve_local(TargetId(1));
             let cache = n.cache.lock();
-            assert!(cache.lru.contains(TargetId(2)), "{policy:?}");
-            assert!(!cache.lru.contains(victim), "{policy:?}");
-            assert!(cache.lru.evictions() > 0, "{policy:?}");
+            assert!(cache.lru.contains(TargetId(1)), "{policy:?}");
+            assert!(!cache.lru.contains(TargetId(2)), "{policy:?}");
+            assert!(cache.lru.contains(TargetId(0)), "{policy:?}");
             let s = n.stats.snapshot();
             assert_eq!(s.admissions_rejected, 2, "{policy:?}");
             assert_eq!(
                 s.disk_reads, 5,
                 "{policy:?}: a rejected target is read again"
             );
+        }
+    }
+
+    #[test]
+    fn a_full_cache_rejects_a_large_document_against_a_denser_small_victim() {
+        for policy in [EvictPolicy::Lru, EvictPolicy::GreedyDual] {
+            let n = node().with_cache_policy(policy);
+            // A 4096-byte cache. t0 (1000 B) served once, then t1
+            // (2000 B) 3 times: t0 is the LRU tail, and under GreedyDual
+            // too its 101 µs/1000 B is the smallest weighted cost per
+            // byte (t1: 3·102/2000).
+            serve_all(&n, &[0, 1, 1, 1]);
+            assert_eq!(
+                n.cache.lock().lru.peek_victim(),
+                Some((TargetId(0), 1000)),
+                "{policy:?}"
+            );
+            // t2 (3000 B) out-serves the victim from its second serve
+            // on, but not per byte until 4·1000 > 1·3000: three reads,
+            // all served, none cached — the third a tie, which keeps
+            // the incumbent.
+            for _ in 0..3 {
+                assert_eq!(n.serve_local(TargetId(2)).len(), 3000, "{policy:?}");
+                let cache = n.cache.lock();
+                assert!(!cache.lru.contains(TargetId(2)), "{policy:?}");
+                assert!(cache.lru.contains(TargetId(0)) && cache.lru.contains(TargetId(1)));
+            }
+            assert_eq!(n.stats.snapshot().admissions_rejected, 3, "{policy:?}");
+            n.serve_local(TargetId(2));
+            let cache = n.cache.lock();
+            assert!(cache.lru.contains(TargetId(2)), "{policy:?}");
+            assert!(!cache.lru.contains(TargetId(0)), "{policy:?}");
+            assert!(cache.lru.evictions() > 0, "{policy:?}");
         }
     }
 

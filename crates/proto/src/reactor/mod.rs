@@ -38,8 +38,10 @@
 //! ## Connection lifecycle (see ARCHITECTURE.md "I/O models" for the
 //! full state diagram)
 //!
-//! 1. **Accept** — a listener's readable event accepts until
-//!    `WouldBlock`; each stream becomes a `conn::ClientConn` slab
+//! 1. **Accept** — a listener's readable event accepts one
+//!    connection (the level-triggered poller reports the listener again
+//!    while its queue holds more, so no `accept4` is spent learning it
+//!    is empty); each stream becomes a `conn::ClientConn` slab
 //!    slot registered for `READABLE` (peer listeners produce
 //!    peer-server connections in the same slab). Under a front-end
 //!    tier a client connection first parks, unregistered, as
@@ -712,9 +714,9 @@ impl Reactor {
                 if t == WAKER.0 {
                     self.drain_inbox(); // the stop flag was checked above
                 } else if t < self.peer_base {
-                    self.accept_all(t - LISTENER_BASE);
+                    self.accept_client(t - LISTENER_BASE);
                 } else if t < self.control_base {
-                    self.accept_peers(t - self.peer_base);
+                    self.accept_peer(t - self.peer_base);
                 } else if t < self.link_base {
                     self.drain_control(t - self.control_base);
                 } else if t < self.gossip_base {
@@ -811,14 +813,16 @@ impl Reactor {
         self.stats.shards[self.shard].pending_body_bytes.clone()
     }
 
-    fn accept_all(&mut self, listener: usize) {
-        loop {
-            match self.listeners[listener].accept() {
-                Ok((stream, peer)) => self.admit_client(stream, peer),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break, // transient accept failure; retry on next event
-            }
+    /// Accepts one client connection per readiness event. The poll is
+    /// level-triggered, so a listener with more queued is reported
+    /// again on the next turn; draining to `WouldBlock` instead would
+    /// end nearly every wake-up on an `accept4` that finds nothing, and
+    /// the kernel allocates a socket before it looks at the queue.
+    /// Every failure — another shard took it, a signal, a transient
+    /// error — is retried by that next report.
+    fn accept_client(&mut self, listener: usize) {
+        if let Ok((stream, peer)) = self.listeners[listener].accept() {
+            self.admit_client(stream, peer);
         }
     }
 
@@ -901,20 +905,14 @@ impl Reactor {
         }
     }
 
-    /// Accepts lateral-fetch connections on one of this shard's peer
-    /// listeners; they serve on that listener's node, event-driven.
-    fn accept_peers(&mut self, idx: usize) {
-        loop {
-            match self.peer_listeners[idx].1.accept() {
-                Ok((stream, _)) => {
-                    let node = self.peer_listeners[idx].0;
-                    let gauge = self.body_gauge();
-                    self.register_client(ClientConn::peer_server(stream, node, gauge));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
+    /// Accepts one lateral-fetch connection on one of this shard's peer
+    /// listeners, as [`accept_client`](Self::accept_client) does; it
+    /// serves on that listener's node, event-driven.
+    fn accept_peer(&mut self, idx: usize) {
+        if let Ok((stream, _)) = self.peer_listeners[idx].1.accept() {
+            let node = self.peer_listeners[idx].0;
+            let gauge = self.body_gauge();
+            self.register_client(ClientConn::peer_server(stream, node, gauge));
         }
     }
 
@@ -1342,7 +1340,7 @@ impl Reactor {
     /// Closes a client (or peer-server) slot: unwinds the dispatcher
     /// connection exactly once and frees the slab entry. Outstanding
     /// disk/lateral completions for it die against the generation check.
-    fn release_client(&mut self, idx: usize, mut c: ClientConn) {
+    fn release_client(&mut self, idx: usize, c: ClientConn) {
         // Splices feeding this connection may have paused their reads
         // waiting for it to drain; wake them so they run their streams
         // dry (discarding against the bumped generation) and retire
@@ -1362,7 +1360,8 @@ impl Reactor {
         if let (Some(admitter), Some(ticket)) = (self.admitter.as_mut(), c.vip_conn) {
             admitter.release(c.fe_idx, ticket);
         }
-        let _ = self.poll.registry().deregister(&mut c.stream);
+        // No `deregister`: dropping `c` closes the stream's only
+        // descriptor, which takes it out of the epoll set by itself.
         self.free_slot(idx);
     }
 

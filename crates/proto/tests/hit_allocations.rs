@@ -106,15 +106,11 @@ fn parsing_a_pipelined_batch_and_taking_its_heads_allocates_nothing() {
     assert!(owned > 0, "the counting allocator saw nothing");
 }
 
-/// A node's cache hit — the demand count its admission gate keeps, the
-/// probe, the body handle and the counters — allocates nothing, across
-/// the counters' halvings too. The lock-order checker records every
-/// acquisition on the heap, so a checked build cannot show it.
+/// A node's cache hit — the demand count its eviction and admission
+/// gate weigh by, the probe weighted by it, the body handle and the
+/// counters — allocates nothing, across the counters' halvings too,
+/// and so does its one lock acquisition under the lock-order checker.
 #[test]
-#[cfg_attr(
-    feature = "lockcheck",
-    ignore = "the lock-order checker allocates on every lock acquisition"
-)]
 fn a_node_cache_hit_allocates_nothing() {
     let store = Arc::new(ContentStore::from_sizes(vec![512; 64]));
     let node = NodeState::new(NodeId(0), 1 << 20, DiskEmu::default(), store, Vec::new());

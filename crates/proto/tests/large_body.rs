@@ -53,12 +53,12 @@ const SIZES: [u64; 8] = [
     64,
 ];
 
-/// The lead connection's requests, `(ms, target)`: batches `[6]`,
-/// `[4, 2, 0, 4]`, `[2, 0]` and `[6]` (`LEAD_IN` says why).
+/// The lead connection's requests, `(ms, target)`: batches `[2]`,
+/// `[6, 4, 0, 4]`, `[2, 0]` and `[6]` (`LEAD_IN` says why).
 const LEAD: [(u64, u32); 8] = [
-    (0, 6),
-    (1_000, 4),
-    (1_100, 2),
+    (0, 2),
+    (1_000, 6),
+    (1_100, 4),
     (1_200, 0),
     (1_300, 4),
     (2_400, 2),
@@ -93,16 +93,17 @@ fn workload() -> (Trace, ConnectionTrace) {
     let trace = Trace::new(requests, SIZES.to_vec());
     let conns = reconstruct(&trace, SessionConfig::default());
     // `LEAD_IN`'s recipe rests on this: the first connection asks, in
-    // these batches, for the three cacheable targets that cannot share
-    // one cache.
+    // these batches, for a large cacheable target, then for a small one
+    // that fits beside it and a mid-size one that does not, and the
+    // mid-size one is the denser of the two that cannot share a cache.
     let lead: Vec<Vec<u32>> = conns.connections[0]
         .batches
         .iter()
         .map(|b| b.targets.iter().map(|t| t.0).collect())
         .collect();
-    assert_eq!(lead, [vec![6], vec![4, 2, 0, 4], vec![2, 0], vec![6]]);
-    let together: u64 = [2, 4, 6].map(|t| SIZES[t]).iter().sum();
-    assert!(together > CACHE_BYTES && SIZES[2] <= CACHE_BYTES);
+    assert_eq!(lead, [vec![2], vec![6, 4, 0, 4], vec![2, 0], vec![6]]);
+    assert!(SIZES[2] + SIZES[6] <= CACHE_BYTES);
+    assert!(SIZES[2] + SIZES[4] > CACHE_BYTES && SIZES[4] < SIZES[2]);
     assert!(SIZES[0] > CACHE_BYTES);
     (trace, conns)
 }
@@ -141,20 +142,19 @@ fn config(shards: usize, front_ends: usize) -> ProtoConfig {
 
 /// The first connection plays alone on the cold cluster: nothing is
 /// mapped yet, so each of its targets is a first-ever fetch, read on
-/// its own connection node — and the three cacheable ones (8 KiB +
-/// 512 KiB + 1.5 MiB) do not fit that node's cache together. A full
-/// cache admits only a target served more often than its victim, so
-/// the recipe gives the newcomer that demand: t6 and t4 are read into
-/// the room there is (the second t4 parks on the first's flight, and
-/// the oversized t0's reads are never cached); t2, served once like
-/// its victim, is turned away; the next batch serves t2 a second time
-/// and nothing else cached, so its read out-serves the victim and
-/// evicts — whatever the eviction policy and however the rest is
-/// timed. The others then play several at a time, so staging
-/// queues actually back up against HIGH_WATER; they open together on a
-/// loaded cluster, LARD spreads them over the nodes, and each asks for
-/// targets the others fetched first — which, rule 1b being off, are
-/// forwarded.
+/// its own connection node. t2 (1.5 MiB) is read into the empty cache,
+/// then t6 (8 KiB) into the room beside it (the oversized t0's reads
+/// are never cached, and the second t4 parks on the first's flight).
+/// t4 (512 KiB) does not fit beside t2, so the full cache's gate
+/// weighs it against its victim, t2 — the LRU tail, and under
+/// GreedyDual the entry with by far the least miss delay per byte.
+/// Each served once, t4 is served more often per byte (1·1.5 MiB >
+/// 1·512 KiB), so its read is admitted and evicts t2 — whatever the
+/// eviction policy and however the rest is timed. The others then
+/// play several at a time, so staging queues actually back up against
+/// HIGH_WATER; they open together on a loaded cluster, LARD spreads
+/// them over the nodes, and each asks for targets the others fetched
+/// first — which, rule 1b being off, are forwarded.
 const LEAD_IN: usize = 1;
 
 /// One matrix cell: serve the workload, capture transcripts, prove the

@@ -6,7 +6,9 @@
 //! This module serves both the simulator (`phttp-sim`) and the live
 //! prototype (`phttp-proto`): whole-document entries under a byte budget,
 //! with the victim chosen by an [`EvictPolicy`] — strict LRU, or
-//! GreedyDual-Size costed by the miss delay the owner measures.
+//! GreedyDual-Size costed by the miss delay the owner measures and,
+//! where the owner counts demand, weighted by it (GreedyDual-Size-
+//! Frequency).
 //!
 //! Implementation: hash map + intrusive doubly-linked recency list over
 //! a slab, so `touch`/`insert`/LRU-evict are O(1). GreedyDual keeps a
@@ -71,10 +73,22 @@ pub enum EvictPolicy {
     /// fed in via [`LruCache::insert_with_delay`] — after *Caching with
     /// Delayed Hits* (SIGCOMM 2020), a miss costs what it stalls, not 1.
     /// Entries never given a sample cost one unit, which makes a
-    /// metadata-only cache plain GDS(1). Ties go to the least recently
-    /// used entry, so costs proportional to size degenerate to *exactly*
-    /// [`Lru`](Self::Lru). The entry being inserted is never its own
-    /// insert's victim unless nothing else is left.
+    /// metadata-only cache plain GDS(1).
+    ///
+    /// An owner that counts demand passes it as a weight `f ≥ 1` on its
+    /// hits and inserts ([`LruCache::touch_weighted`],
+    /// [`LruCache::insert_valued_weighted`]), and the step becomes
+    /// `f·cost/size` — GreedyDual-Size-Frequency (Cherkasova, HP Labs
+    /// HPL-98-69, 1998): what stays is what is hit most per byte held.
+    /// A weighted hit never lowers the entry's `H` (decayed demand
+    /// shrinks the step later hits add, not the priority already
+    /// earned). An entry never given a weight weighs 1, so callers that
+    /// pass none get GreedyDual-Size bit for bit.
+    ///
+    /// Ties go to the least recently used entry, so costs proportional
+    /// to size degenerate to *exactly* [`Lru`](Self::Lru). The entry
+    /// being inserted is never its own insert's victim unless nothing
+    /// else is left.
     GreedyDual,
 }
 
@@ -85,8 +99,11 @@ struct Entry<K, V> {
     /// EWMA of observed aggregate miss delay (µs) for this entry; 0 until
     /// a delay sample is provided. The GreedyDual cost.
     score: u64,
-    /// `cost/size` in fixed point, recomputed whenever size or score
-    /// changes so a hit is one add.
+    /// Demand weight `f ≥ 1` of the last weighted hit or insert (1 if
+    /// none): GreedyDual-Size-Frequency's frequency.
+    freq: u32,
+    /// `freq·cost/size` in fixed point, recomputed whenever size, score
+    /// or weight changes so a hit is one add.
     step: u64,
     /// GreedyDual priority, `L + step` as of the last insert/hit.
     h: u64,
@@ -147,9 +164,13 @@ pub struct LruCache<K, V = ()> {
     heap_ops: u64,
 }
 
-/// `cost/size` in fixed point for an entry with EWMA delay `score`.
-fn gd_step(score: u64, size: u64) -> u64 {
-    let cost = score.clamp(GD_UNIT_COST, GD_MAX_COST);
+/// `freq·cost/size` in fixed point for an entry with EWMA delay `score`
+/// and demand weight `freq`; the weighted cost is clamped like the cost.
+fn gd_step(score: u64, freq: u32, size: u64) -> u64 {
+    let cost = score
+        .clamp(GD_UNIT_COST, GD_MAX_COST)
+        .saturating_mul(u64::from(freq.max(1)))
+        .min(GD_MAX_COST);
     (cost << GD_FRAC_BITS) / size.max(1)
 }
 
@@ -193,7 +214,7 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
             let mut idx = self.tail;
             while idx != NIL {
                 let e = &mut self.slab[idx];
-                e.step = gd_step(e.score, e.size);
+                e.step = gd_step(e.score, e.freq, e.size);
                 let prev = e.prev;
                 self.stamp(idx);
                 idx = prev;
@@ -269,6 +290,23 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
         }
     }
 
+    /// [`touch`](Self::touch) carrying the target's current demand
+    /// `weight` (0 reads as 1), which becomes the entry's GreedyDual-
+    /// Size-Frequency weight. Still O(1) and heap-free: the step is
+    /// recomputed only when the weight changed, and the re-stamped `H`
+    /// never falls below the entry's previous one. Weight 1 on an entry
+    /// that never had another is exactly [`touch`](Self::touch).
+    pub fn touch_weighted(&mut self, target: K, weight: u32) -> bool {
+        match self.map.get(&target) {
+            Some(&idx) => {
+                self.reweigh(idx, weight);
+                self.hit(idx);
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Like [`touch`](Self::touch), but also returns a borrow of the
     /// entry's cached payload (a hit on a valued cache). `None` when
     /// the target is absent **or** cached metadata-only; either way
@@ -302,17 +340,18 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
     }
 
     /// The entry the next eviction would evict — the LRU tail, or the
-    /// smallest `(H, tick)` under GreedyDual — left in place. Nothing
-    /// observable changes: contents, recency, priorities and `L` stay
-    /// as they were, so the next eviction evicts exactly this entry.
-    /// `&mut` only because the lazy heap is repaired on the way, as an
-    /// eviction would repair it. `None` when the cache is empty.
-    pub fn peek_victim(&mut self) -> Option<K> {
+    /// smallest `(H, tick)` under GreedyDual — and its size, left in
+    /// place. Nothing observable changes: contents, recency, priorities
+    /// and `L` stay as they were, so the next eviction evicts exactly
+    /// this entry. `&mut` only because the lazy heap is repaired on the
+    /// way, as an eviction would repair it. `None` when the cache is
+    /// empty.
+    pub fn peek_victim(&mut self) -> Option<(K, u64)> {
         let idx = match self.policy {
             EvictPolicy::Lru => self.tail,
             EvictPolicy::GreedyDual => self.peek_min()?,
         };
-        (idx != NIL).then(|| self.slab[idx].target)
+        (idx != NIL).then(|| (self.slab[idx].target, self.slab[idx].size))
     }
 
     /// Inserts a target of the given size, evicting entries as the
@@ -325,7 +364,7 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
     /// cannot hold it resident either). Re-inserting an existing target
     /// refreshes its recency and updates its size.
     pub fn insert(&mut self, target: K, size: u64) -> bool {
-        self.insert_inner(target, size, None, None)
+        self.insert_inner(target, size, None, None, None)
     }
 
     /// [`insert`](Self::insert) carrying the cached payload itself —
@@ -334,19 +373,23 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
     /// instead of the bytes. Refreshing an existing entry replaces its
     /// payload (same target ⇒ same content; the old slice drops).
     pub fn insert_valued(&mut self, target: K, size: u64, value: V) -> bool {
-        self.insert_inner(target, size, None, Some(value))
+        self.insert_inner(target, size, None, None, Some(value))
     }
 
     /// [`insert_valued`](Self::insert_valued) plus a miss-delay
-    /// observation (see [`insert_with_delay`](Self::insert_with_delay)).
-    pub fn insert_valued_with_delay(
+    /// observation (see [`insert_with_delay`](Self::insert_with_delay))
+    /// and the target's current demand `weight` (see
+    /// [`touch_weighted`](Self::touch_weighted)), which becomes the
+    /// entry's GreedyDual-Size-Frequency weight, new or refreshed.
+    pub fn insert_valued_weighted(
         &mut self,
         target: K,
         size: u64,
         value: V,
         agg_delay_us: u64,
+        weight: u32,
     ) -> bool {
-        self.insert_inner(target, size, Some(agg_delay_us), Some(value))
+        self.insert_inner(target, size, Some(agg_delay_us), Some(weight), Some(value))
     }
 
     /// [`insert`](Self::insert) plus a miss-delay observation: `agg_delay_us`
@@ -358,7 +401,7 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
     /// [`EvictPolicy::Lru`] the sample is recorded but never consulted, so
     /// the two entry points behave identically.
     pub fn insert_with_delay(&mut self, target: K, size: u64, agg_delay_us: u64) -> bool {
-        self.insert_inner(target, size, Some(agg_delay_us), None)
+        self.insert_inner(target, size, Some(agg_delay_us), None, None)
     }
 
     fn insert_inner(
@@ -366,6 +409,7 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
         target: K,
         size: u64,
         delay_us: Option<u64>,
+        weight: Option<u32>,
         value: Option<V>,
     ) -> bool {
         if let Some(&idx) = self.map.get(&target) {
@@ -375,6 +419,9 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
             e.size = size;
             if let Some(sample) = delay_us {
                 e.score = ((e.score as u128 + sample as u128) / 2) as u64;
+            }
+            if let Some(w) = weight {
+                e.freq = w.max(1);
             }
             if value.is_some() {
                 // A metadata-only refresh keeps whatever payload the
@@ -397,6 +444,7 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
             target,
             size,
             score: delay_us.unwrap_or(0),
+            freq: weight.unwrap_or(1).max(1),
             step: 0,
             h: 0,
             tick: 0,
@@ -419,7 +467,7 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
         if self.is_gd() {
             if kept {
                 let e = &mut self.slab[keep];
-                e.step = gd_step(e.score, e.size);
+                e.step = gd_step(e.score, e.freq, e.size);
                 self.stamp(keep);
                 self.enqueue(keep);
             }
@@ -592,7 +640,27 @@ impl<K: Copy + Eq + Hash, V> LruCache<K, V> {
         self.unlink(idx);
         self.push_front(idx);
         if self.is_gd() {
+            let floor = self.slab[idx].h;
             self.stamp(idx);
+            // A lowered weight may not lower `H`: the queued item keeps
+            // its key at or below the entry's. Unweighted, `L` only rose
+            // since the last stamp and the step is the same, so this
+            // never binds.
+            let e = &mut self.slab[idx];
+            e.h = e.h.max(floor);
+        }
+    }
+
+    /// Sets entry `idx`'s demand weight (0 reads as 1), recomputing its
+    /// step under GreedyDual only when the weight changed.
+    fn reweigh(&mut self, idx: usize, weight: u32) {
+        let (freq, gd) = (weight.max(1), self.is_gd());
+        let e = &mut self.slab[idx];
+        if e.freq != freq {
+            e.freq = freq;
+            if gd {
+                e.step = gd_step(e.score, freq, e.size);
+            }
         }
     }
 
@@ -1008,7 +1076,7 @@ mod tests {
         c.insert(t(1), 100);
         assert!(Rc::ptr_eq(c.get(t(1)).unwrap(), &v1));
         // Valued refresh replaces it and drops the old owner.
-        c.insert_valued_with_delay(t(1), 100, Rc::new(22), 5_000);
+        c.insert_valued_weighted(t(1), 100, Rc::new(22), 5_000, 1);
         assert_eq!(Rc::strong_count(&v1), 1);
         assert_eq!(**c.get(t(1)).unwrap(), 22);
         assert_eq!(c.mad_score(t(1)), Some(2_500), "(0 + 5000) / 2");
@@ -1036,10 +1104,10 @@ mod tests {
                 EvictPolicy::GreedyDual => t(1),
             };
             let before = c.contents_lru_order();
-            assert_eq!(c.peek_victim(), Some(next), "{policy:?}");
+            assert_eq!(c.peek_victim(), Some((next, 100)), "{policy:?}");
             assert_eq!(
                 c.peek_victim(),
-                Some(next),
+                Some((next, 100)),
                 "{policy:?}: a peek is idempotent"
             );
             assert_eq!(
@@ -1049,6 +1117,31 @@ mod tests {
             );
             c.insert_with_delay(t(4), 100, 20_000);
             assert_eq!(c.drain_evictions(), vec![next], "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn demand_weight_keeps_a_busy_small_entry_over_an_idle_large_one() {
+        for weighted in [false, true] {
+            let mut c: LruCache<u32> = LruCache::new(400);
+            c.set_policy(EvictPolicy::GreedyDual);
+            c.insert_with_delay(t(1), 200, 40_000); // 200 µs/byte, never hit
+            c.insert_with_delay(t(2), 100, 10_000); // 100 µs/byte
+            for demand in 2..=4 {
+                if weighted {
+                    assert!(c.touch_weighted(t(2), demand));
+                } else {
+                    assert!(c.touch(t(2)));
+                }
+            }
+            // Room for 100 more bytes is needed. Plain GreedyDual keeps
+            // the costlier byte, t(1); weighted by demand t(2) earns 4 ×
+            // 100 µs/byte and the idle large entry goes instead.
+            c.insert_with_delay(t(3), 200, 40_000);
+            assert_eq!(c.contains(t(1)), !weighted, "weighted: {weighted}");
+            assert_eq!(c.contains(t(2)), weighted, "weighted: {weighted}");
+            assert!(c.contains(t(3)));
+            assert_eq!(c.evictions(), 1);
         }
     }
 

@@ -1,6 +1,7 @@
 //! Property tests for [`LruCache`] under [`EvictPolicy::GreedyDual`]:
-//! the lazy-heap implementation against a naive reference, the LRU
-//! degeneracy, and the bounds the heap and the fixed point must keep.
+//! the lazy-heap implementation against a naive reference (demand
+//! weights included), the LRU degeneracy, weight 1 as today's cache,
+//! and the bounds the heap and the fixed point must keep.
 
 use proptest::prelude::*;
 
@@ -8,9 +9,9 @@ use super::*;
 
 const BUDGET: u64 = 1_000;
 
-/// GreedyDual-Size the obvious way: a flat list, every eviction a full
-/// scan for the smallest `(H, tick)`, `H` wide enough never to need a
-/// rebase.
+/// GreedyDual-Size(-Frequency) the obvious way: a flat list, every
+/// eviction a full scan for the smallest `(H, tick)`, `H` wide enough
+/// never to need a rebase.
 struct Model {
     budget: u64,
     l: u128,
@@ -23,6 +24,7 @@ struct ModelEntry {
     key: u32,
     size: u64,
     score: u64,
+    freq: u64,
     h: u128,
     tick: u64,
 }
@@ -48,16 +50,23 @@ impl Model {
 
     fn stamp(&mut self, i: usize) {
         let e = &mut self.entries[i];
-        let cost = e.score.clamp(1, (1 << 28) - 1) as u128;
+        let cost = (e.score.clamp(1, (1 << 28) - 1) * e.freq).min((1 << 28) - 1) as u128;
         e.h = self.l + (cost << 32) / e.size.max(1) as u128;
         e.tick = self.clock;
         self.clock += 1;
     }
 
-    fn touch(&mut self, key: u32) -> bool {
+    /// A hit, re-weighted if `weight` says so; it never lowers `H`.
+    fn touch(&mut self, key: u32, weight: Option<u32>) -> bool {
         match self.pos(key) {
             Some(i) => {
+                if let Some(w) = weight {
+                    self.entries[i].freq = w.max(1) as u64;
+                }
+                let floor = self.entries[i].h;
                 self.stamp(i);
+                let e = &mut self.entries[i];
+                e.h = e.h.max(floor);
                 true
             }
             None => false,
@@ -68,13 +77,16 @@ impl Model {
         self.pos(key).map(|i| self.entries.remove(i)).is_some()
     }
 
-    fn insert(&mut self, key: u32, size: u64, delay: Option<u64>) -> bool {
+    fn insert(&mut self, key: u32, size: u64, delay: Option<u64>, weight: Option<u32>) -> bool {
         let fresh = match self.pos(key) {
             Some(i) => {
                 let e = &mut self.entries[i];
                 e.size = size;
                 if let Some(d) = delay {
                     e.score = (e.score + d) / 2;
+                }
+                if let Some(w) = weight {
+                    e.freq = w.max(1) as u64;
                 }
                 false
             }
@@ -84,6 +96,7 @@ impl Model {
                     key,
                     size,
                     score: delay.unwrap_or(0),
+                    freq: weight.unwrap_or(1).max(1) as u64,
                     h: 0,
                     tick: 0,
                 });
@@ -122,25 +135,57 @@ impl Model {
 enum Op {
     Insert(u32, u64),
     InsertDelay(u32, u64, u64),
+    /// A valued insert with a delay sample and a demand weight.
+    InsertWeighted(u32, u64, u64, u32),
     Touch(u32),
+    TouchWeighted(u32, u32),
     Remove(u32),
     Clear,
 }
 
 /// Mostly small entries, some near or over the whole budget, over few
 /// enough keys that refreshes, hits and removes of live entries are
-/// common.
+/// common; weights from 0 (read as 1) past a 4-bit counter's ceiling,
+/// rising and falling.
 fn arb_ops(len: usize) -> impl Strategy<Value = Vec<Op>> {
     let size = prop_oneof![1u64..400, 1u64..400, 800u64..1_200];
-    let op =
-        (0u8..40, 0u32..24, size, 0u64..50_000).prop_map(|(kind, key, size, delay)| match kind {
+    let op = (0u8..50, 0u32..24, size, 0u64..50_000, 0u32..20).prop_map(
+        |(kind, key, size, delay, weight)| match kind {
             0..=9 => Op::Insert(key, size),
-            10..=21 => Op::InsertDelay(key, size, delay),
-            22..=31 => Op::Touch(key),
-            32..=38 => Op::Remove(key),
+            10..=16 => Op::InsertDelay(key, size, delay),
+            17..=21 => Op::InsertWeighted(key, size, delay, weight),
+            22..=27 => Op::Touch(key),
+            28..=37 => Op::TouchWeighted(key, weight),
+            38..=46 => Op::Remove(key),
             _ => Op::Clear,
-        });
+        },
+    );
     proptest::collection::vec(op, 1..len)
+}
+
+/// Applies `op` to `c` through the API it names.
+fn apply(c: &mut LruCache<u32>, op: Op) {
+    match op {
+        Op::Insert(k, size) => {
+            c.insert(k, size);
+        }
+        Op::InsertDelay(k, size, d) => {
+            c.insert_with_delay(k, size, d);
+        }
+        Op::InsertWeighted(k, size, d, w) => {
+            c.insert_valued_weighted(k, size, (), d, w);
+        }
+        Op::Touch(k) => {
+            c.touch(k);
+        }
+        Op::TouchWeighted(k, w) => {
+            c.touch_weighted(k, w);
+        }
+        Op::Remove(k) => {
+            c.remove(k);
+        }
+        Op::Clear => c.clear(),
+    }
 }
 
 fn gd_cache() -> LruCache<u32> {
@@ -165,20 +210,27 @@ proptest! {
             // What the insert must leave cached, and whether it was new.
             let mut inserted = None;
             match op {
-                Op::Insert(k, size) | Op::InsertDelay(k, size, _) => {
-                    let delay = match op {
-                        Op::InsertDelay(_, _, d) => Some(d),
-                        _ => None,
+                Op::Insert(k, size)
+                | Op::InsertDelay(k, size, _)
+                | Op::InsertWeighted(k, size, _, _) => {
+                    let (delay, weight) = match op {
+                        Op::InsertDelay(_, _, d) => (Some(d), None),
+                        Op::InsertWeighted(_, _, d, w) => (Some(d), Some(w)),
+                        _ => (None, None),
                     };
                     let was_cached = cache.contains(k);
-                    let admitted = match delay {
-                        Some(d) => cache.insert_with_delay(k, size, d),
-                        None => cache.insert(k, size),
+                    let admitted = match (delay, weight) {
+                        (Some(d), Some(w)) => cache.insert_valued_weighted(k, size, (), d, w),
+                        (Some(d), None) => cache.insert_with_delay(k, size, d),
+                        _ => cache.insert(k, size),
                     };
-                    prop_assert_eq!(admitted, model.insert(k, size, delay), "{:?}", op);
+                    prop_assert_eq!(admitted, model.insert(k, size, delay, weight), "{:?}", op);
                     inserted = Some((k, size, was_cached, admitted));
                 }
-                Op::Touch(k) => prop_assert_eq!(cache.touch(k), model.touch(k)),
+                Op::Touch(k) => prop_assert_eq!(cache.touch(k), model.touch(k, None)),
+                Op::TouchWeighted(k, w) => {
+                    prop_assert_eq!(cache.touch_weighted(k, w), model.touch(k, Some(w)));
+                }
                 Op::Remove(k) => prop_assert_eq!(cache.remove(k), model.remove(k)),
                 Op::Clear => {
                     cache.clear();
@@ -191,6 +243,12 @@ proptest! {
             prop_assert_eq!(cache.used(), model.used());
             prop_assert_eq!(cache.len(), model.entries.len());
             prop_assert_eq!(cache.contents_lru_order(), model.contents_lru_order());
+            // Same `L` and the same `H` per entry: a victim picked right
+            // for the wrong key would show here first.
+            prop_assert_eq!(cache.inflation as u128, model.l);
+            for e in &model.entries {
+                prop_assert_eq!(cache.slab[cache.map[&e.key]].h as u128, e.h, "t({})", e.key);
+            }
             prop_assert!(cache.used() <= BUDGET);
             if let Some((k, size, was_cached, admitted)) = inserted {
                 prop_assert!(!victims.contains(&k), "{:?} evicted itself", op);
@@ -261,32 +319,61 @@ proptest! {
         for op in ops {
             let peeked = cache.peek_victim();
             prop_assert_eq!(peeked.is_none(), cache.is_empty());
+            if let Some((k, size)) = peeked {
+                prop_assert!(cache.contents_lru_order().contains(&(k, size)), "the victim's own size");
+            }
             let fresh = match op {
-                Op::Insert(k, _) | Op::InsertDelay(k, _, _) => !cache.contains(k),
+                Op::Insert(k, _) | Op::InsertDelay(k, _, _) | Op::InsertWeighted(k, _, _, _) => {
+                    !cache.contains(k)
+                }
                 _ => false,
             };
-            for c in [&mut cache, &mut twin] {
-                match op {
-                    Op::Insert(k, size) => {
-                        c.insert(k, size);
-                    }
-                    Op::InsertDelay(k, size, d) => {
-                        c.insert_with_delay(k, size, d);
-                    }
-                    Op::Touch(k) => {
-                        c.touch(k);
-                    }
-                    Op::Remove(k) => {
-                        c.remove(k);
-                    }
-                    Op::Clear => c.clear(),
-                }
-            }
+            apply(&mut cache, op);
+            apply(&mut twin, op);
             let victims = cache.drain_evictions();
             prop_assert_eq!(&victims, &twin.drain_evictions(), "{:?}", op);
             prop_assert_eq!(cache.contents_lru_order(), twin.contents_lru_order());
             if fresh && !victims.is_empty() {
-                prop_assert_eq!(Some(victims[0]), peeked, "{:?}", op);
+                prop_assert_eq!(Some(victims[0]), peeked.map(|(k, _)| k), "{:?}", op);
+            }
+        }
+    }
+
+    /// (h) Weight 1 through the weighted API is today's cache, bit for
+    /// bit, under either policy: a twin driven through `touch` and
+    /// `insert_with_delay` returns, evicts, orders, peeks and stamps
+    /// every entry exactly alike.
+    #[test]
+    fn weight_one_is_the_unweighted_cache(ops in arb_ops(300), gd in any::<bool>()) {
+        let mut weighted: LruCache<u32> = LruCache::new(BUDGET);
+        if gd {
+            weighted.set_policy(EvictPolicy::GreedyDual);
+        }
+        weighted.set_journal(true);
+        let mut plain = weighted.clone();
+        for op in ops {
+            match op {
+                Op::Touch(k) | Op::TouchWeighted(k, _) => {
+                    prop_assert_eq!(weighted.touch_weighted(k, 1), plain.touch(k));
+                }
+                Op::InsertDelay(k, size, d) | Op::InsertWeighted(k, size, d, _) => {
+                    prop_assert_eq!(
+                        weighted.insert_valued_weighted(k, size, (), d, 1),
+                        plain.insert_with_delay(k, size, d)
+                    );
+                }
+                other => {
+                    apply(&mut weighted, other);
+                    apply(&mut plain, other);
+                }
+            }
+            prop_assert_eq!(weighted.drain_evictions(), plain.drain_evictions(), "{:?}", op);
+            prop_assert_eq!(weighted.contents_lru_order(), plain.contents_lru_order());
+            prop_assert_eq!(weighted.peek_victim(), plain.peek_victim());
+            prop_assert_eq!(weighted.inflation, plain.inflation);
+            for (k, _) in plain.contents_lru_order() {
+                let (w, p) = (&weighted.slab[weighted.map[&k]], &plain.slab[plain.map[&k]]);
+                prop_assert_eq!((w.h, w.step, w.tick), (p.h, p.step, p.tick), "t({})", k);
             }
         }
     }
@@ -344,12 +431,15 @@ fn hits_never_touch_the_heap() {
 /// here across the boundary itself, against the model's 128-bit `H`.
 #[test]
 fn inflation_rebases_before_it_can_wrap() {
-    let step = gd_step(10_000_000, 1);
+    let step = gd_step(10_000_000, 1, 1);
     assert!(
         (step as u128) << 32 > u64::MAX as u128,
         "the chosen width alone would not hold this history"
     );
-    assert!(gd_step(u64::MAX, 1) < 1 << 60, "no step reaches 2^60");
+    assert!(
+        gd_step(u64::MAX, u32::MAX, 1) < 1 << 60,
+        "no step reaches 2^60"
+    );
 
     let mut c: LruCache<u32> = LruCache::new(4);
     c.set_policy(EvictPolicy::GreedyDual);
@@ -361,9 +451,9 @@ fn inflation_rebases_before_it_can_wrap() {
             // simply first in, first out.
             let delay = 10_000_000 - (k as u64 % 3) * 1_000_000;
             c.insert_with_delay(k, 1, delay);
-            model.insert(k, 1, Some(delay));
+            model.insert(k, 1, Some(delay), None);
             let hit = k.saturating_sub(2);
-            assert_eq!(c.touch(hit), model.touch(hit));
+            assert_eq!(c.touch(hit), model.touch(hit, None));
             assert_eq!(c.drain_evictions(), std::mem::take(&mut model.journal));
         }
     };

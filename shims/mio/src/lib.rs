@@ -73,6 +73,7 @@ mod sys {
     pub const EFD_NONBLOCK: c_int = 0o4000;
 
     pub const AF_INET: c_int = 2;
+    pub const AF_INET6: c_int = 10;
     pub const SOCK_STREAM: c_int = 1;
     pub const SOCK_CLOEXEC: c_int = 0o2000000;
     pub const SOCK_NONBLOCK: c_int = 0o4000;
@@ -110,6 +111,20 @@ mod sys {
         /// Network byte order.
         pub sin_addr: u32,
         pub sin_zero: [u8; 8],
+    }
+
+    /// Room for the peer address `accept4(2)` writes: a kernel
+    /// `struct sockaddr_in` or `struct sockaddr_in6` (28 bytes), read
+    /// by family.
+    #[repr(C, align(4))]
+    #[derive(Clone, Copy)]
+    pub struct SockaddrAny {
+        pub family: u16,
+        /// Network byte order.
+        pub port: u16,
+        /// IPv4: the address, then padding. IPv6: flow info, the
+        /// address, the scope id.
+        pub rest: [u8; 24],
     }
 
     /// Kernel `struct iovec` for `writev(2)`. `std::io::IoSlice` is
@@ -154,6 +169,8 @@ mod sys {
         pub fn bind(fd: c_int, addr: *const SockaddrIn, addrlen: u32) -> c_int;
         pub fn listen(fd: c_int, backlog: c_int) -> c_int;
         pub fn connect(fd: c_int, addr: *const SockaddrIn, addrlen: u32) -> c_int;
+        pub fn accept4(fd: c_int, addr: *mut SockaddrAny, addrlen: *mut u32, flags: c_int)
+            -> c_int;
         pub fn writev(fd: c_int, iov: *const IoVec, iovcnt: c_int) -> isize;
     }
 }
@@ -633,10 +650,61 @@ pub mod net {
         }
 
         /// Accepts one pending connection; `WouldBlock` when none is
-        /// queued. The accepted stream is already non-blocking.
+        /// queued. One `accept4(2)` call: the stream is born
+        /// non-blocking and close-on-exec, with no `ioctl` after it.
         pub fn accept(&self) -> io::Result<(TcpStream, SocketAddr)> {
-            let (s, addr) = self.inner.accept()?;
-            Ok((TcpStream::from_std(s), addr))
+            use super::sys;
+            use std::net::{Ipv4Addr, Ipv6Addr, SocketAddrV4, SocketAddrV6};
+            use std::os::fd::{FromRawFd, OwnedFd};
+
+            let mut sa = sys::SockaddrAny {
+                family: 0,
+                port: 0,
+                rest: [0; 24],
+            };
+            let mut len = std::mem::size_of::<sys::SockaddrAny>() as u32;
+            // SAFETY: `sa` and `len` are live stack values for the
+            // duration of the call, `len` holding `sa`'s exact size, so
+            // the kernel writes at most that many bytes into it.
+            let raw = unsafe {
+                sys::accept4(
+                    self.inner.as_raw_fd(),
+                    &mut sa,
+                    &mut len,
+                    sys::SOCK_NONBLOCK | sys::SOCK_CLOEXEC,
+                )
+            };
+            if raw < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            // SAFETY: `raw` was just returned open by accept4(2) and
+            // nothing else owns it; OwnedFd becomes its sole closer.
+            let fd = unsafe { OwnedFd::from_raw_fd(raw) };
+            let port = u16::from_be(sa.port);
+            let r = sa.rest;
+            let addr = match i32::from(sa.family) {
+                sys::AF_INET => SocketAddr::V4(SocketAddrV4::new(
+                    Ipv4Addr::new(r[0], r[1], r[2], r[3]),
+                    port,
+                )),
+                sys::AF_INET6 => {
+                    let ip: [u8; 16] = r[4..20].try_into().expect("16 bytes");
+                    SocketAddr::V6(SocketAddrV6::new(
+                        Ipv6Addr::from(ip),
+                        port,
+                        u32::from_ne_bytes(r[0..4].try_into().expect("4 bytes")),
+                        u32::from_ne_bytes(r[20..24].try_into().expect("4 bytes")),
+                    ))
+                }
+                _ => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "accepted a peer of an unknown address family",
+                    ))
+                }
+            };
+            let inner = std::net::TcpStream::from(fd);
+            Ok((TcpStream { inner }, addr))
         }
 
         /// The bound local address.
@@ -725,9 +793,9 @@ pub mod net {
                     return Err(err);
                 }
             }
-            // Already non-blocking via SOCK_NONBLOCK; from_std's extra
-            // set_nonblocking is an idempotent no-op.
-            Ok(Self::from_std(std::net::TcpStream::from(fd)))
+            // Already non-blocking via SOCK_NONBLOCK.
+            let inner = std::net::TcpStream::from(fd);
+            Ok(TcpStream { inner })
         }
 
         /// Writes from several buffers in one `writev(2)` syscall —
@@ -996,6 +1064,42 @@ mod tests {
             "connect blocked on a full backlog"
         );
         drop(streams);
+    }
+
+    #[test]
+    fn accepted_streams_are_non_blocking_and_name_their_peer() {
+        use crate::event::Source;
+        for bind in ["127.0.0.1:0", "[::1]:0"] {
+            let Ok(l) = net::TcpListener::bind(bind.parse().unwrap()) else {
+                continue; // no IPv6 loopback here
+            };
+            let e = l.accept().expect_err("an empty queue");
+            assert_eq!(e.kind(), io::ErrorKind::WouldBlock, "{bind}");
+            let client = std::net::TcpStream::connect(l.local_addr().unwrap()).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let (mut s, peer) = loop {
+                match l.accept() {
+                    Ok(pair) => break pair,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        assert!(Instant::now() < deadline, "{bind}: nothing to accept");
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    Err(e) => panic!("{bind}: accept failed: {e}"),
+                }
+            };
+            assert_eq!(peer, client.local_addr().unwrap(), "{bind}");
+            let mut buf = [0u8; 4];
+            let e = s.read(&mut buf).expect_err("nothing sent yet");
+            assert_eq!(e.kind(), io::ErrorKind::WouldBlock, "{bind}: non-blocking");
+            // SAFETY: `F_GETFD` (1) takes no third argument, and `s`
+            // keeps the descriptor open across the call.
+            let flags = unsafe { fcntl(s.raw_fd(), 1) };
+            assert_eq!(flags & 1, 1, "{bind}: FD_CLOEXEC");
+        }
+    }
+
+    extern "C" {
+        fn fcntl(fd: i32, cmd: i32, ...) -> i32;
     }
 
     #[test]
